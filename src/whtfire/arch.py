@@ -309,18 +309,18 @@ def build_toy_net(variant: str, width: int = 8, input_size: int = 32,
 
 # -- execution ----------------------------------------------------------------
 
-def network_forward(net: Network, x: np.ndarray):
-    """Run the descriptor; returns (logits, per-layer outputs, per-layer caches)."""
-    desc = net.descriptor
-    expected = (desc.input_size, desc.input_size, 3)
-    if x.shape != expected:
-        raise ShapeMismatchError(f"expected input {expected}, got {x.shape}")
+def _run_layers(net: Network, x: np.ndarray, layers):
+    """The executor: run ``layers`` in order on ``x``.
+
+    Returns (final output, per-layer outputs, per-layer caches).  Every
+    layer kind acts on the trailing (channel) axis or on the two spatial
+    axes before it, so ``x`` may have any spatial extent.
+    """
     params = net.parameters
-    # center [0,1] inputs so first-layer features are zero-mean
-    cur = np.asarray(x, dtype=net.dtype) - net.dtype.type(0.5)
+    cur = x
     outputs: list[np.ndarray] = []
     caches: list[tuple | None] = []
-    for layer in desc.layers:
+    for layer in layers:
         k = layer.kind
         if k == "pointwise":
             cur, cache = nn.pointwise_forward(cur, params[f"{layer.name}.weight"])
@@ -354,6 +354,70 @@ def network_forward(net: Network, x: np.ndarray):
         outputs.append(cur)
         caches.append(cache)
     return cur, outputs, caches
+
+
+def _centered(net: Network, x: np.ndarray) -> np.ndarray:
+    # center [0,1] inputs so first-layer features are zero-mean
+    return np.asarray(x, dtype=net.dtype) - net.dtype.type(0.5)
+
+
+def _gap_index(desc: ArchDescriptor) -> int:
+    for idx, layer in enumerate(desc.layers):
+        if layer.kind == "gap":
+            return idx
+    raise InvalidDescriptorError(f"{desc.name} has no gap layer")
+
+
+def network_forward(net: Network, x: np.ndarray):
+    """Run the descriptor; returns (logits, per-layer outputs, per-layer caches)."""
+    desc = net.descriptor
+    expected = (desc.input_size, desc.input_size, 3)
+    if x.shape != expected:
+        raise ShapeMismatchError(f"expected input {expected}, got {x.shape}")
+    return _run_layers(net, _centered(net, x), desc.layers)
+
+
+def feature_map(net: Network, image: np.ndarray) -> np.ndarray:
+    """The (H', W', C) map that ``gap`` would average, for an image of any extent.
+
+    Runs the layers before ``gap`` on an (H, W, 3) image.  Each
+    ``avgpool2`` halves the extents, which must then be even.
+    """
+    image = np.asarray(image)
+    if image.ndim != 3 or image.shape[2] != 3:
+        raise ShapeMismatchError(f"expected an (H, W, 3) image, got {image.shape}")
+    desc = net.descriptor
+    layers = desc.layers[: _gap_index(desc)]
+    return _run_layers(net, _centered(net, image), layers)[0]
+
+
+def head_classify(net: Network, pooled: np.ndarray) -> np.ndarray:
+    """Class probabilities for (B, C) ``gap`` outputs: the layers after ``gap``
+    then softmax, for all B rows in one call; returns (B, num_classes)."""
+    desc = net.descriptor
+    layers = desc.layers[_gap_index(desc) + 1 :]
+    logits = _run_layers(net, np.asarray(pooled, dtype=net.dtype), layers)[0]
+    return nn.softmax(logits.astype(np.float64))
+
+
+# Layer kinds whose output at a pixel depends only on that pixel of their
+# input (or, for avgpool2, on its aligned 2x2 cell), so a map computed over
+# a whole frame restricts exactly to any suitably aligned window of it.
+# conv3x3 is absent: its zero padding at a window's edge differs from the
+# frame's neighbouring pixels.
+_LOCAL_KINDS = frozenset({"pointwise", "relu", "wht", "gain", "add_skip", "avgpool2"})
+
+
+def feature_stride(desc: ArchDescriptor) -> int | None:
+    """Input pixels per ``feature_map`` pixel along each axis.
+
+    None when a layer before ``gap`` mixes neighbouring pixels (conv3x3),
+    so windows of one frame cannot share a feature map.
+    """
+    before_gap = desc.layers[: _gap_index(desc)]
+    if any(layer.kind not in _LOCAL_KINDS for layer in before_gap):
+        return None
+    return 2 ** sum(layer.kind == "avgpool2" for layer in before_gap)
 
 
 def network_backward(net: Network, caches: list, outputs: list,

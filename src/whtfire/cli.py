@@ -27,6 +27,17 @@ EXIT_DATA = 3
 _ARCHES = ("resnet50", "wht-resnet50-preset", "toy-conv", "toy-wht")
 
 
+def _probability(text: str) -> float:
+    """argparse type for a decision threshold: a finite number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text} is outside [0, 1]")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whtfire",
@@ -73,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="block-grid detection over one image")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--tau", type=_probability, default=0.5)
     p.add_argument("--draw-scores", action="store_true")
 
     p = sub.add_parser("params", help="parameter-count table for an architecture")

@@ -24,6 +24,7 @@ from .arch import (
 from .errors import (
     ArchMismatchError,
     BadMagicError,
+    CorruptFileError,
     ManifestError,
     TensorShapeMismatchError,
     TruncatedFileError,
@@ -80,7 +81,10 @@ def ppm_write(image: np.ndarray, path) -> None:
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) image, got {arr.shape}")
     h, w = arr.shape[:2]
-    bytes_ = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    t = arr * 255.0
+    np.rint(t, out=t)
+    np.clip(t, 0, 255, out=t)
+    bytes_ = t.astype(np.uint8)
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
         f.write(bytes_.tobytes())
@@ -269,6 +273,28 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode()
+        except UnicodeDecodeError as exc:
+            raise CorruptFileError(
+                f"{self.label}: undecodable text at byte {self.pos - len(raw)}"
+            ) from exc
+
+
+def _meta_int(meta: dict[str, str], key: str, default: str | None = None) -> int:
+    value = meta.get(key, default)
+    if value is None:
+        raise ArchMismatchError(f"checkpoint metadata lacks {key!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise ArchMismatchError(
+            f"checkpoint metadata {key!r} is {value!r}, not an integer"
+        ) from None
+
 
 def _rebuild_descriptor(meta: dict[str, str]) -> ArchDescriptor:
     name = meta.get("arch", "")
@@ -277,9 +303,9 @@ def _rebuild_descriptor(meta: dict[str, str]) -> ArchDescriptor:
         raise ArchMismatchError(f"unknown architecture {name!r} in checkpoint")
     return toy_descriptor(
         variant,
-        width=int(meta["width"]),
-        input_size=int(meta["input_size"]),
-        threshold_trainable=bool(int(meta.get("threshold_trainable", "0"))),
+        width=_meta_int(meta, "width"),
+        input_size=_meta_int(meta, "input_size"),
+        threshold_trainable=bool(_meta_int(meta, "threshold_trainable", "0")),
     )
 
 
@@ -295,11 +321,11 @@ def checkpoint_load(path, expected: ArchDescriptor | None = None) -> Network:
         )
     meta: dict[str, str] = {}
     for _ in range(rd.u32()):
-        key = rd.take(rd.u32()).decode()
-        meta[key] = rd.take(rd.u32()).decode()
+        key = rd.text()
+        meta[key] = rd.text()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(rd.u32()):
-        name = rd.take(rd.u32()).decode()
+        name = rd.text()
         rank = rd.u32()
         shape = struct.unpack(f"<{rank}I", rd.take(4 * rank))
         count = int(np.prod(shape)) if rank else 1
@@ -333,4 +359,4 @@ def checkpoint_load(path, expected: ArchDescriptor | None = None) -> Network:
                 f"{path}: tensor {name} has shape {t.shape}, expected {shape}"
             )
         params[name] = t
-    return Network(desc, params, seed=int(meta.get("seed", "0")))
+    return Network(desc, params, seed=_meta_int(meta, "seed", "0"))

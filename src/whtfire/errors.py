@@ -71,6 +71,10 @@ class TruncatedFileError(WhtFireError, ValueError):
     """File ended before the declared payload was complete."""
 
 
+class CorruptFileError(WhtFireError, ValueError):
+    """File bytes cannot be decoded as the declared format."""
+
+
 class UnsupportedMaxvalError(WhtFireError, ValueError):
     """Pixmap maxval other than 255."""
 

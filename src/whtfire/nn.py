@@ -103,7 +103,8 @@ def pointwise_backward(cache: tuple, dy: np.ndarray):
 # -- dense / activations ---------------------------------------------------
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> LayerIO:
-    if x.shape != (w.shape[0],) or b.shape != (w.shape[1],):
+    """Affine map of the last axis; ``x`` is (Cin,) or (B, Cin)."""
+    if x.ndim not in (1, 2) or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatchError(
             f"dense shapes do not line up: {x.shape}, {w.shape}, {b.shape}"
         )
@@ -170,9 +171,10 @@ def gain_backward(cache: tuple, dy: np.ndarray):
 # -- loss -------------------------------------------------------------------
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
+    """Softmax over the last axis; leading axes index independent samples."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, label: int):

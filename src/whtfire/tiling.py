@@ -6,6 +6,15 @@ anchors a window made of itself plus its right, bottom, and bottom-right
 neighbours, giving (R-1)*(C-1) overlapping windows.  A window is mean-pooled
 2x2 back to block resolution before classification, and per-anchor scores
 are rendered as coloured block borders.
+
+Scoring pools the R x C block area once: since every window starts on a
+block boundary, its pooled patch is a slice of the pooled frame.  When
+every layer before ``gap`` is local (``arch.feature_stride``), the windows
+also share all per-pixel work: the feature map is computed once over the
+pooled frame, each window's ``gap`` is a sum of four block sums of it, and
+the dense head classifies all windows in one call.  Otherwise (conv3x3,
+whose zero padding differs at window edges) each slice runs through
+``forward_classify`` on its own.
 """
 
 from __future__ import annotations
@@ -14,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import Network, forward_classify
+from .arch import Network, feature_map, feature_stride, forward_classify, head_classify
 from .errors import (
     BlockLargerThanImageError,
     DegenerateGridError,
     OddDimensionsError,
+    ShapeMismatchError,
 )
 
 GREEN = (0.0, 1.0, 0.0)
@@ -84,13 +94,17 @@ class ScoreGrid:
         return bool(np.any(self.scores >= self.threshold))
 
 
+def _require_windows(spec: GridSpec) -> None:
+    if spec.rows < 2 or spec.cols < 2:
+        raise DegenerateGridError(
+            f"grid {spec.rows}x{spec.cols} has no 2x2 window; need R >= 2 and C >= 2"
+        )
+
+
 def extract_windows(image: np.ndarray, spec: GridSpec):
     """All ((r, c), window) pairs; window (r, c) covers blocks (r..r+1, c..c+1)."""
+    _require_windows(spec)
     rows, cols = spec.rows, spec.cols
-    if rows < 2 or cols < 2:
-        raise DegenerateGridError(
-            f"grid {rows}x{cols} has no 2x2 window; need R >= 2 and C >= 2"
-        )
     bh, bw = spec.block_height, spec.block_width
     out = []
     for r in range(rows - 1):
@@ -101,16 +115,23 @@ def extract_windows(image: np.ndarray, spec: GridSpec):
 
 
 def mean_pool(image: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:
-    """Integer-factor mean pooling per channel."""
+    """Integer-factor mean pooling per channel.
+
+    Floating inputs keep their dtype; any other input pools to float64.
+    """
     h, w = image.shape[:2]
     if h % factor_y or w % factor_x:
         raise OddDimensionsError(
             f"extents {h}x{w} not divisible by {factor_y}x{factor_x}"
         )
-    shaped = image.reshape(h // factor_y, factor_y, w // factor_x, factor_x, -1)
-    return shaped.mean(axis=(1, 3)).reshape(
-        h // factor_y, w // factor_x, *image.shape[2:]
-    )
+    dtype = image.dtype if np.issubdtype(image.dtype, np.inexact) else np.float64
+    acc = image[::factor_y, ::factor_x].astype(dtype)
+    for i in range(factor_y):
+        for j in range(factor_x):
+            if i or j:
+                acc += image[i::factor_y, j::factor_x]
+    acc /= factor_y * factor_x
+    return acc
 
 
 def downsample_window(window: np.ndarray) -> np.ndarray:
@@ -120,13 +141,47 @@ def downsample_window(window: np.ndarray) -> np.ndarray:
 
 def score_grid(net: Network, image: np.ndarray, spec: GridSpec,
                threshold: float = 0.5) -> ScoreGrid:
-    """Classify every 2x2-block window; scores land at their anchor index."""
-    windows = extract_windows(image, spec)
-    scores = np.zeros((spec.rows - 1, spec.cols - 1), dtype=np.float64)
-    for (r, c), win in windows:
-        patch = downsample_window(win)
-        scores[r, c] = forward_classify(net, patch)[1]
-    return ScoreGrid(spec, scores, threshold)
+    """Classify every 2x2-block window; scores land at their anchor index.
+
+    The R x C block area is pooled once with ``downsample_window``; window
+    (r, c) is the block-sized slice of it at offset (r*bh/2, c*bw/2).  Each
+    score equals ``forward_classify(net, downsample_window(window))[1]`` up
+    to float rounding.  Windows share the feature map (see the module
+    docstring) when ``arch.feature_stride`` allows it and the half-block
+    offsets are multiples of the stride; otherwise each slice is classified
+    on its own.
+    """
+    _require_windows(spec)
+    rows, cols = spec.rows, spec.cols
+    bh, bw = spec.block_height, spec.block_width
+    size = net.descriptor.input_size
+    if (bh, bw) != (size, size):
+        raise ShapeMismatchError(
+            f"{bh}x{bw} blocks do not match the {size}x{size} network input"
+        )
+    pooled = downsample_window(image[: rows * bh, : cols * bw])
+    hb, wb = bh // 2, bw // 2  # one block, in pooled pixels
+    stride = feature_stride(net.descriptor)
+    if stride is None or hb % stride or wb % stride:
+        scores = np.array([
+            [forward_classify(net, pooled[r * hb : r * hb + bh,
+                                          c * wb : c * wb + bw])[1]
+             for c in range(cols - 1)]
+            for r in range(rows - 1)
+        ])
+        return ScoreGrid(spec, scores, threshold)
+    fh, fw = hb // stride, wb // stride  # one block, in feature pixels
+    # one block row at a time bounds the transient feature maps
+    sums = np.stack([
+        feature_map(net, pooled[r * hb : (r + 1) * hb])
+        .reshape(fh, cols, fw, -1).sum(axis=(0, 2))
+        for r in range(rows)
+    ])
+    gap = (sums[:-1, :-1] + sums[:-1, 1:] + sums[1:, :-1] + sums[1:, 1:]) / (
+        4 * fh * fw
+    )
+    probs = head_classify(net, gap.reshape((rows - 1) * (cols - 1), -1))
+    return ScoreGrid(spec, probs[:, 1].reshape(rows - 1, cols - 1), threshold)
 
 
 def whole_image_score(net: Network, image: np.ndarray, spec: GridSpec,

@@ -176,6 +176,29 @@ class TestForwardClassify:
             arch.forward_classify(net, np.zeros((64, 64, 3)))
 
 
+class TestFeatureMap:
+    def test_gap_and_head_of_feature_map_match_forward_classify(self):
+        rng = np.random.default_rng(5)
+        patch = rng.random((32, 32, 3))
+        for variant in ("conv-baseline", "wht"):
+            net = arch.build_toy_net(variant, 8, 32, seed=5, dtype=np.float64)
+            feats = arch.feature_map(net, patch)
+            assert feats.shape == (8, 8, 8)
+            probs = arch.head_classify(net, feats.mean(axis=(0, 1))[None])
+            assert probs.shape == (1, 2)
+            assert np.max(np.abs(probs[0] - arch.forward_classify(net, patch))) <= 1e-15
+
+    def test_any_spatial_extent(self):
+        net = arch.build_toy_net("wht", 8, 32, seed=6)
+        assert arch.feature_map(net, np.zeros((16, 96, 3))).shape == (4, 24, 8)
+        with pytest.raises(ShapeMismatchError):
+            arch.feature_map(net, np.zeros((16, 96)))
+
+    def test_feature_stride(self):
+        assert arch.feature_stride(arch.toy_descriptor("wht")) == 4
+        assert arch.feature_stride(arch.toy_descriptor("conv-baseline")) is None
+
+
 class TestNetworkBackward:
     def test_selected_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from whtfire.cli import EXIT_DATA, EXIT_DETECTED, EXIT_OK, main
+from whtfire import arch, dataio
+from whtfire.cli import EXIT_DATA, EXIT_DETECTED, EXIT_OK, EXIT_USAGE, main
 from whtfire.dataio import ppm_write
+from whtfire.errors import ArchMismatchError
 from whtfire.fwht import fwht
 
 
@@ -124,6 +126,68 @@ class TestTrainEvalDetect:
         bad.write_text("a.ppm,5\n")
         rc = main(["train", "--manifest", str(bad)])
         assert rc == EXIT_DATA
+
+
+class TestDetectErrors:
+    @pytest.fixture()
+    def frame(self, tmp_path):
+        path = tmp_path / "frame.ppm"
+        ppm_write(np.random.default_rng(2).random((64, 96, 3)), path)
+        return path
+
+    def _detect(self, tmp_path, ckpt, frame, *extra):
+        return main(["--out-dir", str(tmp_path / "det"), "detect",
+                     "--checkpoint", str(ckpt), "--image", str(frame), *extra])
+
+    @pytest.mark.parametrize("meta", [
+        {"width": None},
+        {"input_size": None},
+        {"width": "eight"},
+        {"threshold_trainable": "yes"},
+        {"seed": "1.5"},
+    ])
+    def test_bad_checkpoint_metadata_is_data_error(self, tmp_path, frame, monkeypatch,
+                                                   capsys, meta):
+        original = dataio._descriptor_metadata
+
+        def edited(desc):
+            out = original(desc)
+            for key, value in meta.items():
+                if value is None:
+                    del out[key]
+                else:
+                    out[key] = value
+            return out
+
+        monkeypatch.setattr(dataio, "_descriptor_metadata", edited)
+        ckpt = tmp_path / "c.whtc"
+        dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32), {}, ckpt)
+        with pytest.raises(ArchMismatchError):
+            dataio.checkpoint_load(ckpt)
+        assert self._detect(tmp_path, ckpt, frame) == EXIT_DATA
+        assert next(iter(meta)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["key", "value", "tensor"])
+    def test_undecodable_text_is_data_error(self, tmp_path, frame, capsys, where):
+        net = arch.build_toy_net("wht", 8, 32)
+        ckpt = tmp_path / "c.whtc"
+        dataio.checkpoint_save(net, {"note": "ZZZZ"}, ckpt)
+        target = {"key": b"note", "value": b"ZZZZ", "tensor": b"stem.weight"}[where]
+        raw = ckpt.read_bytes()
+        assert raw.count(target) == 1
+        ckpt.write_bytes(raw.replace(target, b"\xff" * len(target)))
+        assert self._detect(tmp_path, ckpt, frame) == EXIT_DATA
+        assert "undecodable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["nan", "-0.1", "1.5", "inf", "half"])
+    def test_tau_outside_unit_interval_is_usage_error(self, tmp_path, frame, capsys, tau):
+        ckpt = tmp_path / "c.whtc"
+        dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32), {}, ckpt)
+        with pytest.raises(SystemExit) as exc:
+            self._detect(tmp_path, ckpt, frame, "--tau", tau)
+        assert exc.value.code == EXIT_USAGE
+        assert "--tau" in capsys.readouterr().err
+        assert not (tmp_path / "det").exists()
 
 
 class TestParams:

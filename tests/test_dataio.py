@@ -29,6 +29,23 @@ class TestPpmCodec:
         dataio.ppm_write(dataio.ppm_read(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_write_bytes_match_clip_of_rint(self, tmp_path):
+        # out-of-range values and .5 rounding boundaries (rint rounds half to even)
+        edges = np.array([-0.7, -1e-9, 0.0, 1.0, 1.0 + 1e-9, 1.3, 7.0])
+        halves = (np.arange(256) + 0.5) / 255.0
+        rng = np.random.default_rng(3)
+        for arr in (np.concatenate([edges, halves, rng.normal(0.5, 0.6, 257)]),
+                    np.arange(-3.5, 260.0) / 255.0):
+            img = arr[: arr.size // 3 * 3].reshape(1, -1, 3)
+            for dtype in (np.float64, np.float32):
+                typed = img.astype(dtype)
+                p = tmp_path / "x.ppm"
+                dataio.ppm_write(typed, p)
+                expected = np.clip(np.rint(typed * 255.0), 0, 255).astype(np.uint8)
+                payload = p.read_bytes()
+                assert payload[-expected.size :] == expected.tobytes()
+                assert len(payload) == len(b"P6\n%d 1\n255\n" % img.shape[1]) + expected.size
+
     def test_values_scaled_to_unit_interval(self, tmp_path):
         p = tmp_path / "g.ppm"
         p.write_bytes(b"P6\n2 1\n255\n" + bytes([0, 0, 0, 128, 64, 255]))

@@ -224,6 +224,21 @@ class TestSoftmaxCrossEntropy:
             p = nn.softmax(rng.normal(size=2) * 10)
             assert abs(p.sum() - 1.0) <= 1e-12
 
+    def test_leading_axis_rows_match_single_samples(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(5, 4))
+        w = rng.normal(size=(4, 3))
+        b = rng.normal(size=3)
+        logits = nn.dense_forward(x, w, b).output
+        probs = nn.softmax(logits * 10)
+        assert logits.shape == probs.shape == (5, 3)
+        for i in range(5):
+            row = nn.dense_forward(x[i], w, b).output
+            assert np.max(np.abs(logits[i] - row)) <= 1e-15
+            assert np.array_equal(probs[i], nn.softmax(logits[i] * 10))
+        with pytest.raises(ShapeMismatchError):
+            nn.dense_forward(x[:, :3], w, b)
+
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(11)
         logits = rng.normal(size=2)

@@ -6,6 +6,7 @@ from whtfire.errors import (
     BlockLargerThanImageError,
     DegenerateGridError,
     OddDimensionsError,
+    ShapeMismatchError,
 )
 
 
@@ -136,6 +137,12 @@ class TestDownsample:
         with pytest.raises(OddDimensionsError):
             tiling.downsample_window(np.zeros((7, 8, 3)))
 
+    def test_output_dtype_rules(self):
+        assert tiling.downsample_window(np.zeros((4, 4, 3), np.float32)).dtype == np.float32
+        assert tiling.downsample_window(np.zeros((4, 4, 3))).dtype == np.float64
+        pooled = tiling.mean_pool(np.full((4, 6, 3), 3, np.uint8), 2, 3)
+        assert pooled.dtype == np.float64 and np.all(pooled == 3.0)
+
 
 class TestScoreGrid:
     def _net(self):
@@ -168,6 +175,78 @@ class TestScoreGrid:
         grid = tiling.whole_image_score(net, image, spec)
         assert grid.fallback and grid.scores.shape == (1, 1)
         assert 0.0 <= grid.scores[0, 0] <= 1.0
+
+
+def per_window_oracle(net, image, spec):
+    """Scores the way windows were first scored: pool each one, classify it."""
+    scores = np.zeros((spec.rows - 1, spec.cols - 1))
+    for (r, c), win in tiling.extract_windows(image, spec):
+        scores[r, c] = arch.forward_classify(net, tiling.downsample_window(win))[1]
+    return scores
+
+
+def _random_head(net, seed):
+    """Move spectral scales and the head off their init so scores spread out."""
+    rng = np.random.default_rng(seed)
+    for name, p in net.parameters.items():
+        if name.endswith(".scale"):
+            p[...] = rng.uniform(0.5, 1.5, p.shape)
+        elif name.startswith("head."):
+            p[...] = rng.normal(0.0, 2.0, p.shape)
+    return net
+
+
+class TestScoreGridEquivalence:
+    TOL = {np.float64: 1e-10, np.float32: 1e-5}
+
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    @pytest.mark.parametrize("block", [32, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_per_window_oracle(self, variant, block, dtype):
+        # 3 leftover rows at the bottom and 5 leftover columns on the right
+        h, w = 3 * block + 3, 4 * block + 5
+        image = np.random.default_rng(block).random((h, w, 3))
+        spec = tiling.GridSpec(h, w, block, block)
+        net = _random_head(arch.build_toy_net(variant, 8, block, seed=7, dtype=dtype), 8)
+        grid = tiling.score_grid(net, image, spec)
+        oracle = per_window_oracle(net, image, spec)
+        assert grid.scores.shape == (2, 3)
+        assert np.max(np.abs(grid.scores - oracle)) <= self.TOL[dtype]
+        assert np.ptp(oracle) > 1e-3  # the windows really score differently
+
+    def test_hard_threshold_bites(self):
+        image = np.random.default_rng(9).random((96, 128, 3))
+        spec = tiling.GridSpec(96, 128, 32, 32)
+        net = _random_head(arch.build_toy_net(
+            "wht", 8, 32, seed=9, dtype=np.float64, threshold_trainable=True,
+        ), 10)
+        open_scores = tiling.score_grid(net, image, spec).scores
+        for b in range(3):
+            net.parameters[f"wht{b}.lambda"][0] = 0.1
+        grid = tiling.score_grid(net, image, spec)
+        assert np.max(np.abs(grid.scores - open_scores)) > 1e-6
+        assert np.max(np.abs(grid.scores - per_window_oracle(net, image, spec))) <= 1e-10
+
+    @pytest.mark.parametrize("variant,forwards", [("wht", 0), ("conv-baseline", 6)])
+    def test_network_forward_calls(self, monkeypatch, variant, forwards):
+        calls = []
+        original = arch.network_forward
+
+        def counting(net, x):
+            calls.append(x.shape)
+            return original(net, x)
+
+        monkeypatch.setattr(arch, "network_forward", counting)
+        net = arch.build_toy_net(variant, 8, 32, seed=0)
+        spec = tiling.GridSpec(96, 128, 32, 32)  # (R-1)(C-1) = 2 * 3 windows
+        tiling.score_grid(net, np.full((96, 128, 3), 0.3), spec)
+        assert len(calls) == forwards
+
+    def test_block_must_match_network_input(self):
+        net = arch.build_toy_net("wht", 8, 32, seed=0)
+        spec = tiling.GridSpec(128, 128, 64, 64)
+        with pytest.raises(ShapeMismatchError):
+            tiling.score_grid(net, np.zeros((128, 128, 3)), spec)
 
 
 class TestRenderOverlay:
