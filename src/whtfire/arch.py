@@ -10,7 +10,10 @@ residual block.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +51,14 @@ class LayerDescriptor:
     skip_from: int | None = None
     name: str = ""
 
+    @functools.cached_property
+    def _runnable(self) -> tuple[_Kind, tuple[str, ...]]:
+        """This layer's kind and tensor names, if it can run; kept on the layer."""
+        kind = _kind(self)
+        if kind.forward is None and self.kind != "add_skip":
+            raise InvalidDescriptorError(f"layer kind {self.kind!r} cannot be instantiated")
+        return kind, tuple(self.name + suffix for suffix, _ in kind.params(self))
+
 
 @dataclass(frozen=True)
 class ArchDescriptor:
@@ -70,49 +81,120 @@ class Network:
         return next(iter(self.parameters.values())).dtype
 
 
+# -- the table of layer kinds --------------------------------------------------
+
+def _no_params(layer):
+    return ()
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One layer kind: its tensors, its passes and whether it is local.
+
+    ``params(layer)`` gives (name suffix, shape) per tensor; counting and
+    instantiation both read it.  ``forward(x, *tensors)`` returns a
+    ``LayerIO`` and ``backward(cache, dy, *tensors)`` returns
+    ``(dx, *tensor grads)``.  Kinds without passes are counted only
+    (``add_skip`` is wiring in the executor).  A ``local`` kind computes
+    each output pixel from its own input pixel (avgpool2: its aligned 2x2
+    cell), so a map of a whole frame restricts exactly to aligned windows.
+    """
+
+    params: Callable = _no_params
+    forward: Callable | None = None
+    backward: Callable | None = None
+    local: bool = False
+
+
+def _nn(op: str, params: Callable = _no_params, local: bool = False) -> _Kind:
+    """The kind run by ``nn.<op>_forward`` and ``nn.<op>_backward``.
+
+    Both are looked up when the layer runs, so rebinding them (as a tracer
+    does) reaches every call.
+    """
+    forward_name, backward_name = f"{op}_forward", f"{op}_backward"
+
+    def forward(x, *tensors):
+        return getattr(nn, forward_name)(x, *tensors)
+
+    def backward(cache, dy, *tensors):
+        out = getattr(nn, backward_name)(cache, dy)
+        return out if isinstance(out, tuple) else (out,)
+
+    return _Kind(params, forward, backward, local)
+
+
+def _affine(*kernel, bias_ok: bool = True):
+    """A (*kernel, in, out) weight, plus an (out,) bias when ``layer.bias``."""
+    def params(layer):
+        if layer.bias and not bias_ok:
+            raise InvalidDescriptorError(f"{layer.kind} layers take no bias")
+        weight = ((".weight", (*kernel, layer.in_channels, layer.out_channels)),)
+        return weight + (((".bias", (layer.out_channels,)),) if layer.bias else ())
+    return params
+
+
+def _wht_params(layer):
+    n = layer.out_channels
+    if layer.in_channels != n or n < 1 or (n & (n - 1)):
+        raise InvalidDescriptorError(
+            f"wht layer needs equal power-of-two channels, got "
+            f"{layer.in_channels}->{layer.out_channels}"
+        )
+    lam = ((".lambda", (1,)),) if layer.threshold_trainable else ()
+    return ((".scale", (n,)),) + lam
+
+
+# wht_layer_forward/backward are module globals, also looked up per call.
+def _wht_forward(x, scale, lam=None):
+    threshold = 0.0 if lam is None else float(lam[0])
+    return wht_layer_forward(x, WhtLayerParams(scale, threshold, lam is not None))
+
+
+def _wht_backward(cache, dy, scale, lam=None):
+    dx, dscale, dlam = wht_layer_backward(cache, dy)
+    if lam is None:
+        return dx, dscale
+    return dx, dscale, np.asarray([dlam], dtype=lam.dtype)
+
+
+_KINDS = {
+    "pointwise": _nn("pointwise", _affine(bias_ok=False), local=True),
+    # not local: its zero padding at a window's edge differs from the frame
+    "conv3x3": _nn("conv3x3", _affine(3, 3, bias_ok=False)),
+    "relu": _nn("relu", local=True),
+    "wht": _Kind(_wht_params, _wht_forward, _wht_backward, local=True),
+    "gain": _nn("gain", lambda layer: (("", (1,)),), local=True),
+    "add_skip": _Kind(local=True),
+    "avgpool2": _nn("avgpool2", local=True),
+    "gap": _nn("gap"),
+    "dense": _nn("dense", _affine()),
+    "conv7x7": _Kind(_affine(7, 7)),
+    "batchnorm": _Kind(lambda layer: ((".gamma", (layer.out_channels,)),
+                                      (".beta", (layer.out_channels,)))),
+    "maxpool": _Kind(),
+}
+
+
+def _kind(layer: LayerDescriptor) -> _Kind:
+    kind = _KINDS.get(layer.kind)
+    if kind is None:
+        raise InvalidDescriptorError(f"unknown layer kind {layer.kind!r}")
+    return kind
+
+
 # -- parameter counting -----------------------------------------------------
-
-def _layer_param_count(layer: LayerDescriptor) -> int:
-    k = layer.kind
-    if k == "conv3x3":
-        return 9 * layer.in_channels * layer.out_channels + (
-            layer.out_channels if layer.bias else 0
-        )
-    if k == "conv7x7":
-        return 49 * layer.in_channels * layer.out_channels + (
-            layer.out_channels if layer.bias else 0
-        )
-    if k in ("pointwise", "dense"):
-        return layer.in_channels * layer.out_channels + (
-            layer.out_channels if layer.bias else 0
-        )
-    if k == "wht":
-        n = layer.out_channels
-        if layer.in_channels != n or n < 1 or (n & (n - 1)):
-            raise InvalidDescriptorError(
-                f"wht layer needs equal power-of-two channels, got "
-                f"{layer.in_channels}->{layer.out_channels}"
-            )
-        return n + (1 if layer.threshold_trainable else 0)
-    if k == "batchnorm":
-        return 2 * layer.out_channels
-    if k == "gain":
-        return 1
-    if k in ("relu", "gap", "add_skip", "avgpool2", "maxpool"):
-        return 0
-    raise InvalidDescriptorError(f"unknown layer kind {k!r}")
-
 
 def count_params(arch: ArchDescriptor) -> int:
     """Exact trainable-parameter count for a descriptor."""
-    return sum(_layer_param_count(layer) for layer in arch.layers)
+    return sum(count for _, _, count in param_table(arch))
 
 
 def param_table(arch: ArchDescriptor) -> list[tuple[str, str, int]]:
     """(name, kind, count) rows for every parameterized layer."""
     rows = []
     for layer in arch.layers:
-        c = _layer_param_count(layer)
+        c = sum(math.prod(shape) for _, shape in _kind(layer).params(layer))
         if c:
             rows.append((layer.name or layer.kind, layer.kind, c))
     return rows
@@ -252,29 +334,9 @@ def param_shapes(arch: ArchDescriptor) -> dict[str, tuple[int, ...]]:
     """Named tensor shapes, in layer order, for an instantiable descriptor."""
     shapes: dict[str, tuple[int, ...]] = {}
     for layer in arch.layers:
-        k = layer.kind
-        if k == "pointwise":
-            shapes[f"{layer.name}.weight"] = (layer.in_channels, layer.out_channels)
-        elif k == "conv3x3":
-            shapes[f"{layer.name}.weight"] = (
-                3, 3, layer.in_channels, layer.out_channels,
-            )
-        elif k == "dense":
-            shapes[f"{layer.name}.weight"] = (layer.in_channels, layer.out_channels)
-            if layer.bias:
-                shapes[f"{layer.name}.bias"] = (layer.out_channels,)
-        elif k == "wht":
-            shapes[f"{layer.name}.scale"] = (layer.out_channels,)
-            if layer.threshold_trainable:
-                shapes[f"{layer.name}.lambda"] = (1,)
-        elif k == "gain":
-            shapes[f"{layer.name}"] = (1,)
-        elif k in ("relu", "gap", "add_skip", "avgpool2"):
-            continue
-        else:
-            raise InvalidDescriptorError(
-                f"layer kind {k!r} cannot be instantiated"
-            )
+        kind, _ = layer._runnable  # rejects counting-only kinds
+        for suffix, shape in kind.params(layer):
+            shapes[layer.name + suffix] = shape
     return shapes
 
 
@@ -286,9 +348,7 @@ def init_parameters(arch: ArchDescriptor, seed: int,
     for name, shape in param_shapes(arch).items():
         if name.endswith(".scale"):
             params[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith(".lambda"):
-            params[name] = np.zeros(shape, dtype=dtype)
-        elif name.endswith(".bias"):
+        elif name.endswith((".lambda", ".bias")):
             params[name] = np.zeros(shape, dtype=dtype)
         elif len(shape) == 1:  # scalar gain
             params[name] = np.ones(shape, dtype=dtype)
@@ -321,36 +381,12 @@ def _run_layers(net: Network, x: np.ndarray, layers):
     outputs: list[np.ndarray] = []
     caches: list[tuple | None] = []
     for layer in layers:
-        k = layer.kind
-        if k == "pointwise":
-            cur, cache = nn.pointwise_forward(cur, params[f"{layer.name}.weight"])
-        elif k == "conv3x3":
-            cur, cache = nn.conv3x3_forward(cur, params[f"{layer.name}.weight"])
-        elif k == "relu":
-            cur, cache = nn.relu_forward(cur)
-        elif k == "wht":
-            lam_arr = params.get(f"{layer.name}.lambda")
-            lp = WhtLayerParams(
-                params[f"{layer.name}.scale"],
-                float(lam_arr[0]) if lam_arr is not None else 0.0,
-                layer.threshold_trainable,
-            )
-            cur, cache = wht_layer_forward(cur, lp)
-        elif k == "gain":
-            cur, cache = nn.gain_forward(cur, params[layer.name])
-        elif k == "add_skip":
+        if layer.kind == "add_skip":
             cur = cur + outputs[layer.skip_from]
             cache = None
-        elif k == "avgpool2":
-            cur, cache = nn.avgpool2_forward(cur)
-        elif k == "gap":
-            cur, cache = nn.gap_forward(cur)
-        elif k == "dense":
-            cur, cache = nn.dense_forward(
-                cur, params[f"{layer.name}.weight"], params[f"{layer.name}.bias"]
-            )
         else:
-            raise InvalidDescriptorError(f"layer kind {k!r} cannot be executed")
+            kind, names = layer._runnable
+            cur, cache = kind.forward(cur, *[params[n] for n in names])
         outputs.append(cur)
         caches.append(cache)
     return cur, outputs, caches
@@ -400,14 +436,6 @@ def head_classify(net: Network, pooled: np.ndarray) -> np.ndarray:
     return nn.softmax(logits.astype(np.float64))
 
 
-# Layer kinds whose output at a pixel depends only on that pixel of their
-# input (or, for avgpool2, on its aligned 2x2 cell), so a map computed over
-# a whole frame restricts exactly to any suitably aligned window of it.
-# conv3x3 is absent: its zero padding at a window's edge differs from the
-# frame's neighbouring pixels.
-_LOCAL_KINDS = frozenset({"pointwise", "relu", "wht", "gain", "add_skip", "avgpool2"})
-
-
 def feature_stride(desc: ArchDescriptor) -> int | None:
     """Input pixels per ``feature_map`` pixel along each axis.
 
@@ -415,7 +443,7 @@ def feature_stride(desc: ArchDescriptor) -> int | None:
     so windows of one frame cannot share a feature map.
     """
     before_gap = desc.layers[: _gap_index(desc)]
-    if any(layer.kind not in _LOCAL_KINDS for layer in before_gap):
+    if not all(_kind(layer).local for layer in before_gap):
         return None
     return 2 ** sum(layer.kind == "avgpool2" for layer in before_gap)
 
@@ -424,44 +452,23 @@ def network_backward(net: Network, caches: list, outputs: list,
                      dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate through the recorded forward pass; returns named grads."""
     desc = net.descriptor
-    grads = {name: np.zeros_like(p) for name, p in net.parameters.items()}
+    params = net.parameters
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
     pending: dict[int, np.ndarray] = {len(desc.layers) - 1: dlogits}
     for idx in range(len(desc.layers) - 1, -1, -1):
         g = pending.pop(idx, None)
         if g is None:
             continue
         layer = desc.layers[idx]
-        k = layer.kind
-        if k == "pointwise":
-            dx, dw = nn.pointwise_backward(caches[idx], g)
-            grads[f"{layer.name}.weight"] += dw
-        elif k == "conv3x3":
-            dx, dw = nn.conv3x3_backward(caches[idx], g)
-            grads[f"{layer.name}.weight"] += dw
-        elif k == "relu":
-            dx = nn.relu_backward(caches[idx], g)
-        elif k == "wht":
-            dx, dscale, dlam = wht_layer_backward(caches[idx], g)
-            grads[f"{layer.name}.scale"] += dscale
-            if layer.threshold_trainable:
-                grads[f"{layer.name}.lambda"] += np.asarray([dlam], dtype=net.dtype)
-        elif k == "gain":
-            dx, dg = nn.gain_backward(caches[idx], g)
-            grads[layer.name] += dg
-        elif k == "add_skip":
+        if layer.kind == "add_skip":
             dx = g
             j = layer.skip_from
             pending[j] = pending.get(j, 0) + g
-        elif k == "avgpool2":
-            dx = nn.avgpool2_backward(caches[idx], g)
-        elif k == "gap":
-            dx = nn.gap_backward(caches[idx], g)
-        elif k == "dense":
-            dx, dw, db = nn.dense_backward(caches[idx], g)
-            grads[f"{layer.name}.weight"] += dw
-            grads[f"{layer.name}.bias"] += db
-        else:  # pragma: no cover - guarded in forward
-            raise InvalidDescriptorError(k)
+        else:
+            kind, names = layer._runnable
+            dx, *dparams = kind.backward(caches[idx], g, *[params[n] for n in names])
+            for name, d in zip(names, dparams):
+                grads[name] += d
         if idx > 0:
             pending[idx - 1] = pending.get(idx - 1, 0) + dx
     return grads

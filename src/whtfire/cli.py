@@ -15,7 +15,7 @@ import numpy as np
 
 from . import arch, pipeline
 from .dataio import SynthConfig, synth_dataset
-from .errors import WhtFireError
+from .errors import CorruptFileError, WhtFireError
 from .fwht import fwht, ifwht
 from .nn import TrainConfig
 
@@ -38,6 +38,14 @@ def _probability(text: str) -> float:
     return value
 
 
+def _width(text: str) -> int:
+    """argparse type for a toy-net width: a power of two >= 8."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 8 or value & (value - 1):
+        raise argparse.ArgumentTypeError(f"{value} is not a power of two >= 8")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whtfire",
@@ -49,26 +57,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="fast Walsh-Hadamard transform of a text vector")
+    p.set_defaults(run=_cmd_transform)
     p.add_argument("--input", required=True, help="text file, one value per line")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--normalized", action="store_true")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--count", type=int, default=20, help="images per class")
     p.add_argument("--resolution", type=int, default=32)
     p.add_argument("--contrast", type=float, default=0.8)
 
     p = sub.add_parser("train", help="train a toy variant from scratch")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--manifest", required=True)
     p.add_argument("--variant", choices=arch.TOY_VARIANTS, default="wht")
     p.add_argument("--epochs", type=int, default=25)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--input-size", type=int, default=32)
+    p.add_argument("--width", type=_width, default=8)
+    p.add_argument("--input-size", type=int, choices=arch.TOY_INPUT_SIZES, default=32)
 
     p = sub.add_parser("finetune", help="fine-tune from a source checkpoint")
+    p.set_defaults(run=_cmd_finetune)
     p.add_argument("--source", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--epochs", type=int, default=25)
@@ -78,32 +90,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze-stem", action="store_true")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
 
     p = sub.add_parser("detect", help="block-grid detection over one image")
+    p.set_defaults(run=_cmd_detect)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--tau", type=_probability, default=0.5)
     p.add_argument("--draw-scores", action="store_true")
 
     p = sub.add_parser("params", help="parameter-count table for an architecture")
+    p.set_defaults(run=_cmd_params)
     p.add_argument("--arch", choices=_ARCHES, required=True)
     p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--width", type=int, default=8)
+    p.add_argument("--width", type=_width, default=8)
 
     p = sub.add_parser("bench", help="transform timing report")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--sizes", default=None,
                    help="comma-separated powers of two, e.g. 1024,4096,65536")
     return parser
 
 
 def _cmd_transform(args) -> int:
-    values = [
-        float(line)
-        for line in Path(args.input).read_text().split()
-        if line.strip()
-    ]
+    values = []
+    for number, line in enumerate(Path(args.input).read_text().splitlines(), start=1):
+        for token in line.split():
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise CorruptFileError(
+                    f"{args.input}, line {number}: {token!r} is not a number"
+                ) from None
     x = np.array(values, dtype=np.float64)
     out = ifwht(x, args.normalized) if args.inverse else fwht(x, args.normalized)
     for v in out:
@@ -121,7 +141,8 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args, dtype) -> int:
+def _cmd_train(args) -> int:
+    dtype = np.float64 if args.precision == "f64" else np.float32
     config = TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, momentum=args.momentum,
         batch_size=args.batch_size, seed=args.seed,
@@ -223,34 +244,14 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    dtype = np.float64 if args.precision == "f64" else np.float32
     try:
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "train":
-            return _cmd_train(args, dtype)
-        if args.command == "finetune":
-            return _cmd_finetune(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "params":
-            return _cmd_params(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-    except WhtFireError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+        return args.run(args)
+    except (WhtFireError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE  # pragma: no cover
 
 
 def main_entry() -> None:

@@ -111,3 +111,7 @@ class EmptyDatasetError(WhtFireError, ValueError):
 
 class SizeTooLargeError(WhtFireError, ValueError):
     """Benchmark size beyond the allowed ceiling."""
+
+
+class TrainingDivergedError(WhtFireError):
+    """Training reached a non-finite loss; no checkpoint was written."""

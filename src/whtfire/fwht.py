@@ -6,10 +6,10 @@ transform followed by a single division by N.  The ``normalized=True``
 variant scales by ``2**(-m/2)`` so that the transform is an isometry and
 the underlying matrix is orthogonal.
 
-The butterfly kernels perform only additions and subtractions; any
-scaling happens in one final pass over the output.  A brute-force dyadic
-(XOR-index) convolution is included purely as a test oracle for the
-transform-domain convolution property.
+One numpy butterfly, vectorised over all rows at once, performs only
+additions and subtractions; any scaling happens in one final pass over
+the output.  A brute-force dyadic (XOR-index) convolution is included
+purely as a test oracle for the transform-domain convolution property.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from .errors import LengthMismatchError, LengthNotPowerOfTwoError, OrderTooLarge
 
 MAX_MATRIX_ORDER = 12
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
+# No compiled kernel exists; perfbench/run.py records this in its provenance.
+_HAVE_NUMBA = False
 
 
 def hadamard_matrix(m: int, normalized: bool = False) -> np.ndarray:
@@ -54,43 +50,6 @@ def hadamard_matrix(m: int, normalized: bool = False) -> np.ndarray:
     if normalized:
         return h * (2.0 ** (-m / 2.0))
     return h
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _butterfly_block(y, lo, n):
-        h = 1
-        while h < n:
-            step = 2 * h
-            for start in range(lo, lo + n, step):
-                for i in range(start, start + h):
-                    a = y[i]
-                    b = y[i + h]
-                    y[i] = a + b
-                    y[i + h] = a - b
-            h = step
-
-    @njit(cache=True)
-    def _butterfly_rec(y, lo, n):
-        # Largest stage first, then recurse into contiguous halves so that
-        # the bulk of the work happens on cache-resident blocks.
-        if n <= 8192:
-            _butterfly_block(y, lo, n)
-            return
-        half = n >> 1
-        for i in range(lo, lo + half):
-            a = y[i]
-            b = y[i + half]
-            y[i] = a + b
-            y[i + half] = a - b
-        _butterfly_rec(y, lo, half)
-        _butterfly_rec(y, lo + half, half)
-
-    @njit(cache=True)
-    def _butterfly_rows(flat, rows, n):
-        for r in range(rows):
-            _butterfly_rec(flat, r * n, n)
 
 
 def _butterfly_rows_numpy(y2d: np.ndarray) -> None:
@@ -137,11 +96,7 @@ def fwht(
     )
     y = moved if in_place else np.array(moved, dtype=dtype, order="C")
     if n > 1:
-        flat = y.reshape(-1)
-        if _HAVE_NUMBA:
-            _butterfly_rows(flat, flat.size // n, n)
-        else:
-            _butterfly_rows_numpy(flat.reshape(-1, n))
+        _butterfly_rows_numpy(y.reshape(-1, n))
     if normalized:
         y *= dtype(1.0 / np.sqrt(n))
     if in_place:

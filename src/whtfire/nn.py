@@ -8,6 +8,7 @@ same code in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -32,8 +33,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
@@ -225,15 +228,6 @@ class SgdOptimizer:
             v *= p.dtype.type(self.momentum)
             v -= p.dtype.type(self.learning_rate) * g
             p += v
-
-
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             config: TrainConfig, state: SgdOptimizer | None = None) -> SgdOptimizer:
-    """One in-place momentum-SGD update; returns the carried optimizer state."""
-    if state is None:
-        state = SgdOptimizer(config.learning_rate, config.momentum)
-    state.step(params, grads)
-    return state
 
 
 # -- verification --------------------------------------------------------------

@@ -8,13 +8,21 @@ so identical invocations produce byte-identical checkpoints and records.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .arch import Network, build_toy_net, forward_classify, network_backward, network_forward
+from .arch import (
+    ARCH_NAME_TO_VARIANT,
+    Network,
+    build_toy_net,
+    forward_classify,
+    network_backward,
+    network_forward,
+)
 from .dataio import (
     Manifest,
     SynthConfig,
@@ -32,6 +40,7 @@ from .errors import (
     LengthNotPowerOfTwoError,
     SingleClassDatasetError,
     SizeTooLargeError,
+    TrainingDivergedError,
 )
 from .fwht import fwht, hadamard_matrix
 from .nn import SgdOptimizer, TrainConfig, softmax_cross_entropy
@@ -120,13 +129,6 @@ def compute_metrics(cm: ConfusionMatrix) -> Metrics:
     return Metrics(accuracy, precision, recall, f1, tuple(flags))
 
 
-def f1_from_precision_recall(precision: float, recall: float) -> float:
-    """Harmonic mean, the same arithmetic ``compute_metrics`` applies."""
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def format_metrics_table(metrics: Metrics, cm: ConfusionMatrix) -> str:
     rows = [
         ("accuracy", metrics.accuracy),
@@ -160,8 +162,10 @@ def _as_manifest(manifest) -> Manifest:
     return load_manifest(manifest)
 
 
-def fire_probability(net: Network, image: np.ndarray) -> float:
-    return float(forward_classify(net, image)[1])
+def _as_network(net_or_checkpoint) -> Network:
+    if isinstance(net_or_checkpoint, Network):
+        return net_or_checkpoint
+    return checkpoint_load(net_or_checkpoint)
 
 
 def confusion_from_scores(labels: np.ndarray, scores: np.ndarray,
@@ -177,18 +181,14 @@ def confusion_from_scores(labels: np.ndarray, scores: np.ndarray,
 
 
 def _evaluate_arrays(net: Network, images, labels: np.ndarray):
-    scores = np.array([fire_probability(net, img) for img in images])
+    scores = np.array([forward_classify(net, img)[1] for img in images])
     cm = confusion_from_scores(labels, scores)
     return compute_metrics(cm), cm
 
 
 def evaluate(net_or_checkpoint, manifest):
     """Patch-level metrics at the 0.5 decision threshold."""
-    net = (
-        net_or_checkpoint
-        if isinstance(net_or_checkpoint, Network)
-        else checkpoint_load(net_or_checkpoint)
-    )
+    net = _as_network(net_or_checkpoint)
     manifest = _as_manifest(manifest)
     images, labels = load_dataset(manifest)
     images = [img.astype(net.dtype) for img in images]
@@ -207,20 +207,13 @@ class RunRecord:
     early_stop_reason: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "config": {
-                "epochs": self.config.epochs,
-                "learning_rate": self.config.learning_rate,
-                "momentum": self.config.momentum,
-                "batch_size": self.config.batch_size,
-                "seed": self.config.seed,
-            },
-            "variant": self.variant,
-            "epochs": self.epochs,
-            "final_checkpoint": self.final_checkpoint,
-            "transfer_source": self.transfer_source,
-            "early_stop_reason": self.early_stop_reason,
-        }
+        return asdict(self)
+
+
+def _write_run_json(record: RunRecord, out_dir: Path) -> None:
+    # strict JSON: a non-finite number fails here instead of writing NaN
+    text = json.dumps(record.as_dict(), indent=2, allow_nan=False)
+    (out_dir / "run.json").write_text(text + "\n")
 
 
 def _clamp_thresholds(params: dict[str, np.ndarray]) -> None:
@@ -267,11 +260,22 @@ def _run_training(net: Network, images, labels: np.ndarray, config: TrainConfig,
         val_metrics, _ = _evaluate_arrays(
             net, [images[i] for i in val_idx], labels[val_idx]
         )
+        train_loss = float(np.mean(losses)) if losses else None
+        diverged = train_loss is not None and not math.isfinite(train_loss)
         record.epochs.append({
             "epoch": epoch,
-            "train_loss": float(np.mean(losses)) if losses else None,
+            "train_loss": None if diverged else train_loss,
             "val": val_metrics.as_dict(),
         })
+        if diverged:
+            record.early_stop_reason = f"mean training loss {train_loss} in epoch {epoch}"
+            break
+    if record.early_stop_reason is not None:
+        _write_run_json(record, out_dir)
+        raise TrainingDivergedError(
+            f"training diverged ({record.early_stop_reason}); no checkpoint written, "
+            f"see {out_dir / 'run.json'}"
+        )
     ckpt_path = out_dir / "checkpoint.whtc"
     metadata = {
         "epoch": str(config.epochs),
@@ -284,9 +288,7 @@ def _run_training(net: Network, images, labels: np.ndarray, config: TrainConfig,
         metadata["transfer_source"] = transfer_source
     checkpoint_save(net, metadata, ckpt_path)
     record.final_checkpoint = str(ckpt_path)
-    (out_dir / "run.json").write_text(
-        json.dumps(record.as_dict(), indent=2) + "\n"
-    )
+    _write_run_json(record, out_dir)
     return record, net, ckpt_path
 
 
@@ -305,9 +307,7 @@ def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
              freeze_stem: bool = False, variant: str | None = None):
     """Continue training from a source checkpoint on a new manifest."""
     net = checkpoint_load(source_checkpoint)
-    source_variant = {"toy-conv": "conv-baseline", "toy-wht": "wht"}[
-        net.descriptor.name
-    ]
+    source_variant = ARCH_NAME_TO_VARIANT[net.descriptor.name]
     if variant is not None and variant != source_variant:
         raise ArchMismatchError(
             f"checkpoint holds variant {source_variant!r}, requested {variant!r}"
@@ -326,11 +326,7 @@ def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
 def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
            out_overlay=None, out_json=None, draw_scores: bool = False):
     """Score a full frame block-by-block; returns (ScoreGrid, detected)."""
-    net = (
-        net_or_checkpoint
-        if isinstance(net_or_checkpoint, Network)
-        else checkpoint_load(net_or_checkpoint)
-    )
+    net = _as_network(net_or_checkpoint)
     image = ppm_read(image_path)
     block = net.descriptor.input_size
     spec = GridSpec(image.shape[0], image.shape[1], block, block)
@@ -408,7 +404,7 @@ def transfer_experiment(seed: int, workdir, *, variant: str = "wht",
 # -- benchmarking ------------------------------------------------------------------
 
 def _median_seconds(fun, runs: int, target: float = 0.02) -> float:
-    fun()  # warm up caches and JIT before measuring
+    fun()  # warm up caches before measuring
     t0 = time.perf_counter()
     fun()
     est = max(time.perf_counter() - t0, 1e-7)

@@ -91,7 +91,3 @@ def wht_layer_backward(cache: tuple, dy: np.ndarray):
         dthreshold = 0.0
     return dx, dscale.astype(scale.dtype, copy=False), dthreshold
 
-
-def wht_layer_param_count(n: int, threshold_trainable: bool = False) -> int:
-    """N trainable bins, plus one when the threshold itself trains."""
-    return n + (1 if threshold_trainable else 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from whtfire import arch, nn
+from whtfire.wht_layer import wht_layer_backward
 from whtfire.errors import (
     BadWidthError,
     InvalidDescriptorError,
@@ -57,6 +58,37 @@ class TestCountParams:
         bad = arch.ArchDescriptor("x", (arch.LayerDescriptor("wht", 4, 8),))
         with pytest.raises(InvalidDescriptorError):
             arch.count_params(bad)
+
+    @pytest.mark.parametrize("desc, expected", [
+        (arch.resnet50_descriptor(2), 23_512_130),
+        (arch.wht_resnet50_descriptor(2), 12_898_370),
+        (arch.toy_descriptor("conv-baseline", 8), 1_965),
+        (arch.toy_descriptor("wht", 8), 261),
+        (arch.toy_descriptor("wht", 8, threshold_trainable=True), 264),
+    ], ids=["resnet50", "wht-resnet50", "toy-conv", "toy-wht", "toy-wht-lambda"])
+    def test_exact_counts(self, desc, expected):
+        assert arch.count_params(desc) == expected
+        assert sum(count for _, _, count in arch.param_table(desc)) == expected
+
+    def test_counting_only_kinds_do_not_run(self):
+        for kind, count in (("conv7x7", 441), ("batchnorm", 6), ("maxpool", 0)):
+            layers = (
+                arch.LayerDescriptor(kind, 3, 3, name="x"),
+                arch.LayerDescriptor("gap", 3, 3, name="gap"),
+            )
+            desc = arch.ArchDescriptor("x", layers, input_size=4)
+            assert arch.count_params(desc) == count
+            with pytest.raises(InvalidDescriptorError):
+                arch.param_shapes(desc)
+            net = arch.Network(desc, {"w": np.zeros(1)}, seed=0)
+            with pytest.raises(InvalidDescriptorError):
+                arch.network_forward(net, np.zeros((4, 4, 3)))
+
+    def test_bias_free_kinds_reject_a_bias(self):
+        for kind in ("pointwise", "conv3x3"):
+            layer = arch.LayerDescriptor(kind, 4, 4, bias=True)
+            with pytest.raises(InvalidDescriptorError):
+                arch.count_params(arch.ArchDescriptor("x", (layer,)))
 
 
 class TestToyNets:
@@ -199,7 +231,68 @@ class TestFeatureMap:
         assert arch.feature_stride(arch.toy_descriptor("conv-baseline")) is None
 
 
+class TestLayerDispatch:
+    def test_ops_are_looked_up_when_a_layer_runs(self, monkeypatch):
+        # a tracer rebinds module attributes; every layer call must see that
+        calls = {"pointwise": 0, "wht": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(nn, "pointwise_forward",
+                            counting("pointwise", nn.pointwise_forward))
+        monkeypatch.setattr(arch, "wht_layer_forward",
+                            counting("wht", arch.wht_layer_forward))
+        net = arch.build_toy_net("wht", 8, 32, seed=0)
+        arch.network_forward(net, np.zeros((32, 32, 3)))
+        assert calls == {"pointwise": 4, "wht": 3}
+
+
 class TestNetworkBackward:
+    def test_every_tensor_of_the_trainable_threshold_net(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        patch = rng.random((32, 32, 3))
+        net = arch.build_toy_net("wht", 8, 32, seed=7, dtype=np.float64,
+                                 threshold_trainable=True)
+        for b in range(3):  # a positive threshold, so some bins are cut
+            net.parameters[f"wht{b}.lambda"][:] = 0.02
+        label = 0
+        surrogates = []
+
+        def recording(cache, dy):
+            out = wht_layer_backward(cache, dy)
+            surrogates.append(out[2])
+            return out
+
+        monkeypatch.setattr(arch, "wht_layer_backward", recording)
+        logits, outputs, caches = arch.network_forward(net, patch)
+        _, dlogits = nn.softmax_cross_entropy(logits, label)
+        grads = arch.network_backward(net, caches, outputs, dlogits)
+        assert set(grads) == set(net.parameters)
+
+        # backward visits the wht layers last to first; lambda's gradient is
+        # the layer's soft-threshold surrogate, not a derivative of the loss
+        lambdas = sorted(n for n in grads if n.endswith(".lambda"))
+        assert lambdas == ["wht0.lambda", "wht1.lambda", "wht2.lambda"]
+        assert [grads[n][0] for n in reversed(lambdas)] == surrogates
+        assert all(s != 0.0 for s in surrogates)
+
+        def loss_for(name):
+            def fun(values):
+                net.parameters[name] = values
+                lg, _, _ = arch.network_forward(net, patch)
+                return nn.softmax_cross_entropy(lg, label)[0]
+            return fun
+
+        for name in sorted(set(grads) - set(lambdas)):
+            original = net.parameters[name].copy()
+            err = nn.gradient_check(loss_for(name), net.parameters[name], grads[name])
+            net.parameters[name] = original
+            assert err <= 1e-6, f"{name}: {err}"
+
     def test_selected_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         patch = rng.random((32, 32, 3))

@@ -128,6 +128,38 @@ class TestTrainEvalDetect:
         assert rc == EXIT_DATA
 
 
+class TestExitCodes:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows
+    @pytest.mark.parametrize("args, expected", [
+        (["train", "--width", "12"], EXIT_USAGE),
+        (["train", "--width", "eight"], EXIT_USAGE),
+        (["train", "--input-size", "48"], EXIT_USAGE),
+        (["train", "--lr", "nan"], EXIT_USAGE),
+        (["train", "--lr", "1000"], EXIT_DATA),
+        (["params", "--arch", "toy-wht", "--width", "12"], EXIT_USAGE),
+        (["transform"], EXIT_DATA),
+    ], ids=["width", "width-text", "input-size", "lr-nan", "lr-diverges", "params-width",
+            "transform-text"])
+    def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected):
+        if args[0] == "train":
+            args = args + ["--manifest", str(dataset_dir / "manifest.csv"), "--epochs", "2"]
+        if args[0] == "transform":
+            vec = tmp_path / "v.txt"
+            vec.write_text("1\n2\nthree\n4\n")
+            args = args + ["--input", str(vec)]
+        try:
+            rc = main(["--out-dir", str(tmp_path / "out"), *args])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == expected
+        err = capsys.readouterr().err
+        if args[0] == "transform":
+            assert "line 3" in err and "three" in err
+        if expected == EXIT_DATA and args[0] == "train":
+            assert "diverged" in err
+            assert not (tmp_path / "out" / "checkpoint.whtc").exists()
+
+
 class TestDetectErrors:
     @pytest.fixture()
     def frame(self, tmp_path):

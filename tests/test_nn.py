@@ -317,3 +317,8 @@ class TestTrainConfig:
             nn.TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             nn.TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="finite"):
+            nn.TrainConfig(learning_rate=lr)

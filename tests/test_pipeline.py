@@ -11,18 +11,26 @@ from whtfire.errors import (
     LengthNotPowerOfTwoError,
     SingleClassDatasetError,
     SizeTooLargeError,
+    TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
 
 
+def harmonic_mean(p, r):
+    return 2.0 * p * r / (p + r)
+
+
 class TestComputeMetrics:
     def test_published_transfer_row(self):
-        f1 = pipeline.f1_from_precision_recall(0.900, 0.865)
+        f1 = harmonic_mean(0.900, 0.865)
         assert abs(f1 - 0.882) <= 5e-4
 
     def test_equal_precision_recall(self):
+        # tp = fp = fn: precision = recall = f1 = 1/2 from compute_metrics itself
+        m = pipeline.compute_metrics(pipeline.ConfusionMatrix(tp=3, fp=3, fn=3, tn=1))
+        assert m.precision == m.recall == m.f1 == 0.5
         for x in (0.1, 0.5, 0.99):
-            assert abs(pipeline.f1_from_precision_recall(x, x) - x) <= 1e-12
+            assert abs(harmonic_mean(x, x) - x) <= 1e-12
 
     def test_hand_arithmetic(self):
         m = pipeline.compute_metrics(pipeline.ConfusionMatrix(tp=3, fp=1, fn=1, tn=5))
@@ -63,7 +71,7 @@ class TestComputeMetrics:
                       or r[1]]
         assert len(consistent) == 8
         for _, _, _, p, r, f1, _ in consistent:
-            got = pipeline.f1_from_precision_recall(p / 100.0, r / 100.0)
+            got = harmonic_mean(p / 100.0, r / 100.0)
             assert abs(got - f1 / 100.0) <= 0.0015
 
 
@@ -90,6 +98,8 @@ class TestTrain:
         run_json = json.loads((tmp_path / "r" / "run.json").read_text())
         assert run_json["config"]["epochs"] == 3
         assert [e["epoch"] for e in run_json["epochs"]] == [1, 2, 3]
+        assert record.early_stop_reason is None
+        assert run_json["early_stop_reason"] is None
 
     def test_single_class_dataset_rejected(self, tmp_path):
         cfg = SynthConfig(seed=1, count_per_class=4, resolution=32)
@@ -103,6 +113,25 @@ class TestTrain:
         man = Manifest([], tmp_path)
         with pytest.raises(EmptyDatasetError):
             pipeline.train(man, "wht", TrainConfig(epochs=1, seed=0), tmp_path / "r")
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to nan
+    @pytest.mark.parametrize("lr", [100.0, 1000.0])
+    def test_non_finite_loss_stops_without_checkpoint(self, small_dataset, tmp_path, lr):
+        cfg = TrainConfig(epochs=3, learning_rate=lr, seed=0)
+        with pytest.raises(TrainingDivergedError, match="epoch 1"):
+            pipeline.train(small_dataset, "wht", cfg, tmp_path / "r")
+        assert not (tmp_path / "r" / "checkpoint.whtc").exists()
+
+        def reject(token):
+            raise AssertionError(f"run.json holds the non-JSON token {token}")
+
+        run = json.loads((tmp_path / "r" / "run.json").read_text(), parse_constant=reject)
+        assert [e["epoch"] for e in run["epochs"]] == [1]
+        assert run["epochs"][0]["train_loss"] is None
+        assert "epoch 1" in run["early_stop_reason"]
+        assert run["final_checkpoint"] == ""
 
 
 class TestFinetune:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whtfire import nn
+from whtfire import arch, nn
 from whtfire.errors import (
     CacheMissingError,
     ChannelCountNotPowerOfTwoError,
@@ -12,7 +12,6 @@ from whtfire.wht_layer import (
     WhtLayerParams,
     wht_layer_backward,
     wht_layer_forward,
-    wht_layer_param_count,
 )
 
 
@@ -174,13 +173,20 @@ class TestBackward:
             wht_layer_backward(io.cache, np.zeros((2, 2, 8)))
 
 
+def one_layer_count(kind, n, threshold_trainable=False):
+    layer = arch.LayerDescriptor(kind, n, n, threshold_trainable=threshold_trainable)
+    return arch.count_params(arch.ArchDescriptor("one", (layer,)))
+
+
 class TestParameterCount:
     def test_counts(self):
-        assert wht_layer_param_count(64) == 64
-        assert wht_layer_param_count(64, threshold_trainable=True) == 65
+        assert one_layer_count("wht", 64) == 64
+        assert one_layer_count("wht", 64, threshold_trainable=True) == 65
 
     def test_always_beats_dense_3x3_conv(self):
         for m in range(1, 11):
             n = 1 << m
-            assert wht_layer_param_count(n, True) < 9 * n * n
-            assert wht_layer_param_count(n) < 9 * n * n
+            conv = one_layer_count("conv3x3", n)
+            assert conv == 9 * n * n
+            assert one_layer_count("wht", n, True) < conv
+            assert one_layer_count("wht", n) < conv
