@@ -20,7 +20,7 @@ from .dataio import (
     ppm_write,
     synth_dataset,
 )
-from .fwht import dyadic_convolve_bruteforce, fwht, hadamard_matrix, ifwht
+from .fwht import fwht, hadamard_matrix, ifwht
 from .nn import SgdOptimizer, TrainConfig, gradient_check, softmax_cross_entropy
 from .pipeline import (
     ConfusionMatrix,
@@ -37,7 +37,6 @@ from .tiling import (
     GridSpec,
     ScoreGrid,
     downsample_window,
-    extract_windows,
     grid_dims,
     render_overlay,
     score_grid,

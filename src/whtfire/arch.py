@@ -124,13 +124,13 @@ def _nn(op: str, params: Callable = _no_params, local: bool = False) -> _Kind:
     return _Kind(params, forward, backward, local)
 
 
-def _affine(*kernel, bias_ok: bool = True):
-    """A (*kernel, in, out) weight, plus an (out,) bias when ``layer.bias``."""
+def _affine(*kernel, bias: bool = False):
+    """A (*kernel, in, out) weight, plus an (out,) bias for kinds that have one."""
     def params(layer):
-        if layer.bias and not bias_ok:
-            raise InvalidDescriptorError(f"{layer.kind} layers take no bias")
+        if layer.bias != bias:
+            raise InvalidDescriptorError(f"{layer.kind} layers need bias={bias}")
         weight = ((".weight", (*kernel, layer.in_channels, layer.out_channels)),)
-        return weight + (((".bias", (layer.out_channels,)),) if layer.bias else ())
+        return weight + (((".bias", (layer.out_channels,)),) if bias else ())
     return params
 
 
@@ -159,16 +159,16 @@ def _wht_backward(cache, dy, scale, lam=None):
 
 
 _KINDS = {
-    "pointwise": _nn("pointwise", _affine(bias_ok=False), local=True),
+    "pointwise": _nn("pointwise", _affine(), local=True),
     # not local: its zero padding at a window's edge differs from the frame
-    "conv3x3": _nn("conv3x3", _affine(3, 3, bias_ok=False)),
+    "conv3x3": _nn("conv3x3", _affine(3, 3)),
     "relu": _nn("relu", local=True),
     "wht": _Kind(_wht_params, _wht_forward, _wht_backward, local=True),
     "gain": _nn("gain", lambda layer: (("", (1,)),), local=True),
     "add_skip": _Kind(local=True),
     "avgpool2": _nn("avgpool2", local=True),
     "gap": _nn("gap"),
-    "dense": _nn("dense", _affine()),
+    "dense": _nn("dense", _affine(bias=True)),
     "conv7x7": _Kind(_affine(7, 7)),
     "batchnorm": _Kind(lambda layer: ((".gamma", (layer.out_channels,)),
                                       (".beta", (layer.out_channels,)))),
@@ -370,11 +370,12 @@ def build_toy_net(variant: str, width: int = 8, input_size: int = 32,
 # -- execution ----------------------------------------------------------------
 
 def _run_layers(net: Network, x: np.ndarray, layers):
-    """The executor: run ``layers`` in order on ``x``.
+    """The executor: run ``layers`` in order on a batch ``x``.
 
-    Returns (final output, per-layer outputs, per-layer caches).  Every
-    layer kind acts on the trailing (channel) axis or on the two spatial
-    axes before it, so ``x`` may have any spatial extent.
+    Returns (final output, per-layer caches).  Maps are (B, H, W, C) and
+    vectors (B, C); every kind acts on the channel axis or the two spatial
+    axes before it, so ``x`` may have any spatial extent.  Outputs are kept
+    only while the run lasts, for ``add_skip``.
     """
     params = net.parameters
     cur = x
@@ -389,7 +390,7 @@ def _run_layers(net: Network, x: np.ndarray, layers):
             cur, cache = kind.forward(cur, *[params[n] for n in names])
         outputs.append(cur)
         caches.append(cache)
-    return cur, outputs, caches
+    return cur, caches
 
 
 def _centered(net: Network, x: np.ndarray) -> np.ndarray:
@@ -405,26 +406,23 @@ def _gap_index(desc: ArchDescriptor) -> int:
 
 
 def network_forward(net: Network, x: np.ndarray):
-    """Run the descriptor; returns (logits, per-layer outputs, per-layer caches)."""
+    """Run the descriptor on a (B, S, S, 3) batch; returns ((B, K) logits, caches)."""
     desc = net.descriptor
-    expected = (desc.input_size, desc.input_size, 3)
-    if x.shape != expected:
-        raise ShapeMismatchError(f"expected input {expected}, got {x.shape}")
+    size = desc.input_size
+    if x.shape[1:] != (size, size, 3):
+        raise ShapeMismatchError(f"expected a (B, {size}, {size}, 3) batch, got {x.shape}")
     return _run_layers(net, _centered(net, x), desc.layers)
 
 
-def feature_map(net: Network, image: np.ndarray) -> np.ndarray:
-    """The (H', W', C) map that ``gap`` would average, for an image of any extent.
+def feature_map(net: Network, images: np.ndarray) -> np.ndarray:
+    """The (B, H', W', C) maps that ``gap`` would average, for images of any extent.
 
-    Runs the layers before ``gap`` on an (H, W, 3) image.  Each
+    Runs the layers before ``gap`` on a (B, H, W, 3) batch.  Each
     ``avgpool2`` halves the extents, which must then be even.
     """
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeMismatchError(f"expected an (H, W, 3) image, got {image.shape}")
     desc = net.descriptor
     layers = desc.layers[: _gap_index(desc)]
-    return _run_layers(net, _centered(net, image), layers)[0]
+    return _run_layers(net, _centered(net, images), layers)[0]
 
 
 def head_classify(net: Network, pooled: np.ndarray) -> np.ndarray:
@@ -448,9 +446,9 @@ def feature_stride(desc: ArchDescriptor) -> int | None:
     return 2 ** sum(layer.kind == "avgpool2" for layer in before_gap)
 
 
-def network_backward(net: Network, caches: list, outputs: list,
+def network_backward(net: Network, caches: list,
                      dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate through the recorded forward pass; returns named grads."""
+    """Backpropagate (B, K) ``dlogits``; returns named grads summed over the batch."""
     desc = net.descriptor
     params = net.parameters
     grads = {name: np.zeros_like(p) for name, p in params.items()}
@@ -475,6 +473,6 @@ def network_backward(net: Network, caches: list, outputs: list,
 
 
 def forward_classify(net: Network, patch: np.ndarray) -> np.ndarray:
-    """Class probabilities (sums to 1) for one input patch."""
-    logits, _, _ = network_forward(net, patch)
-    return nn.softmax(logits.astype(np.float64))
+    """Class probabilities (sums to 1) for one (S, S, 3) input patch."""
+    logits, _ = network_forward(net, np.asarray(patch)[None])
+    return nn.softmax(logits[0].astype(np.float64))

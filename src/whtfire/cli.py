@@ -115,8 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_transform(args) -> int:
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(
+            f"{args.input}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
     values = []
-    for number, line in enumerate(Path(args.input).read_text().splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         for token in line.split():
             try:
                 values.append(float(token))

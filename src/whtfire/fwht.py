@@ -8,15 +8,14 @@ the underlying matrix is orthogonal.
 
 One numpy butterfly, vectorised over all rows at once, performs only
 additions and subtractions; any scaling happens in one final pass over
-the output.  A brute-force dyadic (XOR-index) convolution is included
-purely as a test oracle for the transform-domain convolution property.
+the output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatchError, LengthNotPowerOfTwoError, OrderTooLargeError
+from .errors import LengthNotPowerOfTwoError, OrderTooLargeError
 
 MAX_MATRIX_ORDER = 12
 
@@ -122,28 +121,3 @@ def ifwht(
     out = fwht(y, axis=axis, overwrite=overwrite)
     out *= out.dtype.type(1.0 / n)
     return out
-
-
-def dyadic_convolve_bruteforce(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """O(N^2) dyadic convolution ``y[k] = sum_i x[i] * h[k XOR i]``.
-
-    Deliberately naive; serves as the independent oracle for the
-    transform-domain identity ``fwht(x (*) h) == fwht(x) * fwht(h)``.
-    """
-    xv = np.asarray(x, dtype=np.float64)
-    hv = np.asarray(h, dtype=np.float64)
-    if xv.ndim != 1 or hv.ndim != 1:
-        raise LengthMismatchError("dyadic convolution expects 1-D sequences")
-    if xv.shape[0] != hv.shape[0]:
-        raise LengthMismatchError(
-            f"length mismatch: {xv.shape[0]} vs {hv.shape[0]}"
-        )
-    n = xv.shape[0]
-    _require_power_of_two(n)
-    y = np.zeros(n, dtype=np.float64)
-    for k in range(n):
-        acc = 0.0
-        for i in range(n):
-            acc += xv[i] * hv[k ^ i]
-        y[k] = acc
-    return y

@@ -1,8 +1,9 @@
 """Minimal dense-tensor layers with explicit forward/backward passes.
 
-Feature maps are (H, W, C) arrays, parameters are plain numpy arrays, and
-every forward returns a ``LayerIO(output, cache)`` pair whose cache feeds
-the matching backward.  Training runs in float32; gradient checks run the
+Maps are (B, H, W, C) and vectors (B, C): every op takes a leading batch
+axis, and every backward sums its parameter gradients over it.  Each
+forward returns a ``LayerIO(output, cache)`` pair whose cache feeds the
+matching backward.  Training runs in float32; gradient checks run the
 same code in float64.
 """
 
@@ -48,42 +49,41 @@ class TrainConfig:
 def conv3x3_forward(x: np.ndarray, w: np.ndarray, stride: int = 1) -> LayerIO:
     """3x3 cross-correlation with padding 1 and no bias.
 
-    ``x`` is (H, W, Cin), ``w`` is (3, 3, Cin, Cout); stride 1 preserves
+    ``x`` is (B, H, W, Cin), ``w`` is (3, 3, Cin, Cout); stride 1 preserves
     the spatial extents.
     """
-    if x.ndim != 3 or w.shape[:2] != (3, 3) or w.ndim != 4:
+    if x.ndim != 4 or w.shape[:2] != (3, 3) or w.ndim != 4:
         raise ShapeMismatchError(f"bad conv shapes {x.shape} / {w.shape}")
-    if x.shape[2] != w.shape[2]:
+    if x.shape[3] != w.shape[2]:
         raise ShapeMismatchError(
-            f"input channels {x.shape[2]} != kernel channels {w.shape[2]}"
+            f"input channels {x.shape[3]} != kernel channels {w.shape[2]}"
         )
-    hh, ww = x.shape[:2]
+    hh, ww = x.shape[1:3]
     ho = (hh - 1) // stride + 1
     wo = (ww - 1) // stride + 1
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    out = np.zeros((ho, wo, w.shape[3]), dtype=x.dtype)
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    out = np.zeros((x.shape[0], ho, wo, w.shape[3]), dtype=x.dtype)
     for di in range(3):
         for dj in range(3):
-            sl = xp[di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+            sl = xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
             out += sl @ w[di, dj]
     return LayerIO(out, (xp, w, stride, x.shape))
 
 
 def conv3x3_backward(cache: tuple, dy: np.ndarray):
     xp, w, stride, x_shape = cache
-    ho, wo = dy.shape[:2]
-    if dy.shape[2] != w.shape[3]:
+    ho, wo = dy.shape[1:3]
+    if dy.shape[3] != w.shape[3]:
         raise ShapeMismatchError("upstream gradient channel mismatch")
     dw = np.zeros_like(w)
     dxp = np.zeros_like(xp)
     for di in range(3):
         for dj in range(3):
-            sl = xp[di : di + stride * ho : stride, dj : dj + stride * wo : stride]
-            dw[di, dj] = np.tensordot(sl, dy, axes=([0, 1], [0, 1]))
-            dxp[di : di + stride * ho : stride, dj : dj + stride * wo : stride] += (
-                dy @ w[di, dj].T
-            )
-    dx = dxp[1 : 1 + x_shape[0], 1 : 1 + x_shape[1]]
+            win = (slice(None), slice(di, di + stride * ho, stride),
+                   slice(dj, dj + stride * wo, stride))
+            dw[di, dj] = np.tensordot(xp[win], dy, axes=([0, 1, 2], [0, 1, 2]))
+            dxp[win] += dy @ w[di, dj].T
+    dx = dxp[:, 1 : 1 + x_shape[1], 1 : 1 + x_shape[2]]
     return dx, dw
 
 
@@ -106,8 +106,8 @@ def pointwise_backward(cache: tuple, dy: np.ndarray):
 # -- dense / activations ---------------------------------------------------
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> LayerIO:
-    """Affine map of the last axis; ``x`` is (Cin,) or (B, Cin)."""
-    if x.ndim not in (1, 2) or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+    """Affine map of each (Cin,) row of a (B, Cin) ``x``."""
+    if x.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatchError(
             f"dense shapes do not line up: {x.shape}, {w.shape}, {b.shape}"
         )
@@ -116,10 +116,7 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> LayerIO:
 
 def dense_backward(cache: tuple, dy: np.ndarray):
     x, w = cache
-    dw = np.outer(x, dy)
-    db = dy.copy()
-    dx = w @ dy
-    return dx, dw, db
+    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
 def relu_forward(x: np.ndarray) -> LayerIO:
@@ -132,30 +129,31 @@ def relu_backward(cache: tuple, dy: np.ndarray):
 
 
 def gap_forward(x: np.ndarray) -> LayerIO:
-    """Global average pooling (H, W, C) -> (C,)."""
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"expected a (H, W, C) map, got {x.shape}")
-    return LayerIO(x.mean(axis=(0, 1)), (x.shape,))
+    """Global average pooling (B, H, W, C) -> (B, C)."""
+    if x.ndim != 4:
+        raise ShapeMismatchError(f"expected a (B, H, W, C) map, got {x.shape}")
+    return LayerIO(x.mean(axis=(1, 2)), (x.shape,))
 
 
 def gap_backward(cache: tuple, dy: np.ndarray):
     (x_shape,) = cache
-    scale = 1.0 / (x_shape[0] * x_shape[1])
-    return np.broadcast_to(dy * scale, x_shape).astype(dy.dtype, copy=True)
+    scale = 1.0 / (x_shape[1] * x_shape[2])
+    dx = np.broadcast_to((dy * scale)[:, None, None, :], x_shape)
+    return dx.astype(dy.dtype, copy=True)
 
 
 def avgpool2_forward(x: np.ndarray) -> LayerIO:
     """2x2 mean pooling with stride 2; spatial extents must be even."""
-    hh, ww, c = x.shape
+    b, hh, ww, c = x.shape
     if hh % 2 or ww % 2:
         raise ShapeMismatchError(f"2x2 pooling needs even extents, got {x.shape}")
-    out = x.reshape(hh // 2, 2, ww // 2, 2, c).mean(axis=(1, 3))
+    out = x.reshape(b, hh // 2, 2, ww // 2, 2, c).mean(axis=(2, 4))
     return LayerIO(out.astype(x.dtype, copy=False), (x.shape,))
 
 
 def avgpool2_backward(cache: tuple, dy: np.ndarray):
     (x_shape,) = cache
-    dx = np.repeat(np.repeat(dy, 2, axis=0), 2, axis=1) * dy.dtype.type(0.25)
+    dx = np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) * dy.dtype.type(0.25)
     return dx.astype(dy.dtype, copy=False).reshape(x_shape)
 
 
@@ -174,26 +172,29 @@ def gain_backward(cache: tuple, dy: np.ndarray):
 # -- loss -------------------------------------------------------------------
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis; leading axes index independent samples."""
+    """Softmax over the last axis of (B, K) logits; each row is one sample."""
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, label: int):
-    """Return (loss, dlogits) for one sample.
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Return (losses, dlogits) for (B, K) logits and B integer labels.
 
-    loss = -log softmax(logits)[label]; dlogits = softmax - onehot.
+    losses[i] = -log softmax(logits[i])[labels[i]], a float64 (B,) array;
+    dlogits = softmax - onehot, in the dtype of ``logits``.
     """
-    k = logits.shape[0]
-    if not 0 <= label < k:
-        raise BadLabelError(f"label {label} outside [0, {k})")
-    z = logits.astype(np.float64) - float(np.max(logits))
-    logsumexp = np.log(np.sum(np.exp(z)))
-    loss = float(logsumexp - z[label])
-    p = np.exp(z - logsumexp)
-    p[label] -= 1.0
-    return loss, p.astype(logits.dtype, copy=False)
+    labels = np.asarray(labels)
+    k = logits.shape[1]
+    if np.any((labels < 0) | (labels >= k)):
+        raise BadLabelError(f"labels {labels.tolist()} not all in [0, {k})")
+    rows = np.arange(len(labels))
+    z = logits.astype(np.float64) - np.max(logits, axis=1, keepdims=True)
+    logsumexp = np.log(np.sum(np.exp(z), axis=1))
+    losses = logsumexp - z[rows, labels]
+    p = np.exp(z - logsumexp[:, None])
+    p[rows, labels] -= 1.0
+    return losses, p.astype(logits.dtype, copy=False)
 
 
 # -- optimization -------------------------------------------------------------

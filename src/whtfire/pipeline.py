@@ -19,7 +19,6 @@ from .arch import (
     ARCH_NAME_TO_VARIANT,
     Network,
     build_toy_net,
-    forward_classify,
     network_backward,
     network_forward,
 )
@@ -38,17 +37,19 @@ from .errors import (
     DegenerateGridError,
     EmptyDatasetError,
     LengthNotPowerOfTwoError,
+    ShapeMismatchError,
     SingleClassDatasetError,
     SizeTooLargeError,
     TrainingDivergedError,
 )
 from .fwht import fwht, hadamard_matrix
-from .nn import SgdOptimizer, TrainConfig, softmax_cross_entropy
+from .nn import SgdOptimizer, TrainConfig, softmax, softmax_cross_entropy
 from .tiling import GridSpec, render_overlay, score_grid, score_grid_json, whole_image_score
 
 FINETUNE_LEARNING_RATE = 0.001
 VALIDATION_FRACTION = 0.2
 DECISION_THRESHOLD = 0.5
+EVAL_BATCH = 8  # samples per forward when evaluating
 MAX_BENCH_SIZE = 1 << 22
 NAIVE_BENCH_LIMIT = 1 << 12
 
@@ -147,19 +148,22 @@ def format_metrics_table(metrics: Metrics, cm: ConfusionMatrix) -> str:
 
 # -- dataset handling ------------------------------------------------------------
 
-def load_dataset(manifest: Manifest):
-    """All images (float64 [0,1]) and their labels; validates non-emptiness."""
+def load_dataset(manifest, net: Network):
+    """A manifest's images as one (N, S, S, 3) array of ``net``'s input, and its labels."""
+    if not isinstance(manifest, Manifest):
+        manifest = load_manifest(manifest)
     if len(manifest) == 0:
         raise EmptyDatasetError("manifest has no entries")
-    images = [ppm_read(p) for p in manifest.paths()]
-    labels = manifest.labels()
-    return images, labels
-
-
-def _as_manifest(manifest) -> Manifest:
-    if isinstance(manifest, Manifest):
-        return manifest
-    return load_manifest(manifest)
+    size = net.descriptor.input_size
+    images = np.empty((len(manifest), size, size, 3), dtype=net.dtype)
+    for i, path in enumerate(manifest.paths()):
+        image = ppm_read(path)
+        if image.shape != images.shape[1:]:
+            raise ShapeMismatchError(
+                f"{path}: {image.shape[1]}x{image.shape[0]} image, network input {size}x{size}"
+            )
+        images[i] = image
+    return images, manifest.labels()
 
 
 def _as_network(net_or_checkpoint) -> Network:
@@ -180,19 +184,19 @@ def confusion_from_scores(labels: np.ndarray, scores: np.ndarray,
     )
 
 
-def _evaluate_arrays(net: Network, images, labels: np.ndarray):
-    scores = np.array([forward_classify(net, img)[1] for img in images])
-    cm = confusion_from_scores(labels, scores)
+def _evaluate_arrays(net: Network, images: np.ndarray, labels: np.ndarray):
+    logits = np.concatenate([
+        network_forward(net, images[start : start + EVAL_BATCH])[0]
+        for start in range(0, len(images), EVAL_BATCH)
+    ])
+    cm = confusion_from_scores(labels, softmax(logits.astype(np.float64))[:, 1])
     return compute_metrics(cm), cm
 
 
 def evaluate(net_or_checkpoint, manifest):
     """Patch-level metrics at the 0.5 decision threshold."""
     net = _as_network(net_or_checkpoint)
-    manifest = _as_manifest(manifest)
-    images, labels = load_dataset(manifest)
-    images = [img.astype(net.dtype) for img in images]
-    return _evaluate_arrays(net, images, labels)
+    return _evaluate_arrays(net, *load_dataset(manifest, net))
 
 
 # -- training ---------------------------------------------------------------------
@@ -222,9 +226,10 @@ def _clamp_thresholds(params: dict[str, np.ndarray]) -> None:
             np.maximum(value, 0.0, out=value)
 
 
-def _run_training(net: Network, images, labels: np.ndarray, config: TrainConfig,
-                  variant: str, out_dir: Path, frozen: frozenset[str] = frozenset(),
+def _run_training(net: Network, manifest, config: TrainConfig, variant: str,
+                  out_dir: Path, frozen: frozenset[str] = frozenset(),
                   transfer_source: str | None = None):
+    images, labels = load_dataset(manifest, net)
     both = set(np.unique(labels))
     if both != {0, 1}:
         raise SingleClassDatasetError(
@@ -232,7 +237,6 @@ def _run_training(net: Network, images, labels: np.ndarray, config: TrainConfig,
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = [img.astype(net.dtype) for img in images]
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(images))
     n_val = max(1, int(round(VALIDATION_FRACTION * len(images))))
@@ -244,23 +248,15 @@ def _run_training(net: Network, images, labels: np.ndarray, config: TrainConfig,
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grads = {name: np.zeros_like(p) for name, p in net.parameters.items()}
-            for idx in batch:
-                logits, outputs, caches = network_forward(net, images[idx])
-                loss, dlogits = softmax_cross_entropy(logits, int(labels[idx]))
-                sample_grads = network_backward(net, caches, outputs, dlogits)
-                for name in grads:
-                    grads[name] += sample_grads[name]
-                losses.append(loss)
-            inv = net.dtype.type(1.0 / len(batch))
-            for name in grads:
-                grads[name] *= inv
-            opt.step(net.parameters, grads)
+            logits, caches = network_forward(net, images[batch])
+            batch_losses, dlogits = softmax_cross_entropy(logits, labels[batch])
+            # network_backward sums over the batch; 1/B makes it the mean loss's grads
+            dlogits *= net.dtype.type(1.0 / len(batch))
+            opt.step(net.parameters, network_backward(net, caches, dlogits))
             _clamp_thresholds(net.parameters)
-        val_metrics, _ = _evaluate_arrays(
-            net, [images[i] for i in val_idx], labels[val_idx]
-        )
-        train_loss = float(np.mean(losses)) if losses else None
+            losses.append(batch_losses)
+        val_metrics, _ = _evaluate_arrays(net, images[val_idx], labels[val_idx])
+        train_loss = float(np.mean(np.concatenate(losses))) if losses else None
         diverged = train_loss is not None and not math.isfinite(train_loss)
         record.epochs.append({
             "epoch": epoch,
@@ -296,11 +292,9 @@ def train(manifest, variant: str, config: TrainConfig, out_dir, *,
           width: int = 8, input_size: int = 32, dtype=np.float32,
           threshold_trainable: bool = False):
     """Train a toy variant from scratch; returns (RunRecord, Network, path)."""
-    manifest = _as_manifest(manifest)
-    images, labels = load_dataset(manifest)
     net = build_toy_net(variant, width, input_size, seed=config.seed,
                         dtype=dtype, threshold_trainable=threshold_trainable)
-    return _run_training(net, images, labels, config, variant, Path(out_dir))
+    return _run_training(net, manifest, config, variant, Path(out_dir))
 
 
 def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
@@ -312,11 +306,9 @@ def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
         raise ArchMismatchError(
             f"checkpoint holds variant {source_variant!r}, requested {variant!r}"
         )
-    manifest = _as_manifest(manifest)
-    images, labels = load_dataset(manifest)
     frozen = frozenset({"stem.weight"}) if freeze_stem else frozenset()
     return _run_training(
-        net, images, labels, config, source_variant, Path(out_dir),
+        net, manifest, config, source_variant, Path(out_dir),
         frozen=frozen, transfer_source=str(source_checkpoint),
     )
 

@@ -10,11 +10,12 @@ are rendered as coloured block borders.
 Scoring pools the R x C block area once: since every window starts on a
 block boundary, its pooled patch is a slice of the pooled frame.  When
 every layer before ``gap`` is local (``arch.feature_stride``), the windows
-also share all per-pixel work: the feature map is computed once over the
-pooled frame, each window's ``gap`` is a sum of four block sums of it, and
-the dense head classifies all windows in one call.  Otherwise (conv3x3,
-whose zero padding differs at window edges) each slice runs through
-``forward_classify`` on its own.
+also share all per-pixel work: the feature map is computed once per block
+row, as a (1, H, W, C) batch, each window's ``gap`` is a sum of four block
+sums of it, and the dense head classifies all windows as one (B, C) batch.
+Otherwise (conv3x3, whose zero padding differs at window edges) each slice
+runs through ``forward_classify`` alone, as a batch of one: a 224 px conv
+window's forward holds ~15 MiB, so larger batches raise the peak memory.
 """
 
 from __future__ import annotations
@@ -94,26 +95,6 @@ class ScoreGrid:
         return bool(np.any(self.scores >= self.threshold))
 
 
-def _require_windows(spec: GridSpec) -> None:
-    if spec.rows < 2 or spec.cols < 2:
-        raise DegenerateGridError(
-            f"grid {spec.rows}x{spec.cols} has no 2x2 window; need R >= 2 and C >= 2"
-        )
-
-
-def extract_windows(image: np.ndarray, spec: GridSpec):
-    """All ((r, c), window) pairs; window (r, c) covers blocks (r..r+1, c..c+1)."""
-    _require_windows(spec)
-    rows, cols = spec.rows, spec.cols
-    bh, bw = spec.block_height, spec.block_width
-    out = []
-    for r in range(rows - 1):
-        for c in range(cols - 1):
-            win = image[r * bh : (r + 2) * bh, c * bw : (c + 2) * bw]
-            out.append(((r, c), win))
-    return out
-
-
 def mean_pool(image: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:
     """Integer-factor mean pooling per channel.
 
@@ -151,8 +132,11 @@ def score_grid(net: Network, image: np.ndarray, spec: GridSpec,
     offsets are multiples of the stride; otherwise each slice is classified
     on its own.
     """
-    _require_windows(spec)
     rows, cols = spec.rows, spec.cols
+    if rows < 2 or cols < 2:
+        raise DegenerateGridError(
+            f"grid {rows}x{cols} has no 2x2 window; need R >= 2 and C >= 2"
+        )
     bh, bw = spec.block_height, spec.block_width
     size = net.descriptor.input_size
     if (bh, bw) != (size, size):
@@ -173,7 +157,7 @@ def score_grid(net: Network, image: np.ndarray, spec: GridSpec,
     fh, fw = hb // stride, wb // stride  # one block, in feature pixels
     # one block row at a time bounds the transient feature maps
     sums = np.stack([
-        feature_map(net, pooled[r * hb : (r + 1) * hb])
+        feature_map(net, pooled[None, r * hb : (r + 1) * hb])[0]
         .reshape(fh, cols, fw, -1).sum(axis=(0, 2))
         for r in range(rows)
     ])
@@ -257,21 +241,6 @@ def render_overlay(image: np.ndarray, grid: ScoreGrid,
                 _draw_text(out, y0 + 2 * BORDER_PX, x0 + 2 * BORDER_PX,
                            f"{score:.2f}", color, pixel)
     return out
-
-
-def border_mask(spec: GridSpec) -> np.ndarray:
-    """Boolean (H, W) mask of all pixels any border may touch."""
-    mask = np.zeros((spec.image_height, spec.image_width), dtype=bool)
-    bh, bw = spec.block_height, spec.block_width
-    for r in range(spec.rows):
-        for c in range(spec.cols):
-            y0, x0 = r * bh, c * bw
-            y1, x1 = y0 + bh, x0 + bw
-            mask[y0 : y0 + BORDER_PX, x0:x1] = True
-            mask[y1 - BORDER_PX : y1, x0:x1] = True
-            mask[y0:y1, x0 : x0 + BORDER_PX] = True
-            mask[y0:y1, x1 - BORDER_PX : x1] = True
-    return mask
 
 
 def score_grid_json(grid: ScoreGrid, image_path: str) -> dict:

@@ -1,8 +1,9 @@
 """Transform-domain layer: WHT -> per-bin scaling -> hard threshold -> IWHT.
 
 The transform runs along the channel axis independently at each spatial
-position, so a (H, W, N) feature map keeps its spatial resolution and the
-layer owns exactly N trainable values (plus one optional threshold).
+position, so a (B, H, W, N) batch of feature maps (or any array whose last
+axis holds the N channels) keeps its shape, and the layer owns exactly N
+trainable values (plus one optional threshold).
 With ``scale == 1`` and ``threshold == 0`` the layer is the identity.
 """
 
@@ -82,8 +83,7 @@ def wht_layer_backward(cache: tuple, dy: np.ndarray):
         )
     g = ifwht(dy, axis=-1)          # dL/dv, since the inverse transform is symmetric
     du = g * mask
-    axes = tuple(range(du.ndim - 1))
-    dscale = np.sum(du * t, axis=axes) if axes else du * t
+    dscale = np.sum(du * t, axis=tuple(range(du.ndim - 1)))
     dx = fwht(du * scale, axis=-1, overwrite=True)
     if threshold_trainable:
         dthreshold = float(-np.sum(np.sign(u) * mask * g))

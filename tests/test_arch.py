@@ -82,11 +82,12 @@ class TestCountParams:
                 arch.param_shapes(desc)
             net = arch.Network(desc, {"w": np.zeros(1)}, seed=0)
             with pytest.raises(InvalidDescriptorError):
-                arch.network_forward(net, np.zeros((4, 4, 3)))
+                arch.network_forward(net, np.zeros((1, 4, 4, 3)))
 
     def test_bias_free_kinds_reject_a_bias(self):
-        for kind in ("pointwise", "conv3x3"):
-            layer = arch.LayerDescriptor(kind, 4, 4, bias=True)
+        # and dense, which always has one, rejects its absence
+        for kind, bias in (("pointwise", True), ("conv3x3", True), ("dense", False)):
+            layer = arch.LayerDescriptor(kind, 4, 4, bias=bias)
             with pytest.raises(InvalidDescriptorError):
                 arch.count_params(arch.ArchDescriptor("x", (layer,)))
 
@@ -135,18 +136,18 @@ class TestToyNets:
 
     def test_both_variants_map_input_to_two_logits(self):
         rng = np.random.default_rng(0)
-        patch = rng.random((32, 32, 3))
+        batch = rng.random((1, 32, 32, 3))
         for variant in ("conv-baseline", "wht"):
             net = arch.build_toy_net(variant, 8, 32, seed=0)
-            logits, _, _ = arch.network_forward(net, patch)
-            assert logits.shape == (2,)
+            logits, _ = arch.network_forward(net, batch)
+            assert logits.shape == (1, 2)
             assert np.isfinite(logits).all()
 
 
-def manual_toy_forward(net, patch, skip_spectral=False):
+def manual_toy_forward(net, batch, skip_spectral=False):
     """Independent re-implementation of the toy wiring using raw layers."""
     p = net.parameters
-    x = patch.astype(net.dtype) - net.dtype.type(0.5)
+    x = batch.astype(net.dtype) - net.dtype.type(0.5)
     x = nn.pointwise_forward(x, p["stem.weight"]).output
     for b in range(3):
         block_in = x
@@ -183,23 +184,23 @@ class TestForwardClassify:
 
     def test_executor_matches_manual_wiring(self):
         rng = np.random.default_rng(3)
-        patch = rng.random((32, 32, 3))
+        batch = rng.random((2, 32, 32, 3))
         for variant in ("conv-baseline", "wht"):
             net = arch.build_toy_net(variant, 8, 32, seed=3, dtype=np.float64)
-            logits, _, _ = arch.network_forward(net, patch)
-            manual = manual_toy_forward(net, patch)
+            logits, _ = arch.network_forward(net, batch)
+            manual = manual_toy_forward(net, batch)
             assert np.max(np.abs(logits - manual)) <= 1e-12
 
     def test_fresh_spectral_layers_are_identity(self):
         # at init scale == 1 and lambda == 0, so removing the spectral layers
         # changes nothing
         rng = np.random.default_rng(4)
-        patch = rng.random((32, 32, 3))
+        batch = rng.random((2, 32, 32, 3))
         net = arch.build_toy_net("wht", 8, 32, seed=4, dtype=np.float64)
-        with_layers = manual_toy_forward(net, patch)
-        without_layers = manual_toy_forward(net, patch, skip_spectral=True)
+        with_layers = manual_toy_forward(net, batch)
+        without_layers = manual_toy_forward(net, batch, skip_spectral=True)
         assert np.max(np.abs(with_layers - without_layers)) <= 1e-9
-        logits, _, _ = arch.network_forward(net, patch)
+        logits, _ = arch.network_forward(net, batch)
         assert np.max(np.abs(logits - without_layers)) <= 1e-9
 
     def test_rejects_wrong_input_shape(self):
@@ -214,17 +215,17 @@ class TestFeatureMap:
         patch = rng.random((32, 32, 3))
         for variant in ("conv-baseline", "wht"):
             net = arch.build_toy_net(variant, 8, 32, seed=5, dtype=np.float64)
-            feats = arch.feature_map(net, patch)
-            assert feats.shape == (8, 8, 8)
-            probs = arch.head_classify(net, feats.mean(axis=(0, 1))[None])
+            feats = arch.feature_map(net, patch[None])
+            assert feats.shape == (1, 8, 8, 8)
+            probs = arch.head_classify(net, feats.mean(axis=(1, 2)))
             assert probs.shape == (1, 2)
             assert np.max(np.abs(probs[0] - arch.forward_classify(net, patch))) <= 1e-15
 
     def test_any_spatial_extent(self):
         net = arch.build_toy_net("wht", 8, 32, seed=6)
-        assert arch.feature_map(net, np.zeros((16, 96, 3))).shape == (4, 24, 8)
+        assert arch.feature_map(net, np.zeros((1, 16, 96, 3))).shape == (1, 4, 24, 8)
         with pytest.raises(ShapeMismatchError):
-            arch.feature_map(net, np.zeros((16, 96)))
+            arch.feature_map(net, np.zeros((1, 16, 96)))
 
     def test_feature_stride(self):
         assert arch.feature_stride(arch.toy_descriptor("wht")) == 4
@@ -247,14 +248,14 @@ class TestLayerDispatch:
         monkeypatch.setattr(arch, "wht_layer_forward",
                             counting("wht", arch.wht_layer_forward))
         net = arch.build_toy_net("wht", 8, 32, seed=0)
-        arch.network_forward(net, np.zeros((32, 32, 3)))
+        arch.network_forward(net, np.zeros((1, 32, 32, 3)))
         assert calls == {"pointwise": 4, "wht": 3}
 
 
 class TestNetworkBackward:
     def test_every_tensor_of_the_trainable_threshold_net(self, monkeypatch):
         rng = np.random.default_rng(7)
-        patch = rng.random((32, 32, 3))
+        batch = rng.random((1, 32, 32, 3))
         net = arch.build_toy_net("wht", 8, 32, seed=7, dtype=np.float64,
                                  threshold_trainable=True)
         for b in range(3):  # a positive threshold, so some bins are cut
@@ -268,9 +269,9 @@ class TestNetworkBackward:
             return out
 
         monkeypatch.setattr(arch, "wht_layer_backward", recording)
-        logits, outputs, caches = arch.network_forward(net, patch)
-        _, dlogits = nn.softmax_cross_entropy(logits, label)
-        grads = arch.network_backward(net, caches, outputs, dlogits)
+        logits, caches = arch.network_forward(net, batch)
+        _, dlogits = nn.softmax_cross_entropy(logits, [label])
+        grads = arch.network_backward(net, caches, dlogits)
         assert set(grads) == set(net.parameters)
 
         # backward visits the wht layers last to first; lambda's gradient is
@@ -283,8 +284,8 @@ class TestNetworkBackward:
         def loss_for(name):
             def fun(values):
                 net.parameters[name] = values
-                lg, _, _ = arch.network_forward(net, patch)
-                return nn.softmax_cross_entropy(lg, label)[0]
+                lg, _ = arch.network_forward(net, batch)
+                return nn.softmax_cross_entropy(lg, [label])[0][0]
             return fun
 
         for name in sorted(set(grads) - set(lambdas)):
@@ -295,20 +296,20 @@ class TestNetworkBackward:
 
     def test_selected_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
-        patch = rng.random((32, 32, 3))
+        batch = rng.random((1, 32, 32, 3))
         net = arch.build_toy_net("wht", 8, 32, seed=5, dtype=np.float64)
         label = 1
 
         def loss_for(name):
             def fun(values):
                 net.parameters[name] = values
-                logits, _, _ = arch.network_forward(net, patch)
-                return nn.softmax_cross_entropy(logits, label)[0]
+                logits, _ = arch.network_forward(net, batch)
+                return nn.softmax_cross_entropy(logits, [label])[0][0]
             return fun
 
-        logits, outputs, caches = arch.network_forward(net, patch)
-        _, dlogits = nn.softmax_cross_entropy(logits, label)
-        grads = arch.network_backward(net, caches, outputs, dlogits)
+        logits, caches = arch.network_forward(net, batch)
+        _, dlogits = nn.softmax_cross_entropy(logits, [label])
+        grads = arch.network_backward(net, caches, dlogits)
         for name in ("head.bias", "block1.gain", "wht2.scale", "stem.weight"):
             original = net.parameters[name].copy()
             err = nn.gradient_check(loss_for(name), net.parameters[name], grads[name])
@@ -317,19 +318,49 @@ class TestNetworkBackward:
 
     def test_conv_variant_gradients(self):
         rng = np.random.default_rng(6)
-        patch = rng.random((32, 32, 3))
+        batch = rng.random((1, 32, 32, 3))
         net = arch.build_toy_net("conv-baseline", 8, 32, seed=6, dtype=np.float64)
-        logits, outputs, caches = arch.network_forward(net, patch)
-        _, dlogits = nn.softmax_cross_entropy(logits, 0)
-        grads = arch.network_backward(net, caches, outputs, dlogits)
+        logits, caches = arch.network_forward(net, batch)
+        _, dlogits = nn.softmax_cross_entropy(logits, [0])
+        grads = arch.network_backward(net, caches, dlogits)
 
         def fun(values):
             net.parameters["block0.conv.weight"] = values
-            lg, _, _ = arch.network_forward(net, patch)
-            return nn.softmax_cross_entropy(lg, 0)[0]
+            lg, _ = arch.network_forward(net, batch)
+            return nn.softmax_cross_entropy(lg, [0])[0][0]
 
         original = net.parameters["block0.conv.weight"].copy()
         err = nn.gradient_check(fun, net.parameters["block0.conv.weight"],
                                 grads["block0.conv.weight"])
         net.parameters["block0.conv.weight"] = original
         assert err <= 1e-6
+
+
+class TestBatchEquivalence:
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    def test_batch_matches_a_loop_of_single_samples(self, variant):
+        # float64; the wht net has a trainable threshold that cuts some bins
+        rng = np.random.default_rng(11)
+        net = arch.build_toy_net(variant, 8, 32, seed=11, dtype=np.float64,
+                                 threshold_trainable=variant == "wht")
+        for name, p in net.parameters.items():
+            if name.endswith(".lambda"):
+                p[:] = 0.05
+        batch = rng.random((5, 32, 32, 3))
+        labels = np.array([0, 1, 1, 0, 1])
+
+        logits, caches = arch.network_forward(net, batch)
+        _, dlogits = nn.softmax_cross_entropy(logits, labels)
+        grads = arch.network_backward(net, caches, dlogits)
+
+        looped = {name: np.zeros_like(p) for name, p in net.parameters.items()}
+        for i in range(5):
+            one, one_caches = arch.network_forward(net, batch[i : i + 1])
+            assert np.max(np.abs(logits[i] - one[0])) <= 1e-12 * np.max(np.abs(one))
+            _, one_dlogits = nn.softmax_cross_entropy(one, labels[i : i + 1])
+            for name, g in arch.network_backward(net, one_caches, one_dlogits).items():
+                looped[name] += g
+        for name, want in looped.items():
+            assert np.any(want != 0), name
+            err = np.max(np.abs(grads[name] - want)) / np.max(np.abs(want))
+            assert err <= 1e-12, f"{name}: {err}"

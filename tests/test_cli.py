@@ -129,34 +129,46 @@ class TestTrainEvalDetect:
 
 
 class TestExitCodes:
+    # text inputs named by the transform cases
+    INPUTS = {"words.txt": b"1\n2\nthree\n4\n", "binary.txt": b"\xff\xfe1\n2\n"}
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows
-    @pytest.mark.parametrize("args, expected", [
-        (["train", "--width", "12"], EXIT_USAGE),
-        (["train", "--width", "eight"], EXIT_USAGE),
-        (["train", "--input-size", "48"], EXIT_USAGE),
-        (["train", "--lr", "nan"], EXIT_USAGE),
-        (["train", "--lr", "1000"], EXIT_DATA),
-        (["params", "--arch", "toy-wht", "--width", "12"], EXIT_USAGE),
-        (["transform"], EXIT_DATA),
-    ], ids=["width", "width-text", "input-size", "lr-nan", "lr-diverges", "params-width",
-            "transform-text"])
-    def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected):
+    @pytest.mark.parametrize("args, expected, message", [
+        (["train", "--width", "12"], EXIT_USAGE, "--width"),
+        (["train", "--width", "eight"], EXIT_USAGE, "--width"),
+        (["train", "--input-size", "48"], EXIT_USAGE, "--input-size"),
+        (["train", "--lr", "nan"], EXIT_USAGE, "finite"),
+        (["train", "--lr", "1000"], EXIT_DATA, "diverged"),
+        (["train", "--input-size", "64"], EXIT_DATA, "32x32 image, network input 64x64"),
+        (["train", "--manifest", "mixed.csv"], EXIT_DATA, "16x16 image, network input 32x32"),
+        (["params", "--arch", "toy-wht", "--width", "12"], EXIT_USAGE, "--width"),
+        (["transform", "--input", "words.txt"], EXIT_DATA, "line 3: 'three'"),
+        (["transform", "--input", "binary.txt"], EXIT_DATA, "not UTF-8"),
+    ], ids=["width", "width-text", "input-size", "lr-nan", "lr-diverges",
+            "input-size-mismatch", "mixed-sizes", "params-width", "transform-text",
+            "transform-binary"])
+    def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
+                                  message):
         if args[0] == "train":
-            args = args + ["--manifest", str(dataset_dir / "manifest.csv"), "--epochs", "2"]
+            if "mixed.csv" in args:  # one 16 px image among the 32 px ones
+                ppm_write(np.zeros((16, 16, 3)), dataset_dir / "small.ppm")
+                (dataset_dir / "mixed.csv").write_text(
+                    (dataset_dir / "manifest.csv").read_text() + "small.ppm,1\n")
+                args = args[:-1] + [str(dataset_dir / "mixed.csv")]
+            else:
+                args = args + ["--manifest", str(dataset_dir / "manifest.csv")]
+            args = args + ["--epochs", "2"]
         if args[0] == "transform":
-            vec = tmp_path / "v.txt"
-            vec.write_text("1\n2\nthree\n4\n")
-            args = args + ["--input", str(vec)]
+            vec = tmp_path / args[-1]
+            vec.write_bytes(self.INPUTS[args[-1]])
+            args = args[:-1] + [str(vec)]
         try:
             rc = main(["--out-dir", str(tmp_path / "out"), *args])
         except SystemExit as exc:
             rc = exc.code
         assert rc == expected
-        err = capsys.readouterr().err
-        if args[0] == "transform":
-            assert "line 3" in err and "three" in err
-        if expected == EXIT_DATA and args[0] == "train":
-            assert "diverged" in err
+        assert message in capsys.readouterr().err
+        if args[0] == "train":
             assert not (tmp_path / "out" / "checkpoint.whtc").exists()
 
 

@@ -6,12 +6,8 @@ from whtfire.errors import (
     LengthNotPowerOfTwoError,
     OrderTooLargeError,
 )
-from whtfire.fwht import (
-    dyadic_convolve_bruteforce,
-    fwht,
-    hadamard_matrix,
-    ifwht,
-)
+from whtfire.fwht import fwht, hadamard_matrix, ifwht
+from oracles import dyadic_convolve_bruteforce
 
 
 class TestHadamardMatrix:

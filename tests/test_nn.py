@@ -6,7 +6,11 @@ from whtfire.errors import BadLabelError, ShapeMismatchError
 
 
 def conv3x3_direct(x, w, stride=1):
-    """Six-loop reference convolution (padding 1)."""
+    """Six-loop reference convolution (padding 1), one sample of a batch at a time."""
+    return np.stack([conv3x3_direct_one(sample, w, stride) for sample in x])
+
+
+def conv3x3_direct_one(x, w, stride):
     hh, ww, cin = x.shape
     cout = w.shape[3]
     xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
@@ -25,14 +29,14 @@ def conv3x3_direct(x, w, stride=1):
 class TestConv3x3:
     def test_constant_field_interior(self):
         v = 0.7
-        x = np.full((6, 6, 1), v)
+        x = np.full((1, 6, 6, 1), v)
         w = np.ones((3, 3, 1, 1))
         out = nn.conv3x3_forward(x, w).output
-        assert np.allclose(out[1:-1, 1:-1], 9 * v)
+        assert np.allclose(out[:, 1:-1, 1:-1], 9 * v)
 
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(5, 4, 3))
+        x = rng.normal(size=(2, 5, 4, 3))
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[1, 1, c, c] = 1.0
@@ -40,21 +44,21 @@ class TestConv3x3:
 
     def test_matches_direct_loop_oracle(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(5, 5, 2))
+        x = rng.normal(size=(2, 5, 5, 2))
         w = rng.normal(size=(3, 3, 2, 3))
         out = nn.conv3x3_forward(x, w).output
         assert np.max(np.abs(out - conv3x3_direct(x, w))) <= 1e-6
 
     def test_stride_two_matches_oracle(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(6, 6, 2))
+        x = rng.normal(size=(2, 6, 6, 2))
         w = rng.normal(size=(3, 3, 2, 2))
         out = nn.conv3x3_forward(x, w, stride=2).output
         assert np.max(np.abs(out - conv3x3_direct(x, w, stride=2))) <= 1e-6
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, 4, 2))
+        x = rng.normal(size=(2, 4, 4, 2))
         w = rng.normal(size=(3, 3, 2, 2))
         io = nn.conv3x3_forward(x, w)
         dx, dw = nn.conv3x3_backward(io.cache, np.zeros_like(io.output))
@@ -62,7 +66,7 @@ class TestConv3x3:
 
     def test_backward_identity_kernel(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(4, 4, 2))
+        x = rng.normal(size=(2, 4, 4, 2))
         w = np.zeros((3, 3, 2, 2))
         for c in range(2):
             w[1, 1, c, c] = 1.0
@@ -73,9 +77,9 @@ class TestConv3x3:
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(4, 4, 2))
+        x = rng.normal(size=(2, 4, 4, 2))
         w = rng.normal(size=(3, 3, 2, 3))
-        dy = rng.normal(size=(4, 4, 3))
+        dy = rng.normal(size=(2, 4, 4, 3))
         io = nn.conv3x3_forward(x, w)
         dx, dw = nn.conv3x3_backward(io.cache, dy)
         err_w = nn.gradient_check(
@@ -88,47 +92,47 @@ class TestConv3x3:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            nn.conv3x3_forward(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 2)))
+            nn.conv3x3_forward(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 3, 2)))
 
 
 class TestSimpleLayers:
     def test_relu_values(self):
-        out = nn.relu_forward(np.array([-1.0, 0.0, 2.0])).output
-        assert out.tolist() == [0.0, 0.0, 2.0]
+        out = nn.relu_forward(np.array([[-1.0, 0.0, 2.0]])).output
+        assert out.tolist() == [[0.0, 0.0, 2.0]]
 
     def test_relu_backward_masks_nonpositive(self):
-        x = np.array([-1.0, 0.0, 2.0])
+        x = np.array([[-1.0, 0.0, 2.0]])
         io = nn.relu_forward(x)
-        dx = nn.relu_backward(io.cache, np.ones(3))
-        assert dx.tolist() == [0.0, 0.0, 1.0]
+        dx = nn.relu_backward(io.cache, np.ones((1, 3)))
+        assert dx.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_gap_constant_channel(self):
         c = 3.25
-        x = np.full((4, 5, 2), c)
+        x = np.full((1, 4, 5, 2), c)
         assert np.allclose(nn.gap_forward(x).output, c)
 
     def test_pointwise_matches_matmul(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(3, 3, 4))
+        x = rng.normal(size=(2, 3, 3, 4))
         w = rng.normal(size=(4, 2))
         assert np.allclose(nn.pointwise_forward(x, w).output, x @ w)
 
     def test_avgpool2_checkerboard(self):
-        x = np.zeros((4, 4, 1))
-        x[::2, 1::2] = 1.0
-        x[1::2, ::2] = 1.0
+        x = np.zeros((1, 4, 4, 1))
+        x[:, ::2, 1::2] = 1.0
+        x[:, 1::2, ::2] = 1.0
         assert np.allclose(nn.avgpool2_forward(x).output, 0.5)
 
     def test_avgpool2_odd_extent_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            nn.avgpool2_forward(np.zeros((3, 4, 1)))
+            nn.avgpool2_forward(np.zeros((1, 3, 4, 1)))
 
     @pytest.mark.parametrize("layer", ["pointwise", "dense", "relu", "gap",
                                        "avgpool2", "gain"])
     def test_backward_matches_central_differences(self, layer):
         rng = np.random.default_rng(hash(layer) % 2**32)
         if layer == "pointwise":
-            x = rng.normal(size=(3, 3, 4))
+            x = rng.normal(size=(2, 3, 3, 4))
             w = rng.normal(size=(4, 2))
             io = nn.pointwise_forward(x, w)
             dy = rng.normal(size=io.output.shape)
@@ -138,11 +142,11 @@ class TestSimpleLayers:
                 (lambda v: float(np.sum(nn.pointwise_forward(x, v).output * dy)), w, dw),
             ]
         elif layer == "dense":
-            x = rng.normal(size=4)
+            x = rng.normal(size=(2, 4))
             w = rng.normal(size=(4, 3))
             b = rng.normal(size=3)
             io = nn.dense_forward(x, w, b)
-            dy = rng.normal(size=3)
+            dy = rng.normal(size=(2, 3))
             dx, dw, db = nn.dense_backward(io.cache, dy)
             checks = [
                 (lambda v: float(np.sum(nn.dense_forward(v, w, b).output * dy)), x, dx),
@@ -150,7 +154,7 @@ class TestSimpleLayers:
                 (lambda v: float(np.sum(nn.dense_forward(x, w, v).output * dy)), b, db),
             ]
         elif layer == "relu":
-            x = rng.normal(size=(4, 4, 2))
+            x = rng.normal(size=(2, 4, 4, 2))
             x = np.where(np.abs(x) < 0.1, x + 0.5, x)  # stay away from the kink
             io = nn.relu_forward(x)
             dy = rng.normal(size=io.output.shape)
@@ -159,15 +163,15 @@ class TestSimpleLayers:
                 (lambda v: float(np.sum(nn.relu_forward(v).output * dy)), x, dx),
             ]
         elif layer == "gap":
-            x = rng.normal(size=(3, 5, 4))
+            x = rng.normal(size=(2, 3, 5, 4))
             io = nn.gap_forward(x)
-            dy = rng.normal(size=4)
+            dy = rng.normal(size=(2, 4))
             dx = nn.gap_backward(io.cache, dy)
             checks = [
                 (lambda v: float(np.sum(nn.gap_forward(v).output * dy)), x, dx),
             ]
         elif layer == "avgpool2":
-            x = rng.normal(size=(4, 6, 2))
+            x = rng.normal(size=(2, 4, 6, 2))
             io = nn.avgpool2_forward(x)
             dy = rng.normal(size=io.output.shape)
             dx = nn.avgpool2_backward(io.cache, dy)
@@ -175,7 +179,7 @@ class TestSimpleLayers:
                 (lambda v: float(np.sum(nn.avgpool2_forward(v).output * dy)), x, dx),
             ]
         else:
-            x = rng.normal(size=(3, 3, 2))
+            x = rng.normal(size=(2, 3, 3, 2))
             g = np.array([1.3])
             io = nn.gain_forward(x, g)
             dy = rng.normal(size=io.output.shape)
@@ -190,10 +194,10 @@ class TestSimpleLayers:
     def test_linear_layer_gradient_is_exact(self):
         # dense layer is linear in x, so central differences are exact
         rng = np.random.default_rng(8)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(2, 4))
         w = rng.normal(size=(4, 3))
         b = rng.normal(size=3)
-        dy = rng.normal(size=3)
+        dy = rng.normal(size=(2, 3))
         io = nn.dense_forward(x, w, b)
         dx, _, _ = nn.dense_backward(io.cache, dy)
         err = nn.gradient_check(
@@ -204,24 +208,24 @@ class TestSimpleLayers:
 
 class TestSoftmaxCrossEntropy:
     def test_symmetric_logits(self):
-        loss, _ = nn.softmax_cross_entropy(np.zeros(2), 0)
-        assert abs(loss - np.log(2)) <= 1e-12
+        loss, _ = nn.softmax_cross_entropy(np.zeros((1, 2)), [0])
+        assert abs(loss[0] - np.log(2)) <= 1e-12
 
     def test_saturated_correct_prediction(self):
-        loss, _ = nn.softmax_cross_entropy(np.array([10.0, -10.0]), 0)
-        assert abs(loss - 2.061e-9) <= 2e-11
+        loss, _ = nn.softmax_cross_entropy(np.array([[10.0, -10.0]]), [0])
+        assert abs(loss[0] - 2.061e-9) <= 2e-11
 
     def test_loss_is_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            logits = rng.normal(size=2) * 5
-            loss, _ = nn.softmax_cross_entropy(logits, int(rng.integers(2)))
-            assert loss >= 0.0
+            logits = rng.normal(size=(1, 2)) * 5
+            loss, _ = nn.softmax_cross_entropy(logits, [int(rng.integers(2))])
+            assert loss[0] >= 0.0
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            p = nn.softmax(rng.normal(size=2) * 10)
+            p = nn.softmax(rng.normal(size=(1, 2)) * 10)
             assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_leading_axis_rows_match_single_samples(self):
@@ -233,26 +237,27 @@ class TestSoftmaxCrossEntropy:
         probs = nn.softmax(logits * 10)
         assert logits.shape == probs.shape == (5, 3)
         for i in range(5):
-            row = nn.dense_forward(x[i], w, b).output
+            row = nn.dense_forward(x[i : i + 1], w, b).output[0]
             assert np.max(np.abs(logits[i] - row)) <= 1e-15
-            assert np.array_equal(probs[i], nn.softmax(logits[i] * 10))
+            assert np.array_equal(probs[i], nn.softmax(logits[i : i + 1] * 10)[0])
         with pytest.raises(ShapeMismatchError):
             nn.dense_forward(x[:, :3], w, b)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(11)
-        logits = rng.normal(size=2)
-        _, dlogits = nn.softmax_cross_entropy(logits, 1)
+        logits = rng.normal(size=(3, 2))
+        labels = [1, 0, 1]
+        _, dlogits = nn.softmax_cross_entropy(logits, labels)
         err = nn.gradient_check(
-            lambda v: nn.softmax_cross_entropy(v, 1)[0], logits, dlogits,
+            lambda v: nn.softmax_cross_entropy(v, labels)[0].sum(), logits, dlogits,
         )
         assert err <= 1e-8
 
     def test_bad_label(self):
         with pytest.raises(BadLabelError):
-            nn.softmax_cross_entropy(np.zeros(2), 2)
+            nn.softmax_cross_entropy(np.zeros((1, 2)), [2])
         with pytest.raises(BadLabelError):
-            nn.softmax_cross_entropy(np.zeros(2), -1)
+            nn.softmax_cross_entropy(np.zeros((2, 2)), [0, -1])
 
 
 class TestSgd:

@@ -3,6 +3,8 @@ import re
 import tomllib
 from pathlib import Path
 
+import numpy as np
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
@@ -13,3 +15,38 @@ def test_every_declared_dependency_imports():
     for requirement in deps:
         name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
         importlib.import_module(name.replace("-", "_"))
+
+
+def test_benchmark_entry_points(tmp_path):
+    # every library call perfbench/ makes, with the arguments it passes;
+    # it imports the modules by name, as here ("whtfire.fwht" is not whtfire.fwht)
+    arch, dataio, fwht, nn, pipeline, tiling = (
+        importlib.import_module(f"whtfire.{name}")
+        for name in ("arch", "dataio", "fwht", "nn", "pipeline", "tiling")
+    )
+
+    dataio.synth_dataset(dataio.SynthConfig(seed=1, count_per_class=4, resolution=32),
+                         tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest.csv"
+    config = nn.TrainConfig(epochs=1, batch_size=8, seed=1)
+    record, _, ckpt = pipeline.train(manifest, "wht", config, tmp_path / "run",
+                                     width=8, input_size=32)
+    assert [set(e) >= {"epoch", "train_loss"} for e in record.epochs] == [True]
+    metrics, cm = pipeline.evaluate(ckpt, manifest)
+    assert cm.total == 8 and 0.0 <= metrics.f1 <= 1.0 and 0.0 <= metrics.accuracy <= 1.0
+    assert dataio.checkpoint_load(ckpt).descriptor.name == "toy-wht"
+
+    detector = tmp_path / "detector.whtc"
+    dataio.checkpoint_save(arch.build_toy_net("conv-baseline", 8, 32, seed=1),
+                           {"variant": "conv-baseline"}, detector)
+    pixels = np.random.default_rng(1).random((96, 128, 3))
+    frame = tmp_path / "frame.ppm"
+    dataio.ppm_write(pixels, frame)
+    grid, detected = pipeline.detect(detector, frame, out_overlay=tmp_path / "overlay.ppm",
+                                     out_json=tmp_path / "scores.json")
+    assert grid.scores.shape == (2, 3) and not grid.fallback and isinstance(detected, bool)
+    patch = tiling.downsample_window(dataio.ppm_read(frame)[:64, :64])
+    probs = arch.forward_classify(dataio.checkpoint_load(detector), patch)
+    assert probs.shape == (2,)
+    assert abs(grid.scores[0, 0] - probs[1]) <= 1e-5
+    assert isinstance(fwht._HAVE_NUMBA, bool)  # read by perfbench/run.py's provenance

@@ -8,6 +8,7 @@ from whtfire.errors import (
     OddDimensionsError,
     ShapeMismatchError,
 )
+from oracles import border_mask, extract_windows
 
 
 class TestGridDims:
@@ -54,13 +55,13 @@ class TestExtractWindows:
     def test_six_by_ten_grid_has_45_windows(self):
         image = np.zeros((48, 80, 3))
         spec = tiling.GridSpec(48, 80, 8, 8)
-        wins = tiling.extract_windows(image, spec)
+        wins = extract_windows(image, spec)
         assert len(wins) == 45
 
     def test_two_by_two_grid_has_one_window(self):
         image = np.zeros((16, 16, 3))
         spec = tiling.GridSpec(16, 16, 8, 8)
-        wins = tiling.extract_windows(image, spec)
+        wins = extract_windows(image, spec)
         assert len(wins) == 1
         assert wins[0][0] == (0, 0)
         assert wins[0][1].shape == (16, 16, 3)
@@ -69,13 +70,13 @@ class TestExtractWindows:
         image = np.zeros((8, 40, 3))
         spec = tiling.GridSpec(8, 40, 8, 8)
         with pytest.raises(DegenerateGridError):
-            tiling.extract_windows(image, spec)
+            extract_windows(image, spec)
 
     def test_window_content_and_size(self):
         rng = np.random.default_rng(1)
         image = rng.random((24, 32, 3))
         spec = tiling.GridSpec(24, 32, 8, 8)
-        wins = dict(tiling.extract_windows(image, spec))
+        wins = dict(extract_windows(image, spec))
         assert set(wins) == {(r, c) for r in range(2) for c in range(3)}
         for (r, c), win in wins.items():
             assert win.shape == (16, 16, 3)
@@ -85,7 +86,7 @@ class TestExtractWindows:
         rng = np.random.default_rng(2)
         image = rng.random((19, 21, 3))  # 3 leftover rows, 5 leftover cols
         spec = tiling.GridSpec(19, 21, 8, 8)
-        wins = tiling.extract_windows(image, spec)
+        wins = extract_windows(image, spec)
         assert len(wins) == 1
         assert wins[0][1].shape == (16, 16, 3)
 
@@ -95,7 +96,7 @@ class TestExtractWindows:
             for cols in range(2, 13):
                 image = np.zeros((rows, cols, 3))
                 spec = tiling.GridSpec(rows, cols, 1, 1)
-                wins = tiling.extract_windows(image, spec)
+                wins = extract_windows(image, spec)
                 assert len(wins) == (rows - 1) * (cols - 1)
 
     def test_block_coverage_counts(self):
@@ -180,7 +181,7 @@ class TestScoreGrid:
 def per_window_oracle(net, image, spec):
     """Scores the way windows were first scored: pool each one, classify it."""
     scores = np.zeros((spec.rows - 1, spec.cols - 1))
-    for (r, c), win in tiling.extract_windows(image, spec):
+    for (r, c), win in extract_windows(image, spec):
         scores[r, c] = arch.forward_classify(net, tiling.downsample_window(win))[1]
     return scores
 
@@ -258,14 +259,14 @@ class TestRenderOverlay:
         grid = self._grid(np.zeros((2, 3)))
         image = np.full((24, 32, 3), 0.5)
         out = tiling.render_overlay(image, grid)
-        mask = tiling.border_mask(grid.spec)
+        mask = border_mask(grid.spec)
         assert np.allclose(out[mask], [0.0, 1.0, 0.0])
 
     def test_all_fire_is_all_red(self):
         grid = self._grid(np.ones((2, 3)))
         image = np.full((24, 32, 3), 0.5)
         out = tiling.render_overlay(image, grid)
-        mask = tiling.border_mask(grid.spec)
+        mask = border_mask(grid.spec)
         assert np.allclose(out[mask], [1.0, 0.0, 0.0])
 
     def test_pixels_outside_borders_untouched(self):
@@ -273,7 +274,7 @@ class TestRenderOverlay:
         image = rng.random((24, 32, 3))
         grid = self._grid(rng.random((2, 3)))
         out = tiling.render_overlay(image, grid)
-        mask = tiling.border_mask(grid.spec)
+        mask = border_mask(grid.spec)
         assert np.array_equal(out[~mask], image[~mask])
 
     def test_residual_margin_untouched(self):
@@ -290,7 +291,7 @@ class TestRenderOverlay:
         grid = self._grid(np.full((2, 3), 0.75))
         plain = tiling.render_overlay(image, grid, draw_scores=False)
         digits = tiling.render_overlay(image, grid, draw_scores=True)
-        mask = tiling.border_mask(grid.spec)
+        mask = border_mask(grid.spec)
         assert not np.array_equal(plain, digits)
         assert np.array_equal(plain[mask], digits[mask])  # borders identical
 

@@ -7,12 +7,13 @@ from whtfire.errors import (
     ChannelCountNotPowerOfTwoError,
     ShapeMismatchError,
 )
-from whtfire.fwht import dyadic_convolve_bruteforce, fwht, ifwht
+from whtfire.fwht import fwht, ifwht
 from whtfire.wht_layer import (
     WhtLayerParams,
     wht_layer_backward,
     wht_layer_forward,
 )
+from oracles import dyadic_convolve_bruteforce
 
 
 class TestForward:
