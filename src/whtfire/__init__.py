@@ -41,6 +41,6 @@ from .tiling import (
     render_overlay,
     score_grid,
 )
-from .wht_layer import WhtLayerParams, wht_layer_backward, wht_layer_forward
+from .wht_layer import wht_layer_backward, wht_layer_forward
 
 __version__ = "0.1.0"

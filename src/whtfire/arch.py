@@ -17,13 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import nn
+from . import nn, wht_layer
 from .errors import (
     BadWidthError,
     InvalidDescriptorError,
     ShapeMismatchError,
 )
-from .wht_layer import WhtLayerParams, wht_layer_backward, wht_layer_forward
 
 TOY_INPUT_SIZES = (32, 64, 224)
 TOY_VARIANTS = ("conv-baseline", "wht")
@@ -106,8 +105,8 @@ class _Kind:
     local: bool = False
 
 
-def _nn(op: str, params: Callable = _no_params, local: bool = False) -> _Kind:
-    """The kind run by ``nn.<op>_forward`` and ``nn.<op>_backward``.
+def _ops(module, op: str, params: Callable = _no_params, local: bool = False) -> _Kind:
+    """The kind run by ``module.<op>_forward`` and ``module.<op>_backward``.
 
     Both are looked up when the layer runs, so rebinding them (as a tracer
     does) reaches every call.
@@ -115,10 +114,10 @@ def _nn(op: str, params: Callable = _no_params, local: bool = False) -> _Kind:
     forward_name, backward_name = f"{op}_forward", f"{op}_backward"
 
     def forward(x, *tensors):
-        return getattr(nn, forward_name)(x, *tensors)
+        return getattr(module, forward_name)(x, *tensors)
 
     def backward(cache, dy, *tensors):
-        out = getattr(nn, backward_name)(cache, dy)
+        out = getattr(module, backward_name)(cache, dy)
         return out if isinstance(out, tuple) else (out,)
 
     return _Kind(params, forward, backward, local)
@@ -145,30 +144,17 @@ def _wht_params(layer):
     return ((".scale", (n,)),) + lam
 
 
-# wht_layer_forward/backward are module globals, also looked up per call.
-def _wht_forward(x, scale, lam=None):
-    threshold = 0.0 if lam is None else float(lam[0])
-    return wht_layer_forward(x, WhtLayerParams(scale, threshold, lam is not None))
-
-
-def _wht_backward(cache, dy, scale, lam=None):
-    dx, dscale, dlam = wht_layer_backward(cache, dy)
-    if lam is None:
-        return dx, dscale
-    return dx, dscale, np.asarray([dlam], dtype=lam.dtype)
-
-
 _KINDS = {
-    "pointwise": _nn("pointwise", _affine(), local=True),
+    "pointwise": _ops(nn, "pointwise", _affine(), local=True),
     # not local: its zero padding at a window's edge differs from the frame
-    "conv3x3": _nn("conv3x3", _affine(3, 3)),
-    "relu": _nn("relu", local=True),
-    "wht": _Kind(_wht_params, _wht_forward, _wht_backward, local=True),
-    "gain": _nn("gain", lambda layer: (("", (1,)),), local=True),
+    "conv3x3": _ops(nn, "conv3x3", _affine(3, 3)),
+    "relu": _ops(nn, "relu", local=True),
+    "wht": _ops(wht_layer, "wht_layer", _wht_params, local=True),
+    "gain": _ops(nn, "gain", lambda layer: (("", (1,)),), local=True),
     "add_skip": _Kind(local=True),
-    "avgpool2": _nn("avgpool2", local=True),
-    "gap": _nn("gap"),
-    "dense": _nn("dense", _affine(bias=True)),
+    "avgpool2": _ops(nn, "avgpool2", local=True),
+    "gap": _ops(nn, "gap"),
+    "dense": _ops(nn, "dense", _affine(bias=True)),
     "conv7x7": _Kind(_affine(7, 7)),
     "batchnorm": _Kind(lambda layer: ((".gamma", (layer.out_channels,)),
                                       (".beta", (layer.out_channels,)))),

@@ -64,6 +64,8 @@ def ppm_read(path) -> np.ndarray:
     width, height, maxval = fields
     if maxval != 255:
         raise UnsupportedMaxvalError(f"{path}: maxval {maxval} unsupported")
+    if width == 0 or height == 0:
+        raise CorruptFileError(f"{path}: a {width}x{height} pixmap has no pixels")
     pos += 1  # single whitespace byte after maxval
     need = width * height * 3
     data = raw[pos : pos + need]
@@ -358,5 +360,10 @@ def checkpoint_load(path, expected: ArchDescriptor | None = None) -> Network:
             raise TensorShapeMismatchError(
                 f"{path}: tensor {name} has shape {t.shape}, expected {shape}"
             )
+        # training writes only finite values and clamps thresholds at 0
+        if not np.all(np.isfinite(t)):
+            raise CorruptFileError(f"{path}: tensor {name} holds a non-finite value")
+        if name.endswith(".lambda") and np.any(t < 0):
+            raise CorruptFileError(f"{path}: threshold {name} is negative")
         params[name] = t
     return Network(desc, params, seed=_meta_int(meta, "seed", "0"))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from whtfire import arch, nn
-from whtfire.wht_layer import wht_layer_backward
+from whtfire import arch, nn, wht_layer
 from whtfire.errors import (
     BadWidthError,
     InvalidDescriptorError,
@@ -155,8 +154,7 @@ def manual_toy_forward(net, batch, skip_spectral=False):
         y = nn.relu_forward(y).output
         if f"wht{b}.scale" in p:
             if not skip_spectral:
-                from whtfire.wht_layer import WhtLayerParams, wht_layer_forward
-                y = wht_layer_forward(y, WhtLayerParams(p[f"wht{b}.scale"])).output
+                y = wht_layer.wht_layer_forward(y, p[f"wht{b}.scale"]).output
         else:
             y = nn.conv3x3_forward(y, p[f"block{b}.conv.weight"]).output
         y = nn.gain_forward(y, p[f"block{b}.gain"]).output
@@ -245,8 +243,8 @@ class TestLayerDispatch:
 
         monkeypatch.setattr(nn, "pointwise_forward",
                             counting("pointwise", nn.pointwise_forward))
-        monkeypatch.setattr(arch, "wht_layer_forward",
-                            counting("wht", arch.wht_layer_forward))
+        monkeypatch.setattr(wht_layer, "wht_layer_forward",
+                            counting("wht", wht_layer.wht_layer_forward))
         net = arch.build_toy_net("wht", 8, 32, seed=0)
         arch.network_forward(net, np.zeros((1, 32, 32, 3)))
         assert calls == {"pointwise": 4, "wht": 3}
@@ -263,12 +261,14 @@ class TestNetworkBackward:
         label = 0
         surrogates = []
 
+        original_backward = wht_layer.wht_layer_backward
+
         def recording(cache, dy):
-            out = wht_layer_backward(cache, dy)
-            surrogates.append(out[2])
+            out = original_backward(cache, dy)
+            surrogates.append(out[2][0])
             return out
 
-        monkeypatch.setattr(arch, "wht_layer_backward", recording)
+        monkeypatch.setattr(wht_layer, "wht_layer_backward", recording)
         logits, caches = arch.network_forward(net, batch)
         _, dlogits = nn.softmax_cross_entropy(logits, [label])
         grads = arch.network_backward(net, caches, dlogits)

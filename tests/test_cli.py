@@ -129,8 +129,12 @@ class TestTrainEvalDetect:
 
 
 class TestExitCodes:
-    # text inputs named by the transform cases
-    INPUTS = {"words.txt": b"1\n2\nthree\n4\n", "binary.txt": b"\xff\xfe1\n2\n"}
+    # input files named by the transform and detect cases
+    INPUTS = {"words.txt": b"1\n2\nthree\n4\n", "binary.txt": b"\xff\xfe1\n2\n",
+              "empty.ppm": b"P6 0 0 255\n"}
+    # checkpoint tensor values no training run writes, named by the detect cases
+    TENSORS = {"negative-lambda.whtc": ("wht0.lambda", -0.5),
+               "nan-scale.whtc": ("wht0.scale", np.nan)}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows
     @pytest.mark.parametrize("args, expected, message", [
@@ -144,9 +148,15 @@ class TestExitCodes:
         (["params", "--arch", "toy-wht", "--width", "12"], EXIT_USAGE, "--width"),
         (["transform", "--input", "words.txt"], EXIT_DATA, "line 3: 'three'"),
         (["transform", "--input", "binary.txt"], EXIT_DATA, "not UTF-8"),
+        (["detect", "--checkpoint", "negative-lambda.whtc"], EXIT_DATA,
+         "threshold wht0.lambda is negative"),
+        (["detect", "--checkpoint", "nan-scale.whtc"], EXIT_DATA,
+         "tensor wht0.scale holds a non-finite value"),
+        (["detect", "--image", "empty.ppm"], EXIT_DATA, "0x0 pixmap has no pixels"),
     ], ids=["width", "width-text", "input-size", "lr-nan", "lr-diverges",
             "input-size-mismatch", "mixed-sizes", "params-width", "transform-text",
-            "transform-binary"])
+            "transform-binary", "detect-negative-lambda", "detect-nan-scale",
+            "detect-empty-pixmap"])
     def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
                                   message):
         if args[0] == "train":
@@ -162,6 +172,19 @@ class TestExitCodes:
             vec = tmp_path / args[-1]
             vec.write_bytes(self.INPUTS[args[-1]])
             args = args[:-1] + [str(vec)]
+        if args[0] == "detect":
+            files = {"--checkpoint": "c.whtc", "--image": "frame.ppm", args[1]: args[2]}
+            ckpt, image = tmp_path / files["--checkpoint"], tmp_path / files["--image"]
+            net = arch.build_toy_net("wht", 8, 32, threshold_trainable=True)
+            if ckpt.name in self.TENSORS:
+                name, value = self.TENSORS[ckpt.name]
+                net.parameters[name][:] = value
+            dataio.checkpoint_save(net, {}, ckpt)
+            if image.name in self.INPUTS:
+                image.write_bytes(self.INPUTS[image.name])
+            else:
+                ppm_write(np.random.default_rng(2).random((64, 96, 3)), image)
+            args = ["detect", "--checkpoint", str(ckpt), "--image", str(image)]
         try:
             rc = main(["--out-dir", str(tmp_path / "out"), *args])
         except SystemExit as exc:

@@ -71,13 +71,19 @@ class TestFwht:
         assert np.allclose(fwht(x), expected)
 
     def test_matches_matrix_product_all_small_sizes(self):
+        # up to m = 12: three Kronecker factors of the transform
         rng = np.random.default_rng(2024)
-        for m in range(9):
+        for m in range(13):
             n = 1 << m
             h = hadamard_matrix(m).astype(np.float64)
             xs = rng.normal(size=(10, n))
             got = fwht(xs, axis=1)
             assert np.max(np.abs(got - xs @ h.T)) <= 1e-9
+            xs32 = xs.astype(np.float32)
+            ref = xs32.astype(np.float64) @ h.T
+            got32 = fwht(xs32, axis=1)
+            assert got32.dtype == np.float32
+            assert np.max(np.abs(got32 - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     def test_unnormalized_involution_exact_on_integers(self):
         rng = np.random.default_rng(5)
@@ -111,12 +117,18 @@ class TestFwht:
         expected = np.moveaxis(np.moveaxis(view, 1, -1) @ h.T, -1, 1)
         assert np.allclose(got, expected, atol=1e-9)
 
-    def test_overwrite_in_place(self):
-        x = np.ascontiguousarray(np.random.default_rng(1).normal(size=(3, 8)))
-        ref = fwht(x)
-        out = fwht(x, overwrite=True)
-        assert out is x
-        assert np.array_equal(out, ref)
+    def test_returns_a_new_array_and_leaves_the_input_unchanged(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 8, 64):
+            for dtype in (np.float32, np.float64):
+                x = rng.normal(size=(3, n)).astype(dtype)
+                before = x.copy()
+                for transform in (fwht, ifwht):
+                    for normalized in (False, True):
+                        out = transform(x, normalized=normalized)
+                        assert out.dtype == dtype
+                        assert not np.shares_memory(out, x)
+                        assert np.array_equal(x, before)
 
     def test_float32_stays_float32(self):
         x = np.ones(8, dtype=np.float32)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import re
 import tomllib
 from pathlib import Path
@@ -50,3 +51,16 @@ def test_benchmark_entry_points(tmp_path):
     assert probs.shape == (2,)
     assert abs(grid.scores[0, 0] - probs[1]) <= 1e-5
     assert isinstance(fwht._HAVE_NUMBA, bool)  # read by perfbench/run.py's provenance
+
+    # transform-long: fwht then ifwht on (R, N) row blocks and on long vectors
+    rng = np.random.default_rng(1)
+    for x in (rng.standard_normal((16, 64)), rng.standard_normal(1 << 14)):
+        y = fwht.fwht(x)
+        z = fwht.ifwht(y)
+        for out in (y, z):
+            assert out.dtype == np.float64 and out.shape == x.shape
+            assert not np.shares_memory(out, x)
+        assert np.max(np.abs(z - x)) <= 1e-12
+    # its oracle multiplies by hadamard_matrix, and spans.py reads axis as argument 2
+    assert fwht.hadamard_matrix(3).dtype == np.int64
+    assert list(inspect.signature(fwht.fwht).parameters)[2] == "axis"

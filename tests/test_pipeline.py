@@ -173,6 +173,17 @@ class TestFinetune:
         assert record.transfer_source == str(src_ckpt)
 
 
+class TestTransferExperiment:
+    def test_tiny_protocol_runs_and_repeats(self, tmp_path):
+        sizes = dict(epochs=2, source_count=6, target_count=4, eval_count=4)
+        first = pipeline.transfer_experiment(3, tmp_path / "a", **sizes)
+        for key in ("scratch_f1", "finetuned_f1"):
+            assert np.isfinite(first[key]) and 0.0 <= first[key] <= 1.0
+        run = json.loads((tmp_path / "a" / "finetune_run" / "run.json").read_text())
+        assert run["transfer_source"] == str(tmp_path / "a" / "source_run" / "checkpoint.whtc")
+        assert pipeline.transfer_experiment(3, tmp_path / "b", **sizes) == first
+
+
 class TestEvaluate:
     def test_always_negative_predictor(self, small_dataset):
         net = arch.build_toy_net("wht", 8, 32, seed=0)

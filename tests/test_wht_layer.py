@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from whtfire import arch, nn
+from whtfire import arch, dataio, nn
 from whtfire.errors import (
     CacheMissingError,
     ChannelCountNotPowerOfTwoError,
     ShapeMismatchError,
 )
 from whtfire.fwht import fwht, ifwht
-from whtfire.wht_layer import (
-    WhtLayerParams,
-    wht_layer_backward,
-    wht_layer_forward,
-)
+from whtfire.wht_layer import wht_layer_backward, wht_layer_forward
 from oracles import dyadic_convolve_bruteforce
 
 
@@ -20,28 +16,26 @@ class TestForward:
     def test_identity_configuration_double(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5, 16))
-        out = wht_layer_forward(x, WhtLayerParams.identity(16)).output
+        out = wht_layer_forward(x, np.ones(16)).output
         assert np.max(np.abs(out - x)) <= 1e-12
 
     def test_identity_configuration_single(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 5, 16)).astype(np.float32)
-        out = wht_layer_forward(x, WhtLayerParams.identity(16, np.float32)).output
+        out = wht_layer_forward(x, np.ones(16, np.float32)).output
         assert out.dtype == np.float32
         assert np.max(np.abs(out - x)) <= 1e-5
 
     def test_zero_scale_zeroes_output(self):
         x = np.random.default_rng(2).normal(size=(3, 3, 8))
-        params = WhtLayerParams(np.zeros(8))
-        assert not wht_layer_forward(x, params).output.any()
+        assert not wht_layer_forward(x, np.zeros(8)).output.any()
 
     def test_realizes_dyadic_convolution(self):
         rng = np.random.default_rng(3)
         for n in (2, 8, 32, 64):
             x = rng.normal(size=n)
             h = rng.normal(size=n)
-            params = WhtLayerParams(fwht(h))
-            out = wht_layer_forward(x.reshape(1, 1, n), params).output.ravel()
+            out = wht_layer_forward(x.reshape(1, 1, n), fwht(h)).output.ravel()
             oracle = dyadic_convolve_bruteforce(x, h)
             assert np.max(np.abs(out - oracle)) <= 1e-9
 
@@ -49,33 +43,35 @@ class TestForward:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 2, 8))
         scale = rng.normal(size=8)
-        out1 = wht_layer_forward(x, WhtLayerParams(scale)).output
-        out2 = wht_layer_forward(x, WhtLayerParams(2 * scale)).output
+        out1 = wht_layer_forward(x, scale).output
+        out2 = wht_layer_forward(x, 2 * scale).output
         assert np.allclose(out2, 2 * out1, atol=1e-12)
 
     def test_threshold_closed_at_boundary(self):
         # |u| == lambda passes: scale 1 so u = fwht(x)
         x = np.array([[[1.0, 1.0]]])  # fwht -> [2, 0]
-        params = WhtLayerParams(np.ones(2), threshold=2.0)
-        out = wht_layer_forward(x, params).output.ravel()
+        out = wht_layer_forward(x, np.ones(2), np.array([2.0])).output.ravel()
         assert np.allclose(out, [1.0, 1.0])  # the u=2 bin passed
 
     def test_threshold_kills_small_bins(self):
         x = np.array([[[1.0, 1.0]]])  # spectrum [2, 0]
-        params = WhtLayerParams(np.ones(2), threshold=3.0)
-        assert not wht_layer_forward(x, params).output.any()
+        assert not wht_layer_forward(x, np.ones(2), np.array([3.0])).output.any()
 
     def test_channel_count_must_be_power_of_two(self):
         with pytest.raises(ChannelCountNotPowerOfTwoError):
-            wht_layer_forward(np.zeros((2, 2, 3)), WhtLayerParams(np.ones(3)))
+            wht_layer_forward(np.zeros((2, 2, 3)), np.ones(3))
 
     def test_scale_length_must_match(self):
         with pytest.raises(ShapeMismatchError):
-            wht_layer_forward(np.zeros((2, 2, 4)), WhtLayerParams(np.ones(8)))
+            wht_layer_forward(np.zeros((2, 2, 4)), np.ones(8))
 
-    def test_negative_threshold_rejected(self):
+    def test_negative_threshold_rejected(self, tmp_path):
+        # no training run writes one; loading is where a threshold enters
+        net = arch.build_toy_net("wht", 8, 32, threshold_trainable=True)
+        net.parameters["wht0.lambda"][:] = -0.5
+        dataio.checkpoint_save(net, {}, tmp_path / "c.whtc")
         with pytest.raises(ValueError):
-            WhtLayerParams(np.ones(4), threshold=-0.5)
+            dataio.checkpoint_load(tmp_path / "c.whtc")
 
 
 class TestBackward:
@@ -86,29 +82,25 @@ class TestBackward:
     def test_identity_passes_gradient_through(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 3, 8))
-        io = wht_layer_forward(x, WhtLayerParams.identity(8))
+        io = wht_layer_forward(x, np.ones(8))
         dy = rng.normal(size=io.output.shape)
-        dx, dscale, dlam = wht_layer_backward(io.cache, dy)
+        dx, dscale = wht_layer_backward(io.cache, dy)  # no threshold, no dlam
         assert np.max(np.abs(dx - dy)) <= 1e-12
-        assert dlam == 0.0
 
     def test_linear_case_exact(self):
         # lambda = 0 keeps the layer fully linear; gradients are exact
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 3, 8))
         scale = rng.normal(size=8)
-        params = WhtLayerParams(scale)
-        io = wht_layer_forward(x, params)
+        io = wht_layer_forward(x, scale)
         dy = rng.normal(size=io.output.shape)
-        dx, dscale, _ = wht_layer_backward(io.cache, dy)
+        dx, dscale = wht_layer_backward(io.cache, dy)
         err_x = nn.gradient_check(
-            lambda v: float(np.sum(wht_layer_forward(v, params).output * dy)),
+            lambda v: float(np.sum(wht_layer_forward(v, scale).output * dy)),
             x, dx,
         )
         err_s = nn.gradient_check(
-            lambda v: float(
-                np.sum(wht_layer_forward(x, WhtLayerParams(v)).output * dy)
-            ),
+            lambda v: float(np.sum(wht_layer_forward(x, v).output * dy)),
             scale, dscale,
         )
         assert err_x <= 1e-9 and err_s <= 1e-9
@@ -127,18 +119,16 @@ class TestBackward:
         while boundary_gap(x, scale) <= 1e-3:
             x = rng.normal(size=(2, 2, 8))
             scale = rng.normal(size=8)
-        params = WhtLayerParams(scale, threshold=lam)
-        io = wht_layer_forward(x, params)
+        lam_t = np.array([lam])
+        io = wht_layer_forward(x, scale, lam_t)
         dy = rng.normal(size=io.output.shape)
         dx, dscale, _ = wht_layer_backward(io.cache, dy)
         err_x = nn.gradient_check(
-            lambda v: float(np.sum(wht_layer_forward(v, params).output * dy)),
+            lambda v: float(np.sum(wht_layer_forward(v, scale, lam_t).output * dy)),
             x, dx,
         )
         err_s = nn.gradient_check(
-            lambda v: float(np.sum(
-                wht_layer_forward(x, WhtLayerParams(v, threshold=lam)).output * dy
-            )),
+            lambda v: float(np.sum(wht_layer_forward(x, v, lam_t).output * dy)),
             scale, dscale,
         )
         assert err_x <= 1e-6 and err_s <= 1e-6
@@ -147,13 +137,14 @@ class TestBackward:
         # fixed convention: d/d(lambda) = -sum(sign(u) * mask * ifwht(dy))
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 2, 4))
-        params = WhtLayerParams(rng.normal(size=4), threshold=0.5,
-                                threshold_trainable=True)
-        io = wht_layer_forward(x, params)
+        scale = rng.normal(size=4)
+        io = wht_layer_forward(x, scale, np.array([0.5]))
         dy = rng.normal(size=io.output.shape)
         _, _, dlam = wht_layer_backward(io.cache, dy)
+        assert dlam.shape == (1,) and dlam.dtype == np.float64
+        dlam = dlam[0]
         t = fwht(x, axis=-1)
-        u = t * params.scale
+        u = t * scale
         mask = np.abs(u) >= 0.5
         expected = -np.sum(np.sign(u) * mask * ifwht(dy, axis=-1))
         assert abs(dlam - expected) <= 1e-12
@@ -162,14 +153,13 @@ class TestBackward:
     def test_threshold_gradient_zero_when_not_trainable(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 2, 4))
-        params = WhtLayerParams(rng.normal(size=4), threshold=0.5)
-        io = wht_layer_forward(x, params)
-        _, _, dlam = wht_layer_backward(io.cache, rng.normal(size=x.shape))
-        assert dlam == 0.0
+        io = wht_layer_forward(x, rng.normal(size=4))
+        grads = wht_layer_backward(io.cache, rng.normal(size=x.shape))
+        assert len(grads) == 2  # (dx, dscale): no threshold tensor, no dlam
 
     def test_upstream_shape_checked(self):
         x = np.zeros((2, 2, 4))
-        io = wht_layer_forward(x, WhtLayerParams.identity(4))
+        io = wht_layer_forward(x, np.ones(4))
         with pytest.raises(ShapeMismatchError):
             wht_layer_backward(io.cache, np.zeros((2, 2, 8)))
 
