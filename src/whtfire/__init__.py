@@ -21,7 +21,7 @@ from .dataio import (
     synth_dataset,
 )
 from .fwht import fwht, hadamard_matrix, ifwht
-from .nn import SgdOptimizer, TrainConfig, gradient_check, softmax_cross_entropy
+from .nn import SgdOptimizer, TrainConfig, softmax_cross_entropy
 from .pipeline import (
     ConfusionMatrix,
     Metrics,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class LayerDescriptor:
     kind: str
     in_channels: int = 0
     out_channels: int = 0
-    spatial: int | None = None
-    bias: bool = False
     threshold_trainable: bool = False
     skip_from: int | None = None
     name: str = ""
@@ -56,7 +54,7 @@ class LayerDescriptor:
         kind = _kind(self)
         if kind.forward is None and self.kind != "add_skip":
             raise InvalidDescriptorError(f"layer kind {self.kind!r} cannot be instantiated")
-        return kind, tuple(self.name + suffix for suffix, _ in kind.params(self))
+        return kind, tuple(self.name + spec.suffix for spec in kind.params(self))
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,20 @@ class Network:
 
 # -- the table of layer kinds --------------------------------------------------
 
+class ParamSpec(NamedTuple):
+    """One tensor of a layer: name suffix, shape, initial value, lower bound.
+
+    ``fill`` is the constant every element starts at; None draws fan-in
+    scaled uniform values.  ``lower``, when set, is a bound that training
+    keeps and ``checkpoint_load`` checks.
+    """
+
+    suffix: str
+    shape: tuple[int, ...]
+    fill: float | None = None
+    lower: float | None = None
+
+
 def _no_params(layer):
     return ()
 
@@ -90,13 +102,14 @@ def _no_params(layer):
 class _Kind:
     """One layer kind: its tensors, its passes and whether it is local.
 
-    ``params(layer)`` gives (name suffix, shape) per tensor; counting and
-    instantiation both read it.  ``forward(x, *tensors)`` returns a
-    ``LayerIO`` and ``backward(cache, dy, *tensors)`` returns
-    ``(dx, *tensor grads)``.  Kinds without passes are counted only
-    (``add_skip`` is wiring in the executor).  A ``local`` kind computes
-    each output pixel from its own input pixel (avgpool2: its aligned 2x2
-    cell), so a map of a whole frame restricts exactly to aligned windows.
+    ``params(layer)`` gives one ``ParamSpec`` per tensor; counting,
+    instantiation, training's bounds and checkpoint loading all read it.
+    ``forward(x, *tensors)`` returns a ``LayerIO`` and
+    ``backward(cache, dy, *tensors)`` returns ``(dx, *tensor grads)``.
+    Kinds without passes are counted only (``add_skip`` is wiring in the
+    executor).  A ``local`` kind computes each output pixel from its own
+    input pixel (avgpool2: its aligned 2x2 cell), so a map of a whole frame
+    restricts exactly to aligned windows.
     """
 
     params: Callable = _no_params
@@ -124,12 +137,10 @@ def _ops(module, op: str, params: Callable = _no_params, local: bool = False) ->
 
 
 def _affine(*kernel, bias: bool = False):
-    """A (*kernel, in, out) weight, plus an (out,) bias for kinds that have one."""
+    """A fan-in (*kernel, in, out) weight, plus a zero (out,) bias if ``bias``."""
     def params(layer):
-        if layer.bias != bias:
-            raise InvalidDescriptorError(f"{layer.kind} layers need bias={bias}")
-        weight = ((".weight", (*kernel, layer.in_channels, layer.out_channels)),)
-        return weight + (((".bias", (layer.out_channels,)),) if bias else ())
+        weight = (ParamSpec(".weight", (*kernel, layer.in_channels, layer.out_channels)),)
+        return weight + ((ParamSpec(".bias", (layer.out_channels,), 0.0),) if bias else ())
     return params
 
 
@@ -140,8 +151,9 @@ def _wht_params(layer):
             f"wht layer needs equal power-of-two channels, got "
             f"{layer.in_channels}->{layer.out_channels}"
         )
-    lam = ((".lambda", (1,)),) if layer.threshold_trainable else ()
-    return ((".scale", (n,)),) + lam
+    # scale 1 and threshold 0 start the layer as the identity
+    lam = (ParamSpec(".lambda", (1,), 0.0, lower=0.0),) if layer.threshold_trainable else ()
+    return (ParamSpec(".scale", (n,), 1.0),) + lam
 
 
 _KINDS = {
@@ -150,14 +162,14 @@ _KINDS = {
     "conv3x3": _ops(nn, "conv3x3", _affine(3, 3)),
     "relu": _ops(nn, "relu", local=True),
     "wht": _ops(wht_layer, "wht_layer", _wht_params, local=True),
-    "gain": _ops(nn, "gain", lambda layer: (("", (1,)),), local=True),
+    "gain": _ops(nn, "gain", lambda layer: (ParamSpec("", (1,), 1.0),), local=True),
     "add_skip": _Kind(local=True),
     "avgpool2": _ops(nn, "avgpool2", local=True),
     "gap": _ops(nn, "gap"),
     "dense": _ops(nn, "dense", _affine(bias=True)),
     "conv7x7": _Kind(_affine(7, 7)),
-    "batchnorm": _Kind(lambda layer: ((".gamma", (layer.out_channels,)),
-                                      (".beta", (layer.out_channels,)))),
+    "batchnorm": _Kind(lambda layer: (ParamSpec(".gamma", (layer.out_channels,), 1.0),
+                                      ParamSpec(".beta", (layer.out_channels,), 0.0))),
     "maxpool": _Kind(),
 }
 
@@ -180,7 +192,7 @@ def param_table(arch: ArchDescriptor) -> list[tuple[str, str, int]]:
     """(name, kind, count) rows for every parameterized layer."""
     rows = []
     for layer in arch.layers:
-        c = sum(math.prod(shape) for _, shape in _kind(layer).params(layer))
+        c = sum(math.prod(spec.shape) for spec in _kind(layer).params(layer))
         if c:
             rows.append((layer.name or layer.kind, layer.kind, c))
     return rows
@@ -206,7 +218,7 @@ def resnet50_descriptor(num_classes: int = 2,
     are replaced by channel-axis spectral layers of equal width.
     """
     layers = [
-        LayerDescriptor("conv7x7", 3, 64, spatial=7, name="stem.conv"),
+        LayerDescriptor("conv7x7", 3, 64, name="stem.conv"),
         LayerDescriptor("batchnorm", 64, 64, name="stem.bn"),
         LayerDescriptor("maxpool", 64, 64, name="stem.pool"),
     ]
@@ -225,7 +237,7 @@ def resnet50_descriptor(num_classes: int = 2,
                 )
             else:
                 layers.append(
-                    LayerDescriptor("conv3x3", mid, mid, spatial=3, name=f"{p}.conv")
+                    LayerDescriptor("conv3x3", mid, mid, name=f"{p}.conv")
                 )
             layers.append(LayerDescriptor("batchnorm", mid, mid, name=f"{p}.bn2"))
             layers.append(LayerDescriptor("pointwise", mid, out_ch, name=f"{p}.expand"))
@@ -240,7 +252,7 @@ def resnet50_descriptor(num_classes: int = 2,
             in_ch = out_ch
     layers.append(LayerDescriptor("gap", in_ch, in_ch, name="head.gap"))
     layers.append(
-        LayerDescriptor("dense", in_ch, num_classes, bias=True, name="head.fc")
+        LayerDescriptor("dense", in_ch, num_classes, name="head.fc")
     )
     if spectral_stages:
         name = "wht-resnet50-preset"
@@ -293,8 +305,7 @@ def toy_descriptor(variant: str, width: int = 8, input_size: int = 32,
             )
         else:
             layers.append(
-                LayerDescriptor("conv3x3", width, width, spatial=3,
-                                name=f"block{b}.conv")
+                LayerDescriptor("conv3x3", width, width, name=f"block{b}.conv")
             )
         layers.append(LayerDescriptor("gain", width, width, name=f"block{b}.gain"))
         layers.append(
@@ -306,7 +317,7 @@ def toy_descriptor(variant: str, width: int = 8, input_size: int = 32,
                 LayerDescriptor("avgpool2", width, width, name=f"block{b}.pool")
             )
     layers.append(LayerDescriptor("gap", width, width, name="head.gap"))
-    layers.append(LayerDescriptor("dense", width, 2, bias=True, name="head"))
+    layers.append(LayerDescriptor("dense", width, 2, name="head"))
     return ArchDescriptor(
         name="toy-wht" if variant == "wht" else "toy-conv",
         layers=tuple(layers),
@@ -316,32 +327,26 @@ def toy_descriptor(variant: str, width: int = 8, input_size: int = 32,
     )
 
 
-def param_shapes(arch: ArchDescriptor) -> dict[str, tuple[int, ...]]:
-    """Named tensor shapes, in layer order, for an instantiable descriptor."""
-    shapes: dict[str, tuple[int, ...]] = {}
+def param_specs(arch: ArchDescriptor) -> dict[str, ParamSpec]:
+    """Each named tensor's spec, in layer order, for an instantiable descriptor."""
+    specs: dict[str, ParamSpec] = {}
     for layer in arch.layers:
-        kind, _ = layer._runnable  # rejects counting-only kinds
-        for suffix, shape in kind.params(layer):
-            shapes[layer.name + suffix] = shape
-    return shapes
+        kind, names = layer._runnable  # rejects counting-only kinds
+        specs.update(zip(names, kind.params(layer)))
+    return specs
 
 
 def init_parameters(arch: ArchDescriptor, seed: int,
                     dtype=np.float32) -> dict[str, np.ndarray]:
-    """Fan-in-scaled uniform init; spectral scales start at 1 (identity)."""
+    """Each tensor's fill, or fan-in-scaled uniform draws in layer order."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(arch).items():
-        if name.endswith(".scale"):
-            params[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith((".lambda", ".bias")):
-            params[name] = np.zeros(shape, dtype=dtype)
-        elif len(shape) == 1:  # scalar gain
-            params[name] = np.ones(shape, dtype=dtype)
+    for name, spec in param_specs(arch).items():
+        if spec.fill is not None:
+            params[name] = np.full(spec.shape, spec.fill, dtype=dtype)
         else:
-            fan_in = int(np.prod(shape[:-1]))
-            bound = float(np.sqrt(3.0 / fan_in))
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+            bound = float(np.sqrt(3.0 / math.prod(spec.shape[:-1])))
+            params[name] = rng.uniform(-bound, bound, size=spec.shape).astype(dtype)
     return params
 
 

@@ -8,6 +8,7 @@ caller-supplied fields.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from .arch import (
     ARCH_NAME_TO_VARIANT,
     ArchDescriptor,
     Network,
-    param_shapes,
+    param_specs,
     toy_descriptor,
 )
 from .errors import (
@@ -115,7 +116,13 @@ def load_manifest(path) -> Manifest:
     path = Path(path)
     entries: list[tuple[str, int]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -330,7 +337,7 @@ def checkpoint_load(path, expected: ArchDescriptor | None = None) -> Network:
         name = rd.text()
         rank = rd.u32()
         shape = struct.unpack(f"<{rank}I", rd.take(4 * rank))
-        count = int(np.prod(shape)) if rank else 1
+        count = math.prod(shape)  # a Python int: a huge shape cannot wrap to 0
         values = np.frombuffer(rd.take(4 * count), dtype="<f4")
         tensors[name] = values.reshape(shape).astype(np.float32)
     desc = _rebuild_descriptor(meta)
@@ -345,25 +352,26 @@ def checkpoint_load(path, expected: ArchDescriptor | None = None) -> Network:
             f"{desc.input_size}); expected {expected.name} (width "
             f"{expected.width}, input {expected.input_size})"
         )
-    shapes = param_shapes(desc)
-    if set(shapes) != set(tensors):
-        missing = sorted(set(shapes) - set(tensors))
-        extra = sorted(set(tensors) - set(shapes))
+    specs = param_specs(desc)
+    if set(specs) != set(tensors):
+        missing = sorted(set(specs) - set(tensors))
+        extra = sorted(set(tensors) - set(specs))
         raise ArchMismatchError(
             f"{path}: tensor names disagree with architecture "
             f"(missing {missing}, extra {extra})"
         )
     params: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
+    for name, spec in specs.items():
         t = tensors[name]
-        if t.shape != shape:
+        if t.shape != spec.shape:
             raise TensorShapeMismatchError(
-                f"{path}: tensor {name} has shape {t.shape}, expected {shape}"
+                f"{path}: tensor {name} has shape {t.shape}, expected {spec.shape}"
             )
-        # training writes only finite values and clamps thresholds at 0
+        # training writes only finite values and keeps thresholds, the only
+        # bounded tensors, at or above their bound of 0
         if not np.all(np.isfinite(t)):
             raise CorruptFileError(f"{path}: tensor {name} holds a non-finite value")
-        if name.endswith(".lambda") and np.any(t < 0):
+        if spec.lower is not None and np.any(t < spec.lower):
             raise CorruptFileError(f"{path}: threshold {name} is negative")
         params[name] = t
     return Network(desc, params, seed=_meta_int(meta, "seed", "0"))

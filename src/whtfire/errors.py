@@ -1,4 +1,10 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every error is a ``WhtFireError``, which the CLI reports with exit code 3.
+A narrower error subclasses the broader one it refines, so one ``except``
+catches both: ``OddDimensionsError``, raised by the one mean pooling that
+frames and ``avgpool2`` layers share, is a ``ShapeMismatchError``.
+"""
 
 
 class WhtFireError(Exception):
@@ -23,6 +29,10 @@ class LengthMismatchError(WhtFireError, ValueError):
 
 class ShapeMismatchError(WhtFireError, ValueError):
     """Operand shapes are inconsistent with the layer contract."""
+
+
+class OddDimensionsError(ShapeMismatchError):
+    """Mean pooling needs extents divisible by its factors (2x2: even)."""
 
 
 class BadLabelError(WhtFireError, ValueError):
@@ -57,10 +67,6 @@ class DegenerateGridError(WhtFireError, ValueError):
     """Grid too small to form any 2x2 block window."""
 
 
-class OddDimensionsError(WhtFireError, ValueError):
-    """2x2 pooling requires even spatial extents."""
-
-
 # -- data formats --------------------------------------------------------
 
 class BadMagicError(WhtFireError, ValueError):
@@ -81,10 +87,6 @@ class UnsupportedMaxvalError(WhtFireError, ValueError):
 
 class ManifestError(WhtFireError, ValueError):
     """Malformed dataset manifest (bad label, duplicate path, bad row)."""
-
-
-class IoFailureError(WhtFireError, OSError):
-    """Underlying filesystem operation failed."""
 
 
 class VersionMismatchError(WhtFireError, ValueError):

@@ -33,12 +33,11 @@ _FACTOR_ORDER = 4
 _HAVE_NUMBA = False
 
 
-def hadamard_matrix(m: int, normalized: bool = False) -> np.ndarray:
+def hadamard_matrix(m: int) -> np.ndarray:
     """Return the order-2^m Sylvester Hadamard matrix.
 
-    Unnormalized entries are exact +1/-1 integers so that ``H @ H.T`` is
-    exactly ``2**m * I``.  With ``normalized=True`` the matrix is scaled
-    by ``2**(-m/2)`` (float64) and is orthogonal to machine precision.
+    Entries are exact +1/-1 integers (int64), so ``H @ H.T`` is exactly
+    ``2**m * I``; ``2**(-m/2) * H`` is orthogonal.
     """
     if m < 0:
         raise ValueError(f"order exponent must be >= 0, got {m}")
@@ -56,8 +55,6 @@ def hadamard_matrix(m: int, normalized: bool = False) -> np.ndarray:
         h[size : 2 * size, :size] = h[:size, :size]
         h[size : 2 * size, size : 2 * size] = -h[:size, :size]
         size *= 2
-    if normalized:
-        return h * (2.0 ** (-m / 2.0))
     return h
 
 

@@ -4,18 +4,19 @@ Maps are (B, H, W, C) and vectors (B, C): every op takes a leading batch
 axis, and every backward sums its parameter gradients over it.  Each
 forward returns a ``LayerIO(output, cache)`` pair whose cache feeds the
 matching backward.  Training runs in float32; gradient checks run the
-same code in float64.
+same code in float64.  ``mean_pool`` is the one mean pooling: avgpool2
+layers run it on maps, and ``tiling`` on (H, W, C) frames and windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadLabelError, ShapeMismatchError
+from .errors import BadLabelError, OddDimensionsError, ShapeMismatchError
 
 
 class LayerIO(NamedTuple):
@@ -46,10 +47,10 @@ class TrainConfig:
 
 # -- convolutions ---------------------------------------------------------
 
-def conv3x3_forward(x: np.ndarray, w: np.ndarray, stride: int = 1) -> LayerIO:
-    """3x3 cross-correlation with padding 1 and no bias.
+def conv3x3_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
+    """3x3 cross-correlation with padding 1, stride 1 and no bias.
 
-    ``x`` is (B, H, W, Cin), ``w`` is (3, 3, Cin, Cout); stride 1 preserves
+    ``x`` is (B, H, W, Cin), ``w`` is (3, 3, Cin, Cout); the output keeps
     the spatial extents.
     """
     if x.ndim != 4 or w.shape[:2] != (3, 3) or w.ndim != 4:
@@ -59,32 +60,27 @@ def conv3x3_forward(x: np.ndarray, w: np.ndarray, stride: int = 1) -> LayerIO:
             f"input channels {x.shape[3]} != kernel channels {w.shape[2]}"
         )
     hh, ww = x.shape[1:3]
-    ho = (hh - 1) // stride + 1
-    wo = (ww - 1) // stride + 1
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    out = np.zeros((x.shape[0], ho, wo, w.shape[3]), dtype=x.dtype)
+    out = np.zeros((x.shape[0], hh, ww, w.shape[3]), dtype=x.dtype)
     for di in range(3):
         for dj in range(3):
-            sl = xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
-            out += sl @ w[di, dj]
-    return LayerIO(out, (xp, w, stride, x.shape))
+            out += xp[:, di : di + hh, dj : dj + ww] @ w[di, dj]
+    return LayerIO(out, (xp, w))
 
 
 def conv3x3_backward(cache: tuple, dy: np.ndarray):
-    xp, w, stride, x_shape = cache
-    ho, wo = dy.shape[1:3]
+    xp, w = cache
+    hh, ww = dy.shape[1:3]
     if dy.shape[3] != w.shape[3]:
         raise ShapeMismatchError("upstream gradient channel mismatch")
     dw = np.zeros_like(w)
     dxp = np.zeros_like(xp)
     for di in range(3):
         for dj in range(3):
-            win = (slice(None), slice(di, di + stride * ho, stride),
-                   slice(dj, dj + stride * wo, stride))
+            win = (slice(None), slice(di, di + hh), slice(dj, dj + ww))
             dw[di, dj] = np.tensordot(xp[win], dy, axes=([0, 1, 2], [0, 1, 2]))
             dxp[win] += dy @ w[di, dj].T
-    dx = dxp[:, 1 : 1 + x_shape[1], 1 : 1 + x_shape[2]]
-    return dx, dw
+    return dxp[:, 1:-1, 1:-1], dw
 
 
 def pointwise_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
@@ -142,13 +138,32 @@ def gap_backward(cache: tuple, dy: np.ndarray):
     return dx.astype(dy.dtype, copy=True)
 
 
+def mean_pool(x: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:
+    """Integer-factor mean pooling of the two axes before the channel axis.
+
+    Works on (H, W, C) images and (B, H, W, C) maps alike.  The strided
+    slices are summed in row-major cell order, then divided once, which
+    for 2x2 rounds exactly as a reshape-mean does.  Floating inputs keep
+    their dtype; any other input pools to float64.
+    """
+    h, w = x.shape[-3:-1]
+    if h % factor_y or w % factor_x:
+        raise OddDimensionsError(
+            f"extents {h}x{w} not divisible by {factor_y}x{factor_x}"
+        )
+    dtype = x.dtype if np.issubdtype(x.dtype, np.inexact) else np.float64
+    acc = x[..., ::factor_y, ::factor_x, :].astype(dtype)
+    for i in range(factor_y):
+        for j in range(factor_x):
+            if i or j:
+                acc += x[..., i::factor_y, j::factor_x, :]
+    acc /= factor_y * factor_x
+    return acc
+
+
 def avgpool2_forward(x: np.ndarray) -> LayerIO:
     """2x2 mean pooling with stride 2; spatial extents must be even."""
-    b, hh, ww, c = x.shape
-    if hh % 2 or ww % 2:
-        raise ShapeMismatchError(f"2x2 pooling needs even extents, got {x.shape}")
-    out = x.reshape(b, hh // 2, 2, ww // 2, 2, c).mean(axis=(2, 4))
-    return LayerIO(out.astype(x.dtype, copy=False), (x.shape,))
+    return LayerIO(mean_pool(x, 2, 2), (x.shape,))
 
 
 def avgpool2_backward(cache: tuple, dy: np.ndarray):
@@ -229,32 +244,3 @@ class SgdOptimizer:
             v *= p.dtype.type(self.momentum)
             v -= p.dtype.type(self.learning_rate) * g
             p += v
-
-
-# -- verification --------------------------------------------------------------
-
-def gradient_check(fun: Callable[[np.ndarray], float], x: np.ndarray,
-                   analytic: np.ndarray, epsilon: float = 1e-5) -> float:
-    """Max relative error between ``analytic`` and central differences of ``fun``.
-
-    ``fun`` maps the (mutated in place, then restored) float64 array ``x``
-    to a scalar.  The relative error denominator is
-    max(1, |analytic|, |numeric|) per component.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != x.shape:
-        raise ShapeMismatchError("analytic gradient shape differs from point shape")
-    numeric = np.zeros_like(x)
-    flat = x.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        lp = fun(x)
-        flat[i] = orig - epsilon
-        lm = fun(x)
-        flat[i] = orig
-        nflat[i] = (lp - lm) / (2.0 * epsilon)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -21,6 +21,7 @@ from .arch import (
     build_toy_net,
     network_backward,
     network_forward,
+    param_specs,
 )
 from .dataio import (
     Manifest,
@@ -52,21 +53,6 @@ DECISION_THRESHOLD = 0.5
 EVAL_BATCH = 8  # samples per forward when evaluating
 MAX_BENCH_SIZE = 1 << 22
 NAIVE_BENCH_LIMIT = 1 << 12
-
-# Reference evaluation rows (percent) bundled for metric cross-checks:
-# (model, transfer, accuracy, precision, recall, f1, parameter count).
-REPORTED_RESULTS = (
-    ("EfficientNet-B5", False, 71.2, 69.8, 70.4, 70.4, 28_361_274),
-    ("SwinTransformer", False, 72.2, 71.9, 71.4, 71.9, 27_520_892),
-    ("ResNet50", False, 71.4, 70.9, 69.2, 70.1, 23_512_146),
-    ("HTMA-ResNet50", False, 69.6, 69.0, 66.4, 67.6, 11_797_826),
-    ("WHT-ResNet50", False, 77.2, 78.2, 76.0, 77.1, 20_580_290),
-    ("EfficientNet-B5", True, 88.6, 89.4, 87.0, 88.2, 28_361_274),
-    ("SwinTransformer", True, 91.1, 91.9, 89.7, 90.8, 27_520_892),
-    ("ResNet50", True, 88.9, 90.0, 86.5, 88.2, 23_512_146),
-    ("HTMA-ResNet50", True, 87.9, 88.1, 87.5, 87.8, 11_797_826),
-    ("WHT-ResNet50", True, 91.6, 92.9, 90.17, 91.5, 20_580_290),
-)
 
 
 # -- metrics -------------------------------------------------------------------
@@ -220,12 +206,6 @@ def _write_run_json(record: RunRecord, out_dir: Path) -> None:
     (out_dir / "run.json").write_text(text + "\n")
 
 
-def _clamp_thresholds(params: dict[str, np.ndarray]) -> None:
-    for name, value in params.items():
-        if name.endswith(".lambda"):
-            np.maximum(value, 0.0, out=value)
-
-
 def _run_training(net: Network, manifest, config: TrainConfig, variant: str,
                   out_dir: Path, frozen: frozenset[str] = frozenset(),
                   transfer_source: str | None = None):
@@ -242,6 +222,9 @@ def _run_training(net: Network, manifest, config: TrainConfig, variant: str,
     n_val = max(1, int(round(VALIDATION_FRACTION * len(images))))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     opt = SgdOptimizer(config.learning_rate, config.momentum, frozen)
+    bounded = [(net.parameters[name], spec.lower)
+               for name, spec in param_specs(net.descriptor).items()
+               if spec.lower is not None]
     record = RunRecord(config, variant, transfer_source=transfer_source)
     for epoch in range(1, config.epochs + 1):
         order = train_idx[rng.permutation(len(train_idx))]
@@ -253,7 +236,8 @@ def _run_training(net: Network, manifest, config: TrainConfig, variant: str,
             # network_backward sums over the batch; 1/B makes it the mean loss's grads
             dlogits *= net.dtype.type(1.0 / len(batch))
             opt.step(net.parameters, network_backward(net, caches, dlogits))
-            _clamp_thresholds(net.parameters)
+            for value, lower in bounded:
+                np.maximum(value, lower, out=value)
             losses.append(batch_losses)
         val_metrics, _ = _evaluate_arrays(net, images[val_idx], labels[val_idx])
         train_loss = float(np.mean(np.concatenate(losses))) if losses else None

@@ -4,8 +4,9 @@ An image is cut into an R x C grid of fixed-size blocks (floor division;
 leftover pixels on the right/bottom are ignored).  Each interior block
 anchors a window made of itself plus its right, bottom, and bottom-right
 neighbours, giving (R-1)*(C-1) overlapping windows.  A window is mean-pooled
-2x2 back to block resolution before classification, and per-anchor scores
-are rendered as coloured block borders.
+2x2 back to block resolution before classification, by the same
+``nn.mean_pool`` that the network's avgpool2 layers run, and per-anchor
+scores are rendered as coloured block borders.
 
 Scoring pools the R x C block area once: since every window starts on a
 block boundary, its pooled patch is a slice of the pooled frame.  When
@@ -25,12 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import Network, feature_map, feature_stride, forward_classify, head_classify
-from .errors import (
-    BlockLargerThanImageError,
-    DegenerateGridError,
-    OddDimensionsError,
-    ShapeMismatchError,
-)
+from .errors import BlockLargerThanImageError, DegenerateGridError, ShapeMismatchError
+from .nn import mean_pool
 
 GREEN = (0.0, 1.0, 0.0)
 RED = (1.0, 0.0, 0.0)
@@ -95,28 +92,9 @@ class ScoreGrid:
         return bool(np.any(self.scores >= self.threshold))
 
 
-def mean_pool(image: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:
-    """Integer-factor mean pooling per channel.
-
-    Floating inputs keep their dtype; any other input pools to float64.
-    """
-    h, w = image.shape[:2]
-    if h % factor_y or w % factor_x:
-        raise OddDimensionsError(
-            f"extents {h}x{w} not divisible by {factor_y}x{factor_x}"
-        )
-    dtype = image.dtype if np.issubdtype(image.dtype, np.inexact) else np.float64
-    acc = image[::factor_y, ::factor_x].astype(dtype)
-    for i in range(factor_y):
-        for j in range(factor_x):
-            if i or j:
-                acc += image[i::factor_y, j::factor_x]
-    acc /= factor_y * factor_x
-    return acc
-
-
 def downsample_window(window: np.ndarray) -> np.ndarray:
-    """2x2 mean pooling: a two-block-square window back to block resolution."""
+    """2x2 mean pooling (``nn.mean_pool``): a two-block-square window back
+    to block resolution."""
     return mean_pool(window, 2, 2)
 
 

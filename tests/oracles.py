@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from whtfire.errors import DegenerateGridError, LengthMismatchError, LengthNotPowerOfTwoError
+from whtfire.errors import (
+    DegenerateGridError,
+    LengthMismatchError,
+    LengthNotPowerOfTwoError,
+    ShapeMismatchError,
+)
 from whtfire.tiling import BORDER_PX
 
 
@@ -59,3 +64,36 @@ def border_mask(spec) -> np.ndarray:
             mask[y0:y1, x0 : x0 + BORDER_PX] = True
             mask[y0:y1, x1 - BORDER_PX : x1] = True
     return mask
+
+
+def gradient_check(fun, x, analytic, epsilon: float = 1e-5) -> float:
+    """Max relative error between ``analytic`` and central differences of ``fun``.
+
+    ``fun`` maps the (mutated in place, then restored) float64 array ``x``
+    to a scalar.  The relative error denominator is
+    max(1, |analytic|, |numeric|) per component.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    analytic = np.asarray(analytic, dtype=np.float64)
+    if analytic.shape != x.shape:
+        raise ShapeMismatchError("analytic gradient shape differs from point shape")
+    numeric = np.zeros_like(x)
+    flat = x.reshape(-1)
+    nflat = numeric.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        lp = fun(x)
+        flat[i] = orig - epsilon
+        lm = fun(x)
+        flat[i] = orig
+        nflat[i] = (lp - lm) / (2.0 * epsilon)
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def avgpool2_reshape_mean(x) -> np.ndarray:
+    """2x2 mean pooling of a (B, H, W, C) map as a reshape and a mean."""
+    b, hh, ww, c = x.shape
+    out = x.reshape(b, hh // 2, 2, ww // 2, 2, c).mean(axis=(2, 4))
+    return out.astype(x.dtype, copy=False)

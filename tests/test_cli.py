@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -129,12 +130,14 @@ class TestTrainEvalDetect:
 
 
 class TestExitCodes:
-    # input files named by the transform and detect cases
+    # input files named by the transform, detect and eval cases
     INPUTS = {"words.txt": b"1\n2\nthree\n4\n", "binary.txt": b"\xff\xfe1\n2\n",
-              "empty.ppm": b"P6 0 0 255\n"}
+              "empty.ppm": b"P6 0 0 255\n", "binary.csv": b"\xff\xfebg_0000.ppm,0\n"}
     # checkpoint tensor values no training run writes, named by the detect cases
     TENSORS = {"negative-lambda.whtc": ("wht0.lambda", -0.5),
                "nan-scale.whtc": ("wht0.scale", np.nan)}
+    # a stored shape whose element count, 2^64, wraps to 0 in int64
+    SHAPES = {"huge-shape.whtc": ("block0.gain", (1 << 21, 1 << 21, 1 << 22))}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows
     @pytest.mark.parametrize("args, expected, message", [
@@ -153,10 +156,12 @@ class TestExitCodes:
         (["detect", "--checkpoint", "nan-scale.whtc"], EXIT_DATA,
          "tensor wht0.scale holds a non-finite value"),
         (["detect", "--image", "empty.ppm"], EXIT_DATA, "0x0 pixmap has no pixels"),
+        (["detect", "--checkpoint", "huge-shape.whtc"], EXIT_DATA, "ran out of bytes"),
+        (["eval", "--manifest", "binary.csv"], EXIT_DATA, "not UTF-8"),
     ], ids=["width", "width-text", "input-size", "lr-nan", "lr-diverges",
             "input-size-mismatch", "mixed-sizes", "params-width", "transform-text",
             "transform-binary", "detect-negative-lambda", "detect-nan-scale",
-            "detect-empty-pixmap"])
+            "detect-empty-pixmap", "detect-huge-shape", "eval-binary-manifest"])
     def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
                                   message):
         if args[0] == "train":
@@ -180,11 +185,24 @@ class TestExitCodes:
                 name, value = self.TENSORS[ckpt.name]
                 net.parameters[name][:] = value
             dataio.checkpoint_save(net, {}, ckpt)
+            if ckpt.name in self.SHAPES:
+                name, shape = self.SHAPES[ckpt.name]
+                field = struct.pack("<I", len(name)) + name.encode()
+                raw = ckpt.read_bytes()
+                stored = field + struct.pack("<2I", 1, 1)  # rank 1, shape (1,)
+                assert raw.count(stored) == 1
+                ckpt.write_bytes(raw.replace(
+                    stored, field + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)))
             if image.name in self.INPUTS:
                 image.write_bytes(self.INPUTS[image.name])
             else:
                 ppm_write(np.random.default_rng(2).random((64, 96, 3)), image)
             args = ["detect", "--checkpoint", str(ckpt), "--image", str(image)]
+        if args[0] == "eval":
+            ckpt, manifest = tmp_path / "c.whtc", tmp_path / args[-1]
+            dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32), {}, ckpt)
+            manifest.write_bytes(self.INPUTS[args[-1]])
+            args = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]
         try:
             rc = main(["--out-dir", str(tmp_path / "out"), *args])
         except SystemExit as exc:

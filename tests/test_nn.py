@@ -3,26 +3,25 @@ import pytest
 
 from whtfire import nn
 from whtfire.errors import BadLabelError, ShapeMismatchError
+from oracles import avgpool2_reshape_mean, gradient_check
 
 
-def conv3x3_direct(x, w, stride=1):
+def conv3x3_direct(x, w):
     """Six-loop reference convolution (padding 1), one sample of a batch at a time."""
-    return np.stack([conv3x3_direct_one(sample, w, stride) for sample in x])
+    return np.stack([conv3x3_direct_one(sample, w) for sample in x])
 
 
-def conv3x3_direct_one(x, w, stride):
+def conv3x3_direct_one(x, w):
     hh, ww, cin = x.shape
     cout = w.shape[3]
     xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    ho = (hh - 1) // stride + 1
-    wo = (ww - 1) // stride + 1
-    out = np.zeros((ho, wo, cout))
-    for i in range(ho):
-        for j in range(wo):
+    out = np.zeros((hh, ww, cout))
+    for i in range(hh):
+        for j in range(ww):
             for di in range(3):
                 for dj in range(3):
                     for co in range(cout):
-                        out[i, j, co] += xp[i * stride + di, j * stride + dj] @ w[di, dj, :, co]
+                        out[i, j, co] += xp[i + di, j + dj] @ w[di, dj, :, co]
     return out
 
 
@@ -48,13 +47,6 @@ class TestConv3x3:
         w = rng.normal(size=(3, 3, 2, 3))
         out = nn.conv3x3_forward(x, w).output
         assert np.max(np.abs(out - conv3x3_direct(x, w))) <= 1e-6
-
-    def test_stride_two_matches_oracle(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 6, 6, 2))
-        w = rng.normal(size=(3, 3, 2, 2))
-        out = nn.conv3x3_forward(x, w, stride=2).output
-        assert np.max(np.abs(out - conv3x3_direct(x, w, stride=2))) <= 1e-6
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(3)
@@ -82,10 +74,10 @@ class TestConv3x3:
         dy = rng.normal(size=(2, 4, 4, 3))
         io = nn.conv3x3_forward(x, w)
         dx, dw = nn.conv3x3_backward(io.cache, dy)
-        err_w = nn.gradient_check(
+        err_w = gradient_check(
             lambda wv: float(np.sum(nn.conv3x3_forward(x, wv).output * dy)), w, dw
         )
-        err_x = nn.gradient_check(
+        err_x = gradient_check(
             lambda xv: float(np.sum(nn.conv3x3_forward(xv, w).output * dy)), x, dx
         )
         assert err_w <= 1e-6 and err_x <= 1e-6
@@ -122,6 +114,15 @@ class TestSimpleLayers:
         x[:, ::2, 1::2] = 1.0
         x[:, 1::2, ::2] = 1.0
         assert np.allclose(nn.avgpool2_forward(x).output, 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 32, 32, 8), (8, 32, 32, 64), (2, 64, 96, 8)])
+    def test_avgpool2_is_bit_identical_to_reshape_mean(self, shape, dtype):
+        # the strided sums keep the reshape-mean's rounding, so outputs do not move
+        x = np.random.default_rng(12).standard_normal(shape).astype(dtype)
+        out = nn.avgpool2_forward(x).output
+        assert out.dtype == dtype
+        assert np.array_equal(out, avgpool2_reshape_mean(x))
 
     def test_avgpool2_odd_extent_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -189,7 +190,7 @@ class TestSimpleLayers:
                 (lambda v: float(np.sum(nn.gain_forward(x, v).output * dy)), g, dg),
             ]
         for fun, point, analytic in checks:
-            assert nn.gradient_check(fun, point, analytic) <= 1e-6
+            assert gradient_check(fun, point, analytic) <= 1e-6
 
     def test_linear_layer_gradient_is_exact(self):
         # dense layer is linear in x, so central differences are exact
@@ -200,7 +201,7 @@ class TestSimpleLayers:
         dy = rng.normal(size=(2, 3))
         io = nn.dense_forward(x, w, b)
         dx, _, _ = nn.dense_backward(io.cache, dy)
-        err = nn.gradient_check(
+        err = gradient_check(
             lambda v: float(np.sum(nn.dense_forward(v, w, b).output * dy)), x, dx
         )
         assert err <= 1e-9
@@ -248,7 +249,7 @@ class TestSoftmaxCrossEntropy:
         logits = rng.normal(size=(3, 2))
         labels = [1, 0, 1]
         _, dlogits = nn.softmax_cross_entropy(logits, labels)
-        err = nn.gradient_check(
+        err = gradient_check(
             lambda v: nn.softmax_cross_entropy(v, labels)[0].sum(), logits, dlogits,
         )
         assert err <= 1e-8

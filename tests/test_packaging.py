@@ -52,6 +52,14 @@ def test_benchmark_entry_points(tmp_path):
     assert abs(grid.scores[0, 0] - probs[1]) <= 1e-5
     assert isinstance(fwht._HAVE_NUMBA, bool)  # read by perfbench/run.py's provenance
 
+    # spans.py traces these by name; a renamed one would read 0 calls, silently
+    for op in ("pointwise", "conv3x3", "relu", "gain", "avgpool2", "gap", "dense"):
+        assert callable(getattr(nn, f"{op}_forward")), op
+        assert callable(getattr(nn, f"{op}_backward")), op
+    assert callable(tiling.downsample_window)
+    out = nn.conv3x3_forward(np.ones((1, 4, 4, 2)), np.ones((3, 3, 2, 5))).output
+    assert out.shape == (1, 4, 4, 5) and out[0, 1, 1, 0] == 18.0
+
     # transform-long: fwht then ifwht on (R, N) row blocks and on long vectors
     rng = np.random.default_rng(1)
     for x in (rng.standard_normal((16, 64)), rng.standard_normal(1 << 14)):

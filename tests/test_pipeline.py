@@ -15,6 +15,21 @@ from whtfire.errors import (
 )
 from whtfire.nn import TrainConfig
 
+# Published evaluation rows (percent) for metric cross-checks:
+# (model, transfer, accuracy, precision, recall, f1, parameter count).
+REPORTED_RESULTS = (
+    ("EfficientNet-B5", False, 71.2, 69.8, 70.4, 70.4, 28_361_274),
+    ("SwinTransformer", False, 72.2, 71.9, 71.4, 71.9, 27_520_892),
+    ("ResNet50", False, 71.4, 70.9, 69.2, 70.1, 23_512_146),
+    ("HTMA-ResNet50", False, 69.6, 69.0, 66.4, 67.6, 11_797_826),
+    ("WHT-ResNet50", False, 77.2, 78.2, 76.0, 77.1, 20_580_290),
+    ("EfficientNet-B5", True, 88.6, 89.4, 87.0, 88.2, 28_361_274),
+    ("SwinTransformer", True, 91.1, 91.9, 89.7, 90.8, 27_520_892),
+    ("ResNet50", True, 88.9, 90.0, 86.5, 88.2, 23_512_146),
+    ("HTMA-ResNet50", True, 87.9, 88.1, 87.5, 87.8, 11_797_826),
+    ("WHT-ResNet50", True, 91.6, 92.9, 90.17, 91.5, 20_580_290),
+)
+
 
 def harmonic_mean(p, r):
     return 2.0 * p * r / (p + r)
@@ -66,7 +81,7 @@ class TestComputeMetrics:
     def test_consistent_reference_rows_reproduce(self):
         # the two rows whose published F1 disagrees with their own P/R are
         # exercised (and expected to fail) in the acceptance suite
-        consistent = [r for r in pipeline.REPORTED_RESULTS
+        consistent = [r for r in REPORTED_RESULTS
                       if r[0] not in ("EfficientNet-B5", "SwinTransformer")
                       or r[1]]
         assert len(consistent) == 8
@@ -100,6 +115,15 @@ class TestTrain:
         assert [e["epoch"] for e in run_json["epochs"]] == [1, 2, 3]
         assert record.early_stop_reason is None
         assert run_json["early_stop_reason"] is None
+
+    def test_thresholds_stay_at_their_bound(self, small_dataset, tmp_path):
+        # at seed 1 the steps push wht0's and wht2's thresholds below 0
+        cfg = TrainConfig(epochs=2, seed=1)
+        _, net, ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "r",
+                                      threshold_trainable=True)
+        lams = [net.parameters[f"wht{b}.lambda"][0] for b in range(3)]
+        assert min(lams) == 0.0 < max(lams)
+        checkpoint_load(ckpt)  # which rejects a negative threshold
 
     def test_single_class_dataset_rejected(self, tmp_path):
         cfg = SynthConfig(seed=1, count_per_class=4, resolution=32)

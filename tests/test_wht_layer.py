@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whtfire import arch, dataio, nn
+from whtfire import arch, dataio
 from whtfire.errors import (
     CacheMissingError,
     ChannelCountNotPowerOfTwoError,
@@ -9,7 +9,7 @@ from whtfire.errors import (
 )
 from whtfire.fwht import fwht, ifwht
 from whtfire.wht_layer import wht_layer_backward, wht_layer_forward
-from oracles import dyadic_convolve_bruteforce
+from oracles import dyadic_convolve_bruteforce, gradient_check
 
 
 class TestForward:
@@ -95,11 +95,11 @@ class TestBackward:
         io = wht_layer_forward(x, scale)
         dy = rng.normal(size=io.output.shape)
         dx, dscale = wht_layer_backward(io.cache, dy)
-        err_x = nn.gradient_check(
+        err_x = gradient_check(
             lambda v: float(np.sum(wht_layer_forward(v, scale).output * dy)),
             x, dx,
         )
-        err_s = nn.gradient_check(
+        err_s = gradient_check(
             lambda v: float(np.sum(wht_layer_forward(x, v).output * dy)),
             scale, dscale,
         )
@@ -123,11 +123,11 @@ class TestBackward:
         io = wht_layer_forward(x, scale, lam_t)
         dy = rng.normal(size=io.output.shape)
         dx, dscale, _ = wht_layer_backward(io.cache, dy)
-        err_x = nn.gradient_check(
+        err_x = gradient_check(
             lambda v: float(np.sum(wht_layer_forward(v, scale, lam_t).output * dy)),
             x, dx,
         )
-        err_s = nn.gradient_check(
+        err_s = gradient_check(
             lambda v: float(np.sum(wht_layer_forward(x, v, lam_t).output * dy)),
             scale, dscale,
         )
