@@ -439,27 +439,26 @@ def feature_stride(desc: ArchDescriptor) -> int | None:
 
 def network_backward(net: Network, caches: list,
                      dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate (B, K) ``dlogits``; returns named grads summed over the batch."""
-    desc = net.descriptor
+    """Backpropagate (B, K) ``dlogits``; returns named grads summed over the batch.
+
+    One gradient walks the layers last to first; an ``add_skip`` parks it for
+    its source layer to add once.  Each grad is the array its layer returns.
+    """
     params = net.parameters
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
-    pending: dict[int, np.ndarray] = {len(desc.layers) - 1: dlogits}
-    for idx in range(len(desc.layers) - 1, -1, -1):
-        g = pending.pop(idx, None)
-        if g is None:
-            continue
-        layer = desc.layers[idx]
+    grads: dict[str, np.ndarray] = {}
+    parked: dict[int, np.ndarray] = {}
+    g = dlogits
+    for idx in range(len(net.descriptor.layers) - 1, -1, -1):
+        layer = net.descriptor.layers[idx]
+        if idx in parked:
+            g = g + parked.pop(idx)
         if layer.kind == "add_skip":
-            dx = g
             j = layer.skip_from
-            pending[j] = pending.get(j, 0) + g
+            parked[j] = parked[j] + g if j in parked else g
         else:
             kind, names = layer._runnable
-            dx, *dparams = kind.backward(caches[idx], g, *[params[n] for n in names])
-            for name, d in zip(names, dparams):
-                grads[name] += d
-        if idx > 0:
-            pending[idx - 1] = pending.get(idx - 1, 0) + dx
+            g, *dparams = kind.backward(caches[idx], g, *[params[n] for n in names])
+            grads.update(zip(names, dparams))
     return grads
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -68,25 +69,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=32)
     p.add_argument("--contrast", type=float, default=0.8)
 
-    p = sub.add_parser("train", help="train a toy variant from scratch")
+    # the options train and finetune share; --lr differs in its default
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--manifest", required=True)
+    training.add_argument("--epochs", type=int, default=25)
+    training.add_argument("--momentum", type=float, default=0.9)
+    training.add_argument("--batch-size", type=int, default=8)
+
+    p = sub.add_parser("train", parents=[training], help="train a toy variant from scratch")
     p.set_defaults(run=_cmd_train)
-    p.add_argument("--manifest", required=True)
     p.add_argument("--variant", choices=arch.TOY_VARIANTS, default="wht")
-    p.add_argument("--epochs", type=int, default=25)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--width", type=_width, default=8)
     p.add_argument("--input-size", type=int, choices=arch.TOY_INPUT_SIZES, default=32)
 
-    p = sub.add_parser("finetune", help="fine-tune from a source checkpoint")
+    p = sub.add_parser("finetune", parents=[training], help="fine-tune from a source checkpoint")
     p.set_defaults(run=_cmd_finetune)
     p.add_argument("--source", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--epochs", type=int, default=25)
     p.add_argument("--lr", type=float, default=pipeline.FINETUNE_LEARNING_RATE)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--freeze-stem", action="store_true")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
@@ -147,14 +147,17 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    dtype = np.float64 if args.precision == "f64" else np.float32
-    config = TrainConfig(
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, momentum=args.momentum,
         batch_size=args.batch_size, seed=args.seed,
     )
+
+
+def _cmd_train(args) -> int:
+    dtype = np.float64 if args.precision == "f64" else np.float32
     record, _, ckpt = pipeline.train(
-        args.manifest, args.variant, config, args.out_dir,
+        args.manifest, args.variant, _train_config(args), args.out_dir,
         width=args.width, input_size=args.input_size, dtype=dtype,
     )
     last = record.epochs[-1] if record.epochs else None
@@ -166,12 +169,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    config = TrainConfig(
-        epochs=args.epochs, learning_rate=args.lr, momentum=args.momentum,
-        batch_size=args.batch_size, seed=args.seed,
-    )
-    record, _, ckpt = pipeline.finetune(
-        args.source, args.manifest, config, args.out_dir,
+    _, _, ckpt = pipeline.finetune(
+        args.source, args.manifest, _train_config(args), args.out_dir,
         freeze_stem=args.freeze_stem,
     )
     print(f"checkpoint: {ckpt}")
@@ -183,8 +182,7 @@ def _cmd_eval(args) -> int:
     print(pipeline.format_metrics_table(metrics, cm))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"metrics": metrics.as_dict(),
-               "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn}}
+    payload = {"metrics": metrics.as_dict(), "confusion": asdict(cm)}
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 

@@ -318,8 +318,12 @@ def _rebuild_descriptor(meta: dict[str, str]) -> ArchDescriptor:
     )
 
 
-def checkpoint_load(path, expected: ArchDescriptor | None = None) -> Network:
-    """Restore a network; optionally verify it matches ``expected``."""
+def checkpoint_load(path) -> Network:
+    """Restore the network a checkpoint holds.
+
+    Checks the magic, the version, the tensor names and shapes of the
+    architecture its metadata names, and that values are finite and λ >= 0.
+    """
     rd = _Reader(Path(path).read_bytes(), str(path))
     if rd.take(4) != CHECKPOINT_MAGIC:
         raise BadMagicError(f"{path}: not a checkpoint file")
@@ -341,17 +345,6 @@ def checkpoint_load(path, expected: ArchDescriptor | None = None) -> Network:
         values = np.frombuffer(rd.take(4 * count), dtype="<f4")
         tensors[name] = values.reshape(shape).astype(np.float32)
     desc = _rebuild_descriptor(meta)
-    if expected is not None and (
-        expected.name != desc.name
-        or expected.width != desc.width
-        or expected.input_size != desc.input_size
-        or expected.num_classes != desc.num_classes
-    ):
-        raise ArchMismatchError(
-            f"checkpoint holds {desc.name} (width {desc.width}, input "
-            f"{desc.input_size}); expected {expected.name} (width "
-            f"{expected.width}, input {expected.input_size})"
-        )
     specs = param_specs(desc)
     if set(specs) != set(tensors):
         missing = sorted(set(specs) - set(tensors))

@@ -3,7 +3,9 @@
 Every error is a ``WhtFireError``, which the CLI reports with exit code 3.
 A narrower error subclasses the broader one it refines, so one ``except``
 catches both: ``OddDimensionsError``, raised by the one mean pooling that
-frames and ``avgpool2`` layers share, is a ``ShapeMismatchError``.
+frames and ``avgpool2`` layers share, is a ``ShapeMismatchError``.  Only
+errors the package raises live here; one that only a test oracle raises
+lives with that oracle.
 """
 
 
@@ -19,10 +21,6 @@ class OrderTooLargeError(WhtFireError, ValueError):
 
 class LengthNotPowerOfTwoError(WhtFireError, ValueError):
     """Transform input length is not a power of two."""
-
-
-class LengthMismatchError(WhtFireError, ValueError):
-    """Two sequences that must share a length do not."""
 
 
 # -- tensors and layers -------------------------------------------------
@@ -117,3 +115,7 @@ class SizeTooLargeError(WhtFireError, ValueError):
 
 class TrainingDivergedError(WhtFireError):
     """Training reached a non-finite loss; no checkpoint was written."""
+
+
+class NonFiniteScoreError(WhtFireError):
+    """The network gave a non-finite score, which no threshold can classify."""

@@ -167,9 +167,12 @@ def avgpool2_forward(x: np.ndarray) -> LayerIO:
 
 
 def avgpool2_backward(cache: tuple, dy: np.ndarray):
+    """``dy * 0.25`` broadcast into one array through its (B, H/2, 2, W/2, 2, C) view."""
     (x_shape,) = cache
-    dx = np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) * dy.dtype.type(0.25)
-    return dx.astype(dy.dtype, copy=False).reshape(x_shape)
+    b, h, w, c = dy.shape
+    dx = np.empty(x_shape, dtype=dy.dtype)
+    dx.reshape(b, h, 2, w, 2, c)[...] = (dy * 0.25)[:, :, None, :, None, :]
+    return dx
 
 
 def gain_forward(x: np.ndarray, g: np.ndarray) -> LayerIO:

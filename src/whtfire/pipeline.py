@@ -34,10 +34,10 @@ from .dataio import (
     synth_dataset,
 )
 from .errors import (
-    ArchMismatchError,
     DegenerateGridError,
     EmptyDatasetError,
     LengthNotPowerOfTwoError,
+    NonFiniteScoreError,
     ShapeMismatchError,
     SingleClassDatasetError,
     SizeTooLargeError,
@@ -53,6 +53,7 @@ DECISION_THRESHOLD = 0.5
 EVAL_BATCH = 8  # samples per forward when evaluating
 MAX_BENCH_SIZE = 1 << 22
 NAIVE_BENCH_LIMIT = 1 << 12
+BENCH_RUNS = 5  # timed repetitions per size; the median is reported
 
 
 # -- metrics -------------------------------------------------------------------
@@ -82,13 +83,7 @@ class Metrics:
     zero_division: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "zero_division": list(self.zero_division),
-        }
+        return {**asdict(self), "zero_division": list(self.zero_division)}
 
 
 def compute_metrics(cm: ConfusionMatrix) -> Metrics:
@@ -158,9 +153,8 @@ def _as_network(net_or_checkpoint) -> Network:
     return checkpoint_load(net_or_checkpoint)
 
 
-def confusion_from_scores(labels: np.ndarray, scores: np.ndarray,
-                          threshold: float = DECISION_THRESHOLD) -> ConfusionMatrix:
-    preds = scores >= threshold
+def confusion_from_scores(labels: np.ndarray, scores: np.ndarray) -> ConfusionMatrix:
+    preds = scores >= DECISION_THRESHOLD
     pos = labels == 1
     return ConfusionMatrix(
         tp=int(np.sum(preds & pos)),
@@ -170,19 +164,26 @@ def confusion_from_scores(labels: np.ndarray, scores: np.ndarray,
     )
 
 
-def _evaluate_arrays(net: Network, images: np.ndarray, labels: np.ndarray):
+def _fire_probabilities(net: Network, images: np.ndarray) -> np.ndarray:
     logits = np.concatenate([
         network_forward(net, images[start : start + EVAL_BATCH])[0]
         for start in range(0, len(images), EVAL_BATCH)
     ])
-    cm = confusion_from_scores(labels, softmax(logits.astype(np.float64))[:, 1])
-    return compute_metrics(cm), cm
+    return softmax(logits.astype(np.float64))[:, 1]
 
 
 def evaluate(net_or_checkpoint, manifest):
-    """Patch-level metrics at the 0.5 decision threshold."""
+    """Patch-level metrics at the 0.5 decision threshold; non-finite probabilities raise."""
     net = _as_network(net_or_checkpoint)
-    return _evaluate_arrays(net, *load_dataset(manifest, net))
+    images, labels = load_dataset(manifest, net)
+    probs = _fire_probabilities(net, images)
+    bad = int(np.sum(~np.isfinite(probs)))
+    if bad:
+        raise NonFiniteScoreError(
+            f"the network gives {bad} of {len(probs)} samples a non-finite fire probability"
+        )
+    cm = confusion_from_scores(labels, probs)
+    return compute_metrics(cm), cm
 
 
 # -- training ---------------------------------------------------------------------
@@ -239,7 +240,9 @@ def _run_training(net: Network, manifest, config: TrainConfig, variant: str,
             for value, lower in bounded:
                 np.maximum(value, lower, out=value)
             losses.append(batch_losses)
-        val_metrics, _ = _evaluate_arrays(net, images[val_idx], labels[val_idx])
+        # unchecked: a diverging run's probabilities are NaN, and its loss ends it below
+        val_metrics = compute_metrics(confusion_from_scores(
+            labels[val_idx], _fire_probabilities(net, images[val_idx])))
         train_loss = float(np.mean(np.concatenate(losses))) if losses else None
         diverged = train_loss is not None and not math.isfinite(train_loss)
         record.epochs.append({
@@ -282,17 +285,12 @@ def train(manifest, variant: str, config: TrainConfig, out_dir, *,
 
 
 def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
-             freeze_stem: bool = False, variant: str | None = None):
-    """Continue training from a source checkpoint on a new manifest."""
+             freeze_stem: bool = False):
+    """Continue training, on a new manifest, whichever network the checkpoint holds."""
     net = checkpoint_load(source_checkpoint)
-    source_variant = ARCH_NAME_TO_VARIANT[net.descriptor.name]
-    if variant is not None and variant != source_variant:
-        raise ArchMismatchError(
-            f"checkpoint holds variant {source_variant!r}, requested {variant!r}"
-        )
     frozen = frozenset({"stem.weight"}) if freeze_stem else frozenset()
     return _run_training(
-        net, manifest, config, source_variant, Path(out_dir),
+        net, manifest, config, ARCH_NAME_TO_VARIANT[net.descriptor.name], Path(out_dir),
         frozen=frozen, transfer_source=str(source_checkpoint),
     )
 
@@ -317,7 +315,7 @@ def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
         out_json = Path(out_json)
         out_json.parent.mkdir(parents=True, exist_ok=True)
         payload = score_grid_json(grid, str(image_path))
-        out_json.write_text(json.dumps(payload, indent=2) + "\n")
+        out_json.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return grid, grid.any_detection
 
 
@@ -379,14 +377,14 @@ def transfer_experiment(seed: int, workdir, *, variant: str = "wht",
 
 # -- benchmarking ------------------------------------------------------------------
 
-def _median_seconds(fun, runs: int, target: float = 0.02) -> float:
+def _median_seconds(fun, target: float = 0.02) -> float:
     fun()  # warm up caches before measuring
     t0 = time.perf_counter()
     fun()
     est = max(time.perf_counter() - t0, 1e-7)
     reps = max(1, int(target / est))
     samples = []
-    for _ in range(runs):
+    for _ in range(BENCH_RUNS):
         t0 = time.perf_counter()
         for _ in range(reps):
             fun()
@@ -395,7 +393,7 @@ def _median_seconds(fun, runs: int, target: float = 0.02) -> float:
     return samples[len(samples) // 2]
 
 
-def bench(sizes=None, runs: int = 5, seed: int = 0) -> dict:
+def bench(sizes=None, seed: int = 0) -> dict:
     """Median fast-transform time per size; naive matrix product for small N."""
     if sizes is None:
         sizes = [1 << k for k in (10, 12, 14, 15, 16, 17, 18, 19, 20)]
@@ -407,11 +405,11 @@ def bench(sizes=None, runs: int = 5, seed: int = 0) -> dict:
         if n < 1 or n & (n - 1):
             raise LengthNotPowerOfTwoError(f"bench size {n} not a power of two")
         x = rng.standard_normal(n)
-        t_fast = _median_seconds(lambda: fwht(x), runs)
+        t_fast = _median_seconds(lambda: fwht(x))
         entry = {"n": n, "fwht_seconds": t_fast}
         if n <= NAIVE_BENCH_LIMIT:
             h = hadamard_matrix(n.bit_length() - 1).astype(np.float64)
-            t_naive = _median_seconds(lambda: x @ h, runs)
+            t_naive = _median_seconds(lambda: x @ h)
             entry["naive_seconds"] = t_naive
             entry["speedup"] = t_naive / t_fast
         entries.append(entry)

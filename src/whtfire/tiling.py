@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import Network, feature_map, feature_stride, forward_classify, head_classify
-from .errors import BlockLargerThanImageError, DegenerateGridError, ShapeMismatchError
+from .errors import (BlockLargerThanImageError, DegenerateGridError, NonFiniteScoreError,
+                     ShapeMismatchError)
 from .nn import mean_pool
 
 GREEN = (0.0, 1.0, 0.0)
@@ -85,6 +86,11 @@ class ScoreGrid:
         if self.scores.shape != expected:
             raise ValueError(
                 f"scores shape {self.scores.shape} != expected {expected}"
+            )
+        bad = int(np.sum(~np.isfinite(self.scores)))
+        if bad:
+            raise NonFiniteScoreError(
+                f"the network gives {bad} of {self.scores.size} windows a non-finite score"
             )
 
     @property

@@ -4,11 +4,15 @@ import numpy as np
 
 from whtfire.errors import (
     DegenerateGridError,
-    LengthMismatchError,
     LengthNotPowerOfTwoError,
     ShapeMismatchError,
+    WhtFireError,
 )
 from whtfire.tiling import BORDER_PX
+
+
+class LengthMismatchError(WhtFireError, ValueError):
+    """Two sequences that must share a length do not."""
 
 
 def dyadic_convolve_bruteforce(x, h) -> np.ndarray:
@@ -97,3 +101,40 @@ def avgpool2_reshape_mean(x) -> np.ndarray:
     b, hh, ww, c = x.shape
     out = x.reshape(b, hh // 2, 2, ww // 2, 2, c).mean(axis=(2, 4))
     return out.astype(x.dtype, copy=False)
+
+
+def avgpool2_backward_repeat(cache, dy) -> np.ndarray:
+    """avgpool2's adjoint as two ``np.repeat`` calls and a multiply."""
+    (x_shape,) = cache
+    dx = np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) * dy.dtype.type(0.25)
+    return dx.astype(dy.dtype, copy=False).reshape(x_shape)
+
+
+def network_backward_pending(net, caches, dlogits) -> dict:
+    """Backpropagation through a map of pending gradients, one per layer.
+
+    Every parameter gradient starts at zero and is added to; every
+    layer's input gradient is a fresh ``0 + dx`` sum, and an ``add_skip``
+    adds its gradient to its source layer's pending entry.
+    """
+    layers = net.descriptor.layers
+    params = net.parameters
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    pending = {len(layers) - 1: dlogits}
+    for idx in range(len(layers) - 1, -1, -1):
+        g = pending.pop(idx, None)
+        if g is None:
+            continue
+        layer = layers[idx]
+        if layer.kind == "add_skip":
+            dx = g
+            j = layer.skip_from
+            pending[j] = pending.get(j, 0) + g
+        else:
+            kind, names = layer._runnable
+            dx, *dparams = kind.backward(caches[idx], g, *[params[n] for n in names])
+            for name, d in zip(names, dparams):
+                grads[name] += d
+        if idx > 0:
+            pending[idx - 1] = pending.get(idx - 1, 0) + dx
+    return grads

@@ -9,7 +9,7 @@ from whtfire.errors import (
     InvalidDescriptorError,
     ShapeMismatchError,
 )
-from oracles import gradient_check
+from oracles import gradient_check, network_backward_pending
 
 
 class TestCountParams:
@@ -372,6 +372,28 @@ class TestNetworkBackward:
                              grads["block0.conv.weight"])
         net.parameters["block0.conv.weight"] = original
         assert err <= 1e-6
+
+
+class TestOneGradientWalk:
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant, lam", [("wht", False), ("wht", True),
+                                              ("conv-baseline", False)])
+    def test_every_gradient_matches_the_pending_map(self, variant, lam, dtype, batch):
+        rng = np.random.default_rng(batch)
+        net = arch.build_toy_net(variant, 8, 32, seed=batch, dtype=dtype,
+                                 threshold_trainable=lam)
+        for name, p in net.parameters.items():
+            if name.endswith(".lambda"):
+                p[:] = 0.05  # cuts some bins
+        logits, caches = arch.network_forward(net, rng.random((batch, 32, 32, 3)))
+        _, dlogits = nn.softmax_cross_entropy(logits, rng.integers(0, 2, batch))
+        grads = arch.network_backward(net, caches, dlogits)
+        want = network_backward_pending(net, caches, dlogits)
+        assert set(grads) == set(want) == set(net.parameters)
+        for name, g in want.items():
+            assert grads[name].dtype == g.dtype and grads[name].shape == g.shape, name
+            assert np.array_equal(grads[name], g), name
 
 
 class TestBatchEquivalence:

@@ -1,11 +1,12 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from whtfire import arch, dataio
-from whtfire.cli import EXIT_DATA, EXIT_DETECTED, EXIT_OK, EXIT_USAGE, main
+from whtfire.cli import EXIT_DATA, EXIT_DETECTED, EXIT_OK, EXIT_USAGE, _build_parser, main
 from whtfire.dataio import ppm_write
 from whtfire.errors import ArchMismatchError
 from whtfire.fwht import fwht
@@ -133,9 +134,11 @@ class TestExitCodes:
     # input files named by the transform, detect and eval cases
     INPUTS = {"words.txt": b"1\n2\nthree\n4\n", "binary.txt": b"\xff\xfe1\n2\n",
               "empty.ppm": b"P6 0 0 255\n", "binary.csv": b"\xff\xfebg_0000.ppm,0\n"}
-    # checkpoint tensor values no training run writes, named by the detect cases
+    # checkpoint tensor values no training run writes, named by the detect and eval
+    # cases; a finite gain of 3e38 overflows the forward pass to NaN scores
     TENSORS = {"negative-lambda.whtc": ("wht0.lambda", -0.5),
-               "nan-scale.whtc": ("wht0.scale", np.nan)}
+               "nan-scale.whtc": ("wht0.scale", np.nan),
+               "huge-gain.whtc": ("block0.gain", 3e38)}
     # a stored shape whose element count, 2^64, wraps to 0 in int64
     SHAPES = {"huge-shape.whtc": ("block0.gain", (1 << 21, 1 << 21, 1 << 22))}
 
@@ -145,6 +148,7 @@ class TestExitCodes:
         (["train", "--width", "eight"], EXIT_USAGE, "--width"),
         (["train", "--input-size", "48"], EXIT_USAGE, "--input-size"),
         (["train", "--lr", "nan"], EXIT_USAGE, "finite"),
+        (["finetune", "--lr", "nan"], EXIT_USAGE, "finite"),
         (["train", "--lr", "1000"], EXIT_DATA, "diverged"),
         (["train", "--input-size", "64"], EXIT_DATA, "32x32 image, network input 64x64"),
         (["train", "--manifest", "mixed.csv"], EXIT_DATA, "16x16 image, network input 32x32"),
@@ -157,13 +161,22 @@ class TestExitCodes:
          "tensor wht0.scale holds a non-finite value"),
         (["detect", "--image", "empty.ppm"], EXIT_DATA, "0x0 pixmap has no pixels"),
         (["detect", "--checkpoint", "huge-shape.whtc"], EXIT_DATA, "ran out of bytes"),
+        (["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
+         "gives 2 of 2 windows a non-finite score"),
         (["eval", "--manifest", "binary.csv"], EXIT_DATA, "not UTF-8"),
-    ], ids=["width", "width-text", "input-size", "lr-nan", "lr-diverges",
-            "input-size-mismatch", "mixed-sizes", "params-width", "transform-text",
-            "transform-binary", "detect-negative-lambda", "detect-nan-scale",
-            "detect-empty-pixmap", "detect-huge-shape", "eval-binary-manifest"])
+        (["eval", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
+         "gives 20 of 20 samples a non-finite fire probability"),
+    ], ids=["width", "width-text", "input-size", "lr-nan", "finetune-lr-nan",
+            "lr-diverges", "input-size-mismatch", "mixed-sizes", "params-width",
+            "transform-text", "transform-binary", "detect-negative-lambda",
+            "detect-nan-scale", "detect-empty-pixmap", "detect-huge-shape",
+            "detect-huge-gain", "eval-binary-manifest", "eval-huge-gain"])
     def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
                                   message):
+        if args[0] == "finetune":
+            dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32), {}, tmp_path / "c.whtc")
+            args = args + ["--source", str(tmp_path / "c.whtc"),
+                           "--manifest", str(dataset_dir / "manifest.csv")]
         if args[0] == "train":
             if "mixed.csv" in args:  # one 16 px image among the 32 px ones
                 ppm_write(np.zeros((16, 16, 3)), dataset_dir / "small.ppm")
@@ -177,7 +190,7 @@ class TestExitCodes:
             vec = tmp_path / args[-1]
             vec.write_bytes(self.INPUTS[args[-1]])
             args = args[:-1] + [str(vec)]
-        if args[0] == "detect":
+        if args[0] in ("detect", "eval"):
             files = {"--checkpoint": "c.whtc", "--image": "frame.ppm", args[1]: args[2]}
             ckpt, image = tmp_path / files["--checkpoint"], tmp_path / files["--image"]
             net = arch.build_toy_net("wht", 8, 32, threshold_trainable=True)
@@ -193,15 +206,17 @@ class TestExitCodes:
                 assert raw.count(stored) == 1
                 ckpt.write_bytes(raw.replace(
                     stored, field + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)))
+        if args[0] == "detect":
             if image.name in self.INPUTS:
                 image.write_bytes(self.INPUTS[image.name])
             else:
                 ppm_write(np.random.default_rng(2).random((64, 96, 3)), image)
             args = ["detect", "--checkpoint", str(ckpt), "--image", str(image)]
         if args[0] == "eval":
-            ckpt, manifest = tmp_path / "c.whtc", tmp_path / args[-1]
-            dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32), {}, ckpt)
-            manifest.write_bytes(self.INPUTS[args[-1]])
+            manifest = dataset_dir / "manifest.csv"
+            if args[1] == "--manifest":
+                manifest = tmp_path / args[2]
+                manifest.write_bytes(self.INPUTS[args[2]])
             args = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]
         try:
             rc = main(["--out-dir", str(tmp_path / "out"), *args])
@@ -209,8 +224,10 @@ class TestExitCodes:
             rc = exc.code
         assert rc == expected
         assert message in capsys.readouterr().err
-        if args[0] == "train":
+        if args[0] in ("train", "finetune"):
             assert not (tmp_path / "out" / "checkpoint.whtc").exists()
+        if args[0] in ("detect", "eval"):  # nothing is written for a refused result
+            assert not list((tmp_path / "out").glob("*"))
 
 
 class TestDetectErrors:
@@ -273,6 +290,27 @@ class TestDetectErrors:
         assert exc.value.code == EXIT_USAGE
         assert "--tau" in capsys.readouterr().err
         assert not (tmp_path / "det").exists()
+
+
+class TestTrainingOptions:
+    # the option strings and defaults of train and finetune, as first released
+    @pytest.mark.parametrize("argv, options, defaults", [
+        (["train", "--manifest", "m"],
+         "-h --help --manifest --variant --epochs --lr --momentum --batch-size --width "
+         "--input-size", {"variant": "wht", "epochs": 25, "lr": 0.01, "momentum": 0.9,
+                          "batch_size": 8, "width": 8, "input_size": 32}),
+        (["finetune", "--manifest", "m", "--source", "s"],
+         "-h --help --source --manifest --epochs --lr --momentum --batch-size --freeze-stem",
+         {"epochs": 25, "lr": 0.001, "momentum": 0.9, "batch_size": 8, "freeze_stem": False}),
+    ])
+    def test_same_options_and_defaults(self, capsys, argv, options, defaults):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == set(options.split())
+        args = vars(_build_parser().parse_args(argv))
+        assert {key: args[key] for key in defaults} == defaults
 
 
 class TestParams:

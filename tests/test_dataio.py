@@ -3,7 +3,6 @@ import pytest
 
 from whtfire import arch, dataio
 from whtfire.errors import (
-    ArchMismatchError,
     BadMagicError,
     ManifestError,
     TensorShapeMismatchError,
@@ -184,22 +183,6 @@ class TestCheckpoint:
         assert np.array_equal(
             arch.forward_classify(net, patch), arch.forward_classify(loaded, patch)
         )
-
-    def test_load_into_mismatched_width(self, tmp_path):
-        net = self._net()
-        p = tmp_path / "c.whtc"
-        dataio.checkpoint_save(net, {}, p)
-        other = arch.toy_descriptor("wht", width=16)
-        with pytest.raises(ArchMismatchError):
-            dataio.checkpoint_load(p, expected=other)
-
-    def test_load_into_mismatched_variant(self, tmp_path):
-        net = self._net()
-        p = tmp_path / "c.whtc"
-        dataio.checkpoint_save(net, {}, p)
-        other = arch.toy_descriptor("conv-baseline", width=8)
-        with pytest.raises(ArchMismatchError):
-            dataio.checkpoint_load(p, expected=other)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.whtc"

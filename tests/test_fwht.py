@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from whtfire.errors import (
-    LengthMismatchError,
-    LengthNotPowerOfTwoError,
-    OrderTooLargeError,
-)
+from whtfire.errors import LengthNotPowerOfTwoError, OrderTooLargeError
 from whtfire.fwht import fwht, hadamard_matrix, ifwht
-from oracles import dyadic_convolve_bruteforce
+from oracles import LengthMismatchError, dyadic_convolve_bruteforce
 
 
 class TestHadamardMatrix:

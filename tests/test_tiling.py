@@ -5,6 +5,7 @@ from whtfire import arch, tiling
 from whtfire.errors import (
     BlockLargerThanImageError,
     DegenerateGridError,
+    NonFiniteScoreError,
     OddDimensionsError,
     ShapeMismatchError,
 )
@@ -168,6 +169,12 @@ class TestScoreGrid:
         spec = tiling.GridSpec(96, 128, 32, 32)
         with pytest.raises(ValueError):
             tiling.ScoreGrid(spec, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        spec = tiling.GridSpec(64, 96, 32, 32)
+        with pytest.raises(NonFiniteScoreError, match="1 of 2 windows"):
+            tiling.ScoreGrid(spec, [[0.25, bad]])
 
     def test_whole_image_fallback(self):
         net = self._net()
