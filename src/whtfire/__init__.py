@@ -37,7 +37,6 @@ from .tiling import (
     GridSpec,
     ScoreGrid,
     downsample_window,
-    grid_dims,
     render_overlay,
     score_grid,
 )

@@ -105,7 +105,8 @@ class _Kind:
     ``params(layer)`` gives one ``ParamSpec`` per tensor; counting,
     instantiation, training's bounds and checkpoint loading all read it.
     ``forward(x, *tensors)`` returns a ``LayerIO`` and
-    ``backward(cache, dy, *tensors)`` returns ``(dx, *tensor grads)``.
+    ``backward(cache, dy)`` returns ``(dx, *tensor grads)``: the cache holds
+    whatever of the tensors the gradients need.
     Kinds without passes are counted only (``add_skip`` is wiring in the
     executor).  A ``local`` kind computes each output pixel from its own
     input pixel (avgpool2: its aligned 2x2 cell), so a map of a whole frame
@@ -129,7 +130,7 @@ def _ops(module, op: str, params: Callable = _no_params, local: bool = False) ->
     def forward(x, *tensors):
         return getattr(module, forward_name)(x, *tensors)
 
-    def backward(cache, dy, *tensors):
+    def backward(cache, dy):
         out = getattr(module, backward_name)(cache, dy)
         return out if isinstance(out, tuple) else (out,)
 
@@ -444,7 +445,6 @@ def network_backward(net: Network, caches: list,
     One gradient walks the layers last to first; an ``add_skip`` parks it for
     its source layer to add once.  Each grad is the array its layer returns.
     """
-    params = net.parameters
     grads: dict[str, np.ndarray] = {}
     parked: dict[int, np.ndarray] = {}
     g = dlogits
@@ -457,7 +457,7 @@ def network_backward(net: Network, caches: list,
             parked[j] = parked[j] + g if j in parked else g
         else:
             kind, names = layer._runnable
-            g, *dparams = kind.backward(caches[idx], g, *[params[n] for n in names])
+            g, *dparams = kind.backward(caches[idx], g)
             grads.update(zip(names, dparams))
     return grads
 

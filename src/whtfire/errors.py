@@ -61,10 +61,6 @@ class BlockLargerThanImageError(WhtFireError, ValueError):
     """Block does not fit into the image even once."""
 
 
-class DegenerateGridError(WhtFireError, ValueError):
-    """Grid too small to form any 2x2 block window."""
-
-
 # -- data formats --------------------------------------------------------
 
 class BadMagicError(WhtFireError, ValueError):
@@ -114,7 +110,8 @@ class SizeTooLargeError(WhtFireError, ValueError):
 
 
 class TrainingDivergedError(WhtFireError):
-    """Training reached a non-finite loss; no checkpoint was written."""
+    """Training reached a non-finite loss or non-finite validation
+    probabilities; no checkpoint was written."""
 
 
 class NonFiniteScoreError(WhtFireError):

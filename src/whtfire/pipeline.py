@@ -34,7 +34,6 @@ from .dataio import (
     synth_dataset,
 )
 from .errors import (
-    DegenerateGridError,
     EmptyDatasetError,
     LengthNotPowerOfTwoError,
     NonFiniteScoreError,
@@ -45,7 +44,7 @@ from .errors import (
 )
 from .fwht import fwht, hadamard_matrix
 from .nn import SgdOptimizer, TrainConfig, softmax, softmax_cross_entropy
-from .tiling import GridSpec, render_overlay, score_grid, score_grid_json, whole_image_score
+from .tiling import render_overlay, score_grid, score_grid_json
 
 FINETUNE_LEARNING_RATE = 0.001
 VALIDATION_FRACTION = 0.2
@@ -54,6 +53,7 @@ EVAL_BATCH = 8  # samples per forward when evaluating
 MAX_BENCH_SIZE = 1 << 22
 NAIVE_BENCH_LIMIT = 1 << 12
 BENCH_RUNS = 5  # timed repetitions per size; the median is reported
+BENCH_RUN_SECONDS = 0.02  # each timed repetition loops the call for about this long
 
 
 # -- metrics -------------------------------------------------------------------
@@ -240,18 +240,23 @@ def _run_training(net: Network, manifest, config: TrainConfig, variant: str,
             for value, lower in bounded:
                 np.maximum(value, lower, out=value)
             losses.append(batch_losses)
-        # unchecked: a diverging run's probabilities are NaN, and its loss ends it below
-        val_metrics = compute_metrics(confusion_from_scores(
-            labels[val_idx], _fire_probabilities(net, images[val_idx])))
+        probs = _fire_probabilities(net, images[val_idx])
+        bad = int(np.sum(~np.isfinite(probs)))
         train_loss = float(np.mean(np.concatenate(losses))) if losses else None
-        diverged = train_loss is not None and not math.isfinite(train_loss)
+        loss_diverged = train_loss is not None and not math.isfinite(train_loss)
         record.epochs.append({
             "epoch": epoch,
-            "train_loss": None if diverged else train_loss,
-            "val": val_metrics.as_dict(),
+            "train_loss": None if loss_diverged else train_loss,
+            # a finite loss can still leave an overflowed network behind
+            "val": None if bad else compute_metrics(
+                confusion_from_scores(labels[val_idx], probs)).as_dict(),
         })
-        if diverged:
+        if loss_diverged:
             record.early_stop_reason = f"mean training loss {train_loss} in epoch {epoch}"
+        elif bad:
+            record.early_stop_reason = (
+                f"{bad} of {len(probs)} validation probabilities non-finite in epoch {epoch}")
+        if record.early_stop_reason is not None:
             break
     if record.early_stop_reason is not None:
         _write_run_json(record, out_dir)
@@ -302,12 +307,7 @@ def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
     """Score a full frame block-by-block; returns (ScoreGrid, detected)."""
     net = _as_network(net_or_checkpoint)
     image = ppm_read(image_path)
-    block = net.descriptor.input_size
-    spec = GridSpec(image.shape[0], image.shape[1], block, block)
-    try:
-        grid = score_grid(net, image, spec, threshold)
-    except DegenerateGridError:
-        grid = whole_image_score(net, image, spec, threshold)
+    grid = score_grid(net, image, threshold)
     if out_overlay is not None:
         Path(out_overlay).parent.mkdir(parents=True, exist_ok=True)
         ppm_write(render_overlay(image, grid, draw_scores), out_overlay)
@@ -377,12 +377,12 @@ def transfer_experiment(seed: int, workdir, *, variant: str = "wht",
 
 # -- benchmarking ------------------------------------------------------------------
 
-def _median_seconds(fun, target: float = 0.02) -> float:
+def _median_seconds(fun) -> float:
     fun()  # warm up caches before measuring
     t0 = time.perf_counter()
     fun()
     est = max(time.perf_counter() - t0, 1e-7)
-    reps = max(1, int(target / est))
+    reps = max(1, int(BENCH_RUN_SECONDS / est))
     samples = []
     for _ in range(BENCH_RUNS):
         t0 = time.perf_counter()

@@ -1,12 +1,14 @@
 """Block grid over high-resolution frames and 2x2-block window scoring.
 
-An image is cut into an R x C grid of fixed-size blocks (floor division;
-leftover pixels on the right/bottom are ignored).  Each interior block
-anchors a window made of itself plus its right, bottom, and bottom-right
-neighbours, giving (R-1)*(C-1) overlapping windows.  A window is mean-pooled
-2x2 back to block resolution before classification, by the same
-``nn.mean_pool`` that the network's avgpool2 layers run, and per-anchor
-scores are rendered as coloured block borders.
+An image is cut into an R x C grid of S x S blocks, where S is the
+network's input size (floor division; leftover pixels on the right/bottom
+are ignored).  Each interior block anchors a window made of itself plus its
+right, bottom, and bottom-right neighbours, giving (R-1)*(C-1) overlapping
+windows.  A window is mean-pooled 2x2 back to block resolution before
+classification, by the same ``nn.mean_pool`` that the network's avgpool2
+layers run, and per-anchor scores are rendered as coloured block borders.
+A grid with no 2x2 window (R or C is 1) is scored once instead, from its
+whole block area pooled down to one block, and marked ``fallback``.
 
 Scoring pools the R x C block area once: since every window starts on a
 block boundary, its pooled patch is a slice of the pooled frame.  When
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import Network, feature_map, feature_stride, forward_classify, head_classify
-from .errors import (BlockLargerThanImageError, DegenerateGridError, NonFiniteScoreError,
-                     ShapeMismatchError)
+from .errors import BlockLargerThanImageError, NonFiniteScoreError
 from .nn import mean_pool
 
 GREEN = (0.0, 1.0, 0.0)
@@ -35,39 +36,30 @@ RED = (1.0, 0.0, 0.0)
 BORDER_PX = 3
 
 
-def grid_dims(image_height: int, image_width: int,
-              block_height: int, block_width: int) -> tuple[int, int]:
-    """(R, C) block-row/column counts: exact floor division."""
-    if min(image_height, image_width, block_height, block_width) <= 0:
-        raise ValueError("all extents must be positive")
-    rows = image_height // block_height
-    cols = image_width // block_width
-    if rows == 0 or cols == 0:
-        raise BlockLargerThanImageError(
-            f"{block_height}x{block_width} block does not fit in "
-            f"{image_height}x{image_width} image"
-        )
-    return rows, cols
-
-
 @dataclass(frozen=True)
 class GridSpec:
+    """The R x C grid of square ``block`` x ``block`` blocks that fits in an image."""
+
     image_height: int
     image_width: int
-    block_height: int = 224
-    block_width: int = 224
+    block: int
 
     def __post_init__(self):
-        grid_dims(self.image_height, self.image_width,
-                  self.block_height, self.block_width)
+        if min(self.image_height, self.image_width, self.block) <= 0:
+            raise ValueError("all extents must be positive")
+        if self.rows == 0 or self.cols == 0:
+            raise BlockLargerThanImageError(
+                f"{self.block}x{self.block} block does not fit in "
+                f"{self.image_height}x{self.image_width} image"
+            )
 
     @property
     def rows(self) -> int:
-        return self.image_height // self.block_height
+        return self.image_height // self.block
 
     @property
     def cols(self) -> int:
-        return self.image_width // self.block_width
+        return self.image_width // self.block
 
 
 @dataclass
@@ -104,62 +96,47 @@ def downsample_window(window: np.ndarray) -> np.ndarray:
     return mean_pool(window, 2, 2)
 
 
-def score_grid(net: Network, image: np.ndarray, spec: GridSpec,
-               threshold: float = 0.5) -> ScoreGrid:
-    """Classify every 2x2-block window; scores land at their anchor index.
+def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> ScoreGrid:
+    """Classify every 2x2-block window of ``image``; scores land at their anchor index.
 
-    The R x C block area is pooled once with ``downsample_window``; window
-    (r, c) is the block-sized slice of it at offset (r*bh/2, c*bw/2).  Each
-    score equals ``forward_classify(net, downsample_window(window))[1]`` up
-    to float rounding.  Windows share the feature map (see the module
-    docstring) when ``arch.feature_stride`` allows it and the half-block
-    offsets are multiples of the stride; otherwise each slice is classified
-    on its own.
+    Blocks are the network's S x S input.  The R x C block area is pooled
+    once with ``downsample_window``; window (r, c) is the S x S slice of it
+    at offset (r*S/2, c*S/2).  Each score equals
+    ``forward_classify(net, downsample_window(window))[1]`` up to float
+    rounding.  Windows share the feature map (see the module docstring)
+    when ``arch.feature_stride`` allows it and S/2 is a multiple of the
+    stride; otherwise each slice is classified on its own.  A grid with no
+    2x2 window gives the 1x1 ``fallback`` grid: the block area mean-pooled
+    to one S x S patch and classified once.
     """
+    block = net.descriptor.input_size
+    spec = GridSpec(image.shape[0], image.shape[1], block)
     rows, cols = spec.rows, spec.cols
+    area = image[: rows * block, : cols * block]
     if rows < 2 or cols < 2:
-        raise DegenerateGridError(
-            f"grid {rows}x{cols} has no 2x2 window; need R >= 2 and C >= 2"
-        )
-    bh, bw = spec.block_height, spec.block_width
-    size = net.descriptor.input_size
-    if (bh, bw) != (size, size):
-        raise ShapeMismatchError(
-            f"{bh}x{bw} blocks do not match the {size}x{size} network input"
-        )
-    pooled = downsample_window(image[: rows * bh, : cols * bw])
-    hb, wb = bh // 2, bw // 2  # one block, in pooled pixels
+        score = forward_classify(net, mean_pool(area, rows, cols))[1]
+        return ScoreGrid(spec, np.array([[score]]), threshold, fallback=True)
+    pooled = downsample_window(area)
+    half = block // 2  # one block, in pooled pixels
     stride = feature_stride(net.descriptor)
-    if stride is None or hb % stride or wb % stride:
+    if stride is None or half % stride:
         scores = np.array([
-            [forward_classify(net, pooled[r * hb : r * hb + bh,
-                                          c * wb : c * wb + bw])[1]
+            [forward_classify(net, pooled[r * half : r * half + block,
+                                          c * half : c * half + block])[1]
              for c in range(cols - 1)]
             for r in range(rows - 1)
         ])
         return ScoreGrid(spec, scores, threshold)
-    fh, fw = hb // stride, wb // stride  # one block, in feature pixels
+    fb = half // stride  # one block, in feature pixels
     # one block row at a time bounds the transient feature maps
     sums = np.stack([
-        feature_map(net, pooled[None, r * hb : (r + 1) * hb])[0]
-        .reshape(fh, cols, fw, -1).sum(axis=(0, 2))
+        feature_map(net, pooled[None, r * half : (r + 1) * half])[0]
+        .reshape(fb, cols, fb, -1).sum(axis=(0, 2))
         for r in range(rows)
     ])
-    gap = (sums[:-1, :-1] + sums[:-1, 1:] + sums[1:, :-1] + sums[1:, 1:]) / (
-        4 * fh * fw
-    )
+    gap = (sums[:-1, :-1] + sums[:-1, 1:] + sums[1:, :-1] + sums[1:, 1:]) / (4 * fb * fb)
     probs = head_classify(net, gap.reshape((rows - 1) * (cols - 1), -1))
     return ScoreGrid(spec, probs[:, 1].reshape(rows - 1, cols - 1), threshold)
-
-
-def whole_image_score(net: Network, image: np.ndarray, spec: GridSpec,
-                      threshold: float = 0.5) -> ScoreGrid:
-    """Degenerate-grid fallback: pool the whole block area to one patch."""
-    rows, cols = spec.rows, spec.cols
-    crop = image[: rows * spec.block_height, : cols * spec.block_width]
-    patch = mean_pool(crop, rows, cols)
-    score = forward_classify(net, patch)[1]
-    return ScoreGrid(spec, np.array([[score]]), threshold, fallback=True)
 
 
 # 5x7 bitmap glyphs for burned-in probabilities.
@@ -198,32 +175,34 @@ def render_overlay(image: np.ndarray, grid: ScoreGrid,
                    draw_scores: bool = False) -> np.ndarray:
     """Copy of the image with a 3-pixel border per block.
 
-    Anchor blocks are coloured by their own window score (green below the
-    threshold, red at or above it); the last block row/column carries the
-    nearest anchor's colour but no burned-in score.  Pixels outside borders
-    (and optional score digits) are untouched.
+    Every block is coloured by its nearest anchor's window score (green
+    below the threshold, red at or above it), so the last block row/column
+    repeats its neighbour's colour; a fallback grid colours every block by
+    its one score.  ``draw_scores`` burns each anchor's score (every block's,
+    on a fallback grid) into its top-left corner in the block's colour.
+    Digits are drawn first and may spill right and down into later blocks,
+    whose borders then cover them, as drawing block by block would.  Pixels
+    outside borders and digits, and the residual margin, are untouched.
     """
     out = np.array(image, copy=True)
-    spec = grid.spec
-    bh, bw = spec.block_height, spec.block_width
+    spec, block = grid.spec, grid.spec.block
+    rows, cols = spec.rows, spec.cols
     n_r, n_c = grid.scores.shape
-    for r in range(spec.rows):
-        for c in range(spec.cols):
-            score = grid.scores[min(r, n_r - 1), min(c, n_c - 1)]
-            color = np.asarray(
-                RED if score >= grid.threshold else GREEN, dtype=out.dtype
-            )
-            y0, x0 = r * bh, c * bw
-            y1, x1 = y0 + bh, x0 + bw
-            out[y0 : y0 + BORDER_PX, x0:x1] = color
-            out[y1 - BORDER_PX : y1, x0:x1] = color
-            out[y0:y1, x0 : x0 + BORDER_PX] = color
-            out[y0:y1, x1 - BORDER_PX : x1] = color
-            is_anchor = grid.fallback or (r < n_r and c < n_c)
-            if draw_scores and is_anchor:
-                pixel = max(1, min(bh, bw) // 56)
-                _draw_text(out, y0 + 2 * BORDER_PX, x0 + 2 * BORDER_PX,
-                           f"{score:.2f}", color, pixel)
+    nearest = np.pad(grid.scores, ((0, rows - n_r), (0, cols - n_c)), mode="edge")
+    colors = np.where((nearest >= grid.threshold)[..., None],
+                      np.asarray(RED, dtype=out.dtype), np.asarray(GREEN, dtype=out.dtype))
+    if draw_scores:
+        pixel = max(1, block // 56)
+        for r, c in np.ndindex((rows, cols) if grid.fallback else (n_r, n_c)):
+            _draw_text(out, r * block + 2 * BORDER_PX, c * block + 2 * BORDER_PX,
+                       f"{nearest[r, c]:.2f}", colors[r, c], pixel)
+    # splitting both axes makes this a view: writes land in ``out``
+    blocks = out[: rows * block, : cols * block].reshape(rows, block, cols, block, -1)
+    strip = colors[:, None, :, None]
+    blocks[:, :BORDER_PX] = strip
+    blocks[:, -BORDER_PX:] = strip
+    blocks[:, :, :, :BORDER_PX] = strip
+    blocks[:, :, :, -BORDER_PX:] = strip
     return out
 
 
@@ -232,7 +211,7 @@ def score_grid_json(grid: ScoreGrid, image_path: str) -> dict:
     spec = grid.spec
     return {
         "image": image_path,
-        "block": [spec.block_height, spec.block_width],
+        "block": [spec.block, spec.block],
         "grid": [spec.rows, spec.cols],
         "threshold": grid.threshold,
         "fallback": grid.fallback,

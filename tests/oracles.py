@@ -2,17 +2,16 @@
 
 import numpy as np
 
-from whtfire.errors import (
-    DegenerateGridError,
-    LengthNotPowerOfTwoError,
-    ShapeMismatchError,
-    WhtFireError,
-)
-from whtfire.tiling import BORDER_PX
+from whtfire.errors import LengthNotPowerOfTwoError, ShapeMismatchError, WhtFireError
+from whtfire.tiling import BORDER_PX, GREEN, RED, _draw_text
 
 
 class LengthMismatchError(WhtFireError, ValueError):
     """Two sequences that must share a length do not."""
+
+
+class DegenerateGridError(WhtFireError, ValueError):
+    """Grid too small to form any 2x2 block window."""
 
 
 def dyadic_convolve_bruteforce(x, h) -> np.ndarray:
@@ -46,11 +45,11 @@ def extract_windows(image: np.ndarray, spec):
     rows, cols = spec.rows, spec.cols
     if rows < 2 or cols < 2:
         raise DegenerateGridError(f"grid {rows}x{cols} has no 2x2 window")
-    bh, bw = spec.block_height, spec.block_width
+    b = spec.block
     out = []
     for r in range(rows - 1):
         for c in range(cols - 1):
-            win = image[r * bh : (r + 2) * bh, c * bw : (c + 2) * bw]
+            win = image[r * b : (r + 2) * b, c * b : (c + 2) * b]
             out.append(((r, c), win))
     return out
 
@@ -58,16 +57,42 @@ def extract_windows(image: np.ndarray, spec):
 def border_mask(spec) -> np.ndarray:
     """Boolean (H, W) mask of all pixels any border may touch."""
     mask = np.zeros((spec.image_height, spec.image_width), dtype=bool)
-    bh, bw = spec.block_height, spec.block_width
+    b = spec.block
     for r in range(spec.rows):
         for c in range(spec.cols):
-            y0, x0 = r * bh, c * bw
-            y1, x1 = y0 + bh, x0 + bw
+            y0, x0 = r * b, c * b
+            y1, x1 = y0 + b, x0 + b
             mask[y0 : y0 + BORDER_PX, x0:x1] = True
             mask[y1 - BORDER_PX : y1, x0:x1] = True
             mask[y0:y1, x0 : x0 + BORDER_PX] = True
             mask[y0:y1, x1 - BORDER_PX : x1] = True
     return mask
+
+
+def render_overlay_per_block(image: np.ndarray, grid, draw_scores: bool = False) -> np.ndarray:
+    """The overlay drawn block by block: each block's borders, then its digits."""
+    out = np.array(image, copy=True)
+    spec = grid.spec
+    b = spec.block
+    n_r, n_c = grid.scores.shape
+    for r in range(spec.rows):
+        for c in range(spec.cols):
+            score = grid.scores[min(r, n_r - 1), min(c, n_c - 1)]
+            color = np.asarray(
+                RED if score >= grid.threshold else GREEN, dtype=out.dtype
+            )
+            y0, x0 = r * b, c * b
+            y1, x1 = y0 + b, x0 + b
+            out[y0 : y0 + BORDER_PX, x0:x1] = color
+            out[y1 - BORDER_PX : y1, x0:x1] = color
+            out[y0:y1, x0 : x0 + BORDER_PX] = color
+            out[y0:y1, x1 - BORDER_PX : x1] = color
+            is_anchor = grid.fallback or (r < n_r and c < n_c)
+            if draw_scores and is_anchor:
+                pixel = max(1, b // 56)
+                _draw_text(out, y0 + 2 * BORDER_PX, x0 + 2 * BORDER_PX,
+                           f"{score:.2f}", color, pixel)
+    return out
 
 
 def gradient_check(fun, x, analytic, epsilon: float = 1e-5) -> float:
@@ -132,7 +157,7 @@ def network_backward_pending(net, caches, dlogits) -> dict:
             pending[j] = pending.get(j, 0) + g
         else:
             kind, names = layer._runnable
-            dx, *dparams = kind.backward(caches[idx], g, *[params[n] for n in names])
+            dx, *dparams = kind.backward(caches[idx], g)
             for name, d in zip(names, dparams):
                 grads[name] += d
         if idx > 0:

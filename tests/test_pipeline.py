@@ -156,6 +156,23 @@ class TestDivergence:
         assert "epoch 1" in run["early_stop_reason"]
         assert run["final_checkpoint"] == ""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to nan
+    @pytest.mark.parametrize("lr,epochs", [(10.0, 2), (300.0, 1)])
+    def test_non_finite_validation_stops_without_checkpoint(self, tmp_path, lr, epochs):
+        # the loss stays finite while the updates overflow the network
+        man = synth_dataset(SynthConfig(seed=7, count_per_class=10, resolution=32,
+                                        smoke_contrast=0.8), tmp_path / "d")
+        cfg = TrainConfig(epochs=epochs, learning_rate=lr, seed=0)
+        with pytest.raises(TrainingDivergedError, match="4 of 4 validation probabilities"):
+            pipeline.train(man, "wht", cfg, tmp_path / "r")
+        assert not (tmp_path / "r" / "checkpoint.whtc").exists()
+        run = json.loads((tmp_path / "r" / "run.json").read_text())
+        last = run["epochs"][-1]
+        assert last["epoch"] == epochs and last["val"] is None
+        assert np.isfinite(last["train_loss"])
+        assert run["early_stop_reason"] == (
+            f"4 of 4 validation probabilities non-finite in epoch {epochs}")
+
 
 class TestFinetune:
     def test_zero_epochs_is_identity(self, small_dataset, tmp_path):
