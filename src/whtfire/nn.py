@@ -94,7 +94,7 @@ def pointwise_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
 
 def pointwise_backward(cache: tuple, dy: np.ndarray):
     x, w = cache
-    dw = np.tensordot(x, dy, axes=(list(range(x.ndim - 1)),) * 2)
+    dw = x.reshape(-1, w.shape[0]).T @ dy.reshape(-1, w.shape[1])
     dx = dy @ w.T
     return dx, dw
 

@@ -23,6 +23,7 @@ window's forward holds ~15 MiB, so larger batches raise the peak memory.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,19 +156,27 @@ _FONT = {
 }
 
 
+@functools.cache
+def _glyph(ch: str, pixel: int) -> np.ndarray | None:
+    """The boolean (7 * pixel, 5 * pixel) stamp of ``ch``, or None if unknown."""
+    rows = _FONT.get(ch)
+    if rows is None:
+        return None
+    bits = np.array([[bit == "1" for bit in row] for row in rows])
+    stamp = bits.repeat(pixel, axis=0).repeat(pixel, axis=1)
+    stamp.flags.writeable = False
+    return stamp
+
+
 def _draw_text(canvas: np.ndarray, y: int, x: int, text: str,
                color, pixel: int) -> None:
+    """Stamp ``text`` at (y, x), one masked write per glyph, clipped to the canvas."""
     col = np.asarray(color, dtype=canvas.dtype)
     for ch in text:
-        glyph = _FONT.get(ch)
-        if glyph is None:
-            x += 6 * pixel
-            continue
-        for gy, row in enumerate(glyph):
-            for gx, bit in enumerate(row):
-                if bit == "1":
-                    y0, x0 = y + gy * pixel, x + gx * pixel
-                    canvas[y0 : y0 + pixel, x0 : x0 + pixel] = col
+        stamp = _glyph(ch, pixel)
+        if stamp is not None:
+            region = canvas[y : y + stamp.shape[0], x : x + stamp.shape[1]]
+            region[stamp[: region.shape[0], : region.shape[1]]] = col
         x += 6 * pixel
 
 

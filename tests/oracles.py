@@ -3,7 +3,7 @@
 import numpy as np
 
 from whtfire.errors import LengthNotPowerOfTwoError, ShapeMismatchError, WhtFireError
-from whtfire.tiling import BORDER_PX, GREEN, RED, _draw_text
+from whtfire.tiling import _FONT, BORDER_PX, GREEN, RED
 
 
 class LengthMismatchError(WhtFireError, ValueError):
@@ -69,6 +69,23 @@ def border_mask(spec) -> np.ndarray:
     return mask
 
 
+def draw_text_per_pixel(canvas: np.ndarray, y: int, x: int, text: str,
+                        color, pixel: int) -> None:
+    """Burn ``text`` into ``canvas`` with one slice write per lit glyph pixel."""
+    col = np.asarray(color, dtype=canvas.dtype)
+    for ch in text:
+        glyph = _FONT.get(ch)
+        if glyph is None:
+            x += 6 * pixel
+            continue
+        for gy, row in enumerate(glyph):
+            for gx, bit in enumerate(row):
+                if bit == "1":
+                    y0, x0 = y + gy * pixel, x + gx * pixel
+                    canvas[y0 : y0 + pixel, x0 : x0 + pixel] = col
+        x += 6 * pixel
+
+
 def render_overlay_per_block(image: np.ndarray, grid, draw_scores: bool = False) -> np.ndarray:
     """The overlay drawn block by block: each block's borders, then its digits."""
     out = np.array(image, copy=True)
@@ -90,8 +107,8 @@ def render_overlay_per_block(image: np.ndarray, grid, draw_scores: bool = False)
             is_anchor = grid.fallback or (r < n_r and c < n_c)
             if draw_scores and is_anchor:
                 pixel = max(1, b // 56)
-                _draw_text(out, y0 + 2 * BORDER_PX, x0 + 2 * BORDER_PX,
-                           f"{score:.2f}", color, pixel)
+                draw_text_per_pixel(out, y0 + 2 * BORDER_PX, x0 + 2 * BORDER_PX,
+                                    f"{score:.2f}", color, pixel)
     return out
 
 

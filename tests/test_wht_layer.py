@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whtfire import arch, dataio
+from whtfire import arch, dataio, wht_layer
 from whtfire.errors import (
     CacheMissingError,
     ChannelCountNotPowerOfTwoError,
@@ -181,3 +181,89 @@ class TestParameterCount:
             assert conv == 9 * n * n
             assert one_layer_count("wht", n, True) < conv
             assert one_layer_count("wht", n) < conv
+
+
+CROSSOVER = wht_layer._PRODUCT_MAX_CHANNELS
+WIDTHS = (8, 64, CROSSOVER, 2 * CROSSOVER)
+
+
+def two_transform_formula(x, scale, dy):
+    """The threshold-free layer and its gradients written with fwht/ifwht."""
+    t = fwht(x, axis=-1)
+    g = ifwht(dy, axis=-1)
+    return ifwht(t * scale, axis=-1), fwht(g * scale, axis=-1), np.sum(g * t, axis=(0, 1, 2))
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestProductPath:
+    """Up to the crossover width the threshold-free layer is one N x N product."""
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lam", [None, np.array([0.0])])
+    def test_matches_the_two_transform_formula(self, n, lam):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(2, 3, 5, n))
+        dy = rng.normal(size=x.shape)
+        scale = rng.normal(size=n)
+        io = wht_layer_forward(x, scale, lam)
+        dx, dscale, *_ = wht_layer_backward(io.cache, dy)
+        want = two_transform_formula(x, scale, dy)
+        for got, expected in zip((io.output, dx, dscale), want):
+            assert got.dtype == np.float64
+            assert rel_err(got, expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", WIDTHS[:3])
+    def test_is_the_dyadic_convolution(self, n):
+        rng = np.random.default_rng(n + 1)
+        x = rng.normal(size=(1, 1, 2, n))
+        h = rng.normal(size=n)
+        out = wht_layer_forward(x, fwht(h)).output
+        for pos in np.ndindex(x.shape[:-1]):
+            oracle = dyadic_convolve_bruteforce(x[pos], h)
+            assert rel_err(out[pos], oracle) <= 1e-12
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lam", [None, np.array([0.5])])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf inside the transform
+    def test_non_finite_input_stays_non_finite_at_its_pixel(self, n, lam, bad):
+        rng = np.random.default_rng(n + 2)
+        x = rng.normal(size=(2, 2, 2, n))
+        x[1, 0, 1, n // 2] = bad
+        out = wht_layer_forward(x, rng.normal(size=n), lam).output
+        finite = np.isfinite(out).all(axis=-1)
+        assert not finite[1, 0, 1]
+        finite[1, 0, 1] = True
+        assert finite.all()
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lam", [None, np.array([0.5], np.float32)])
+    def test_float32_stays_float32(self, n, lam):
+        rng = np.random.default_rng(n + 3)
+        x = rng.normal(size=(1, 2, 2, n)).astype(np.float32)
+        scale = rng.normal(size=n).astype(np.float32)
+        io = wht_layer_forward(x, scale, lam)
+        grads = wht_layer_backward(io.cache, np.ones_like(io.output))
+        assert io.output.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lam", [None, np.array([0.5])])
+    def test_cache_is_checked(self, n, lam):
+        io = wht_layer_forward(np.ones((1, 2, 2, n)), np.ones(n), lam)
+        with pytest.raises(ShapeMismatchError):
+            wht_layer_backward(io.cache, np.ones((1, 2, 3, n)))
+        with pytest.raises(CacheMissingError):
+            wht_layer_backward(None, io.output)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lam", [None, np.array([0.5])])
+    def test_cache_holds_at_most_two_full_size_arrays(self, n, lam):
+        x = np.ones((1, 4, 4, n))
+        cache = wht_layer_forward(x, np.ones(n), lam).cache
+        full = [a for a in cache if isinstance(a, np.ndarray) and a.shape == x.shape]
+        product = lam is None and n <= CROSSOVER
+        assert len(full) == (1 if product else 2)
