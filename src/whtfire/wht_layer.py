@@ -30,12 +30,13 @@ from .nn import LayerIO
 # Widest channel count at which the threshold-free layer runs as one N x N
 # product.  The product costs N multiply-adds per element against the two
 # transforms' ~2 log2 N, but it is one BLAS call instead of a dozen numpy
-# passes.  Forward + backward of a (8, 32, 32, N) float32 map on a 2-vCPU
-# host (BENCH_wht_layer.json), transforms over product: 11x at N = 8, 9.8x
-# at 64, 1.9x at 256, 2.6x at 512, 1.3x at 1024 and 0.55x at 2048.  Not
-# 1024: building W costs N^3 per call, so a single 32 x 32 map at N = 1024
-# already ran 0.35-0.64x.
-_PRODUCT_MAX_CHANNELS = 512
+# passes; building W and H M costs ~3 N^3 per call whatever the map size.
+# Forward + backward in float32 on a 2-vCPU host (BENCH_wht_layer.json),
+# transforms over product: on (8, 32, 32, N) maps 11x at N = 8, 9.8x at 64
+# and 1.9-2.6x at 256-512.  On the smaller maps the toy net also runs, down
+# to one 8 x 8 map per sample, the product still wins >= 1.8x at N <= 64
+# but loses at N >= 128 (0.23-0.7x on one 8 x 8 map), so it stops at 64.
+_PRODUCT_MAX_CHANNELS = 64
 
 
 def _check_channels(x: np.ndarray, scale: np.ndarray) -> int:
