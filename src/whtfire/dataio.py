@@ -27,6 +27,7 @@ from .errors import (
     BadMagicError,
     CorruptFileError,
     ManifestError,
+    ShapeMismatchError,
     TensorShapeMismatchError,
     TruncatedFileError,
     UnsupportedMaxvalError,
@@ -40,7 +41,12 @@ CHECKPOINT_VERSION = 1
 # -- P6 pixmap codec ----------------------------------------------------------
 
 def ppm_read(path) -> np.ndarray:
-    """Read a binary P6 pixmap (maxval 255) as (H, W, 3) float64 in [0, 1]."""
+    """Read a binary P6 pixmap (maxval 255) as its (H, W, 3) uint8 bytes.
+
+    The array is a read-only view of the file's payload, not a copy:
+    callers scale it to floats (``u / 255.0``) on the arrays they need,
+    and ``tiling.render_overlay`` draws on a copy of it.
+    """
     raw = Path(path).read_bytes()
     if raw[:2] != b"P6":
         raise BadMagicError(f"{path}: expected P6 magic, got {raw[:2]!r}")
@@ -69,28 +75,32 @@ def ppm_read(path) -> np.ndarray:
         raise CorruptFileError(f"{path}: a {width}x{height} pixmap has no pixels")
     pos += 1  # single whitespace byte after maxval
     need = width * height * 3
-    data = raw[pos : pos + need]
-    if len(data) < need:
-        raise TruncatedFileError(
-            f"{path}: expected {need} pixel bytes, found {len(data)}"
-        )
-    img = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-    return img.astype(np.float64) / 255.0
+    found = max(len(raw) - pos, 0)
+    if found < need:
+        raise TruncatedFileError(f"{path}: expected {need} pixel bytes, found {found}")
+    # frombuffer with an offset views the payload; slicing ``raw`` would copy it
+    return np.frombuffer(raw, np.uint8, count=need, offset=pos).reshape(height, width, 3)
 
 
 def ppm_write(image: np.ndarray, path) -> None:
-    """Write (H, W, 3) values in [0, 1] as binary P6 with maxval 255."""
+    """Write an (H, W, 3) image as binary P6 with maxval 255.
+
+    uint8 input (a frame as ``ppm_read`` gives it) is written as is.  Any
+    other input holds values in [0, 1], as ``synth_image`` makes them, and
+    is written as ``clip(rint(image * 255), 0, 255)``.
+    """
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"expected an (H, W, 3) image, got {arr.shape}")
+        raise ShapeMismatchError(f"expected an (H, W, 3) image, got {arr.shape}")
     h, w = arr.shape[:2]
-    t = arr * 255.0
-    np.rint(t, out=t)
-    np.clip(t, 0, 255, out=t)
-    bytes_ = t.astype(np.uint8)
+    if arr.dtype != np.uint8:
+        t = arr * 255.0
+        np.rint(t, out=t)
+        np.clip(t, 0, 255, out=t)
+        arr = t.astype(np.uint8)
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(bytes_.tobytes())
+        f.write(np.ascontiguousarray(arr))
 
 
 # -- dataset manifests ----------------------------------------------------------

@@ -143,7 +143,7 @@ def load_dataset(manifest, net: Network):
             raise ShapeMismatchError(
                 f"{path}: {image.shape[1]}x{image.shape[0]} image, network input {size}x{size}"
             )
-        images[i] = image
+        images[i] = image / 255.0  # in float64, then cast to the net's dtype
     return images, manifest.labels()
 
 

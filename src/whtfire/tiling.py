@@ -1,5 +1,10 @@
 """Block grid over high-resolution frames and 2x2-block window scoring.
 
+A frame is the (H, W, 3) uint8 array that ``dataio.ppm_read`` gives, and
+stays bytes here: scoring pools the bytes and scales only the pooled,
+quarter-size array to [0, 1], and the overlay is drawn in byte colours on
+a copy of the frame.
+
 An image is cut into an R x C grid of S x S blocks, where S is the
 network's input size (floor division; leftover pixels on the right/bottom
 are ignored).  Each interior block anchors a window made of itself plus its
@@ -29,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import Network, feature_map, feature_stride, forward_classify, head_classify
-from .errors import BlockLargerThanImageError, NonFiniteScoreError
+from .errors import BlockLargerThanImageError, NonFiniteScoreError, ShapeMismatchError
 from .nn import mean_pool
 
-GREEN = (0.0, 1.0, 0.0)
-RED = (1.0, 0.0, 0.0)
+GREEN = (0, 255, 0)
+RED = (255, 0, 0)
 BORDER_PX = 3
 
 
@@ -47,7 +52,7 @@ class GridSpec:
 
     def __post_init__(self):
         if min(self.image_height, self.image_width, self.block) <= 0:
-            raise ValueError("all extents must be positive")
+            raise ShapeMismatchError("all extents must be positive")
         if self.rows == 0 or self.cols == 0:
             raise BlockLargerThanImageError(
                 f"{self.block}x{self.block} block does not fit in "
@@ -77,7 +82,7 @@ class ScoreGrid:
         else:
             expected = (self.spec.rows - 1, self.spec.cols - 1)
         if self.scores.shape != expected:
-            raise ValueError(
+            raise ShapeMismatchError(
                 f"scores shape {self.scores.shape} != expected {expected}"
             )
         bad = int(np.sum(~np.isfinite(self.scores)))
@@ -91,6 +96,13 @@ class ScoreGrid:
         return bool(np.any(self.scores >= self.threshold))
 
 
+def _check_frame(image: np.ndarray) -> None:
+    if image.dtype != np.uint8 or image.ndim != 3 or image.shape[2] != 3:
+        raise ShapeMismatchError(
+            f"expected an (H, W, 3) uint8 frame, got {image.dtype} {image.shape}"
+        )
+
+
 def downsample_window(window: np.ndarray) -> np.ndarray:
     """2x2 mean pooling (``nn.mean_pool``): a two-block-square window back
     to block resolution."""
@@ -98,26 +110,29 @@ def downsample_window(window: np.ndarray) -> np.ndarray:
 
 
 def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> ScoreGrid:
-    """Classify every 2x2-block window of ``image``; scores land at their anchor index.
+    """Classify every 2x2-block window of the byte frame ``image``; scores
+    land at their anchor index.
 
     Blocks are the network's S x S input.  The R x C block area is pooled
-    once with ``downsample_window``; window (r, c) is the S x S slice of it
-    at offset (r*S/2, c*S/2).  Each score equals
-    ``forward_classify(net, downsample_window(window))[1]`` up to float
-    rounding.  Windows share the feature map (see the module docstring)
+    once with ``downsample_window`` and divided by 255; window (r, c) is
+    the S x S slice of it at offset (r*S/2, c*S/2).  Each score equals
+    ``forward_classify(net, downsample_window(window / 255))[1]`` up to
+    float rounding.  Windows share the feature map (see the module docstring)
     when ``arch.feature_stride`` allows it and S/2 is a multiple of the
     stride; otherwise each slice is classified on its own.  A grid with no
     2x2 window gives the 1x1 ``fallback`` grid: the block area mean-pooled
     to one S x S patch and classified once.
     """
+    _check_frame(image)
     block = net.descriptor.input_size
     spec = GridSpec(image.shape[0], image.shape[1], block)
     rows, cols = spec.rows, spec.cols
     area = image[: rows * block, : cols * block]
     if rows < 2 or cols < 2:
-        score = forward_classify(net, mean_pool(area, rows, cols))[1]
+        score = forward_classify(net, mean_pool(area, rows, cols) / 255.0)[1]
         return ScoreGrid(spec, np.array([[score]]), threshold, fallback=True)
-    pooled = downsample_window(area)
+    pooled = downsample_window(area)  # float64: bytes pool exactly, then scale once
+    pooled /= 255.0
     half = block // 2  # one block, in pooled pixels
     stride = feature_stride(net.descriptor)
     if stride is None or half % stride:
@@ -169,20 +184,20 @@ def _glyph(ch: str, pixel: int) -> np.ndarray | None:
 
 
 def _draw_text(canvas: np.ndarray, y: int, x: int, text: str,
-               color, pixel: int) -> None:
-    """Stamp ``text`` at (y, x), one masked write per glyph, clipped to the canvas."""
-    col = np.asarray(color, dtype=canvas.dtype)
+               color: np.ndarray, pixel: int) -> None:
+    """Stamp ``text`` at (y, x) in the byte colour ``color``, one masked
+    write per glyph, clipped to the canvas."""
     for ch in text:
         stamp = _glyph(ch, pixel)
         if stamp is not None:
             region = canvas[y : y + stamp.shape[0], x : x + stamp.shape[1]]
-            region[stamp[: region.shape[0], : region.shape[1]]] = col
+            region[stamp[: region.shape[0], : region.shape[1]]] = color
         x += 6 * pixel
 
 
 def render_overlay(image: np.ndarray, grid: ScoreGrid,
                    draw_scores: bool = False) -> np.ndarray:
-    """Copy of the image with a 3-pixel border per block.
+    """Copy of the byte frame ``image`` with a 3-pixel border per block.
 
     Every block is coloured by its nearest anchor's window score (green
     below the threshold, red at or above it), so the last block row/column
@@ -193,13 +208,14 @@ def render_overlay(image: np.ndarray, grid: ScoreGrid,
     whose borders then cover them, as drawing block by block would.  Pixels
     outside borders and digits, and the residual margin, are untouched.
     """
+    _check_frame(image)
     out = np.array(image, copy=True)
     spec, block = grid.spec, grid.spec.block
     rows, cols = spec.rows, spec.cols
     n_r, n_c = grid.scores.shape
     nearest = np.pad(grid.scores, ((0, rows - n_r), (0, cols - n_c)), mode="edge")
     colors = np.where((nearest >= grid.threshold)[..., None],
-                      np.asarray(RED, dtype=out.dtype), np.asarray(GREEN, dtype=out.dtype))
+                      np.array(RED, np.uint8), np.array(GREEN, np.uint8))
     if draw_scores:
         pixel = max(1, block // 56)
         for r, c in np.ndindex((rows, cols) if grid.fallback else (n_r, n_c)):

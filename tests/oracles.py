@@ -87,17 +87,21 @@ def draw_text_per_pixel(canvas: np.ndarray, y: int, x: int, text: str,
 
 
 def render_overlay_per_block(image: np.ndarray, grid, draw_scores: bool = False) -> np.ndarray:
-    """The overlay drawn block by block: each block's borders, then its digits."""
+    """The overlay drawn block by block: each block's borders, then its digits.
+
+    A byte frame gets the byte colours ``RED``/``GREEN``; a float frame in
+    [0, 1] gets them divided by 255, as overlays were first drawn.
+    """
     out = np.array(image, copy=True)
+    unit = 1 if out.dtype == np.uint8 else 255
     spec = grid.spec
     b = spec.block
     n_r, n_c = grid.scores.shape
     for r in range(spec.rows):
         for c in range(spec.cols):
             score = grid.scores[min(r, n_r - 1), min(c, n_c - 1)]
-            color = np.asarray(
-                RED if score >= grid.threshold else GREEN, dtype=out.dtype
-            )
+            color = (np.array(RED if score >= grid.threshold else GREEN) / unit
+                     ).astype(out.dtype)
             y0, x0 = r * b, c * b
             y1, x1 = y0 + b, x0 + b
             out[y0 : y0 + BORDER_PX, x0:x1] = color

@@ -5,6 +5,7 @@ from whtfire import arch, dataio
 from whtfire.errors import (
     BadMagicError,
     ManifestError,
+    ShapeMismatchError,
     TensorShapeMismatchError,
     TruncatedFileError,
     UnsupportedMaxvalError,
@@ -17,8 +18,8 @@ class TestPpmCodec:
         p = tmp_path / "w.ppm"
         p.write_bytes(b"P6\n1 1\n255\n\xff\xff\xff")
         img = dataio.ppm_read(p)
-        assert img.shape == (1, 1, 3)
-        assert np.allclose(img, 1.0)
+        assert img.dtype == np.uint8 and img.shape == (1, 1, 3)
+        assert img.tolist() == [[[255, 255, 255]]]
 
     def test_roundtrip_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -46,11 +47,34 @@ class TestPpmCodec:
                 assert len(payload) == len(b"P6\n%d 1\n255\n" % img.shape[1]) + expected.size
 
     def test_values_scaled_to_unit_interval(self, tmp_path):
+        # the read keeps the payload bytes; scaling to [0, 1] is the caller's
         p = tmp_path / "g.ppm"
-        p.write_bytes(b"P6\n2 1\n255\n" + bytes([0, 0, 0, 128, 64, 255]))
+        payload = bytes([0, 0, 0, 128, 64, 255])
+        p.write_bytes(b"P6\n2 1\n255\n" + payload)
         img = dataio.ppm_read(p)
-        assert img.min() == 0.0 and img.max() == 1.0
-        assert abs(img[0, 1, 0] - 128 / 255) <= 1e-12
+        assert img.dtype == np.uint8 and img.shape == (1, 2, 3)
+        assert img.tobytes() == payload
+
+    def test_read_is_a_read_only_view(self, tmp_path):
+        p = tmp_path / "v.ppm"
+        p.write_bytes(b"P6\n1 2\n255\n" + bytes(range(6)))
+        img = dataio.ppm_read(p)
+        assert not img.flags.writeable
+        with pytest.raises(ValueError):
+            img[0, 0, 0] = 1
+
+    def test_uint8_roundtrip_keeps_the_bytes(self, tmp_path):
+        raw = b"P6\n7 13\n255\n" + np.random.default_rng(4).bytes(13 * 7 * 3)
+        a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
+        a.write_bytes(raw)
+        dataio.ppm_write(dataio.ppm_read(a), b)
+        assert b.read_bytes() == raw
+
+    def test_uint8_write_of_a_strided_view(self, tmp_path):
+        u = np.random.default_rng(5).integers(0, 256, (6, 10, 3), dtype=np.uint8)
+        p = tmp_path / "s.ppm"
+        dataio.ppm_write(u[::2, 1::3], p)
+        assert p.read_bytes() == b"P6\n3 3\n255\n" + u[::2, 1::3].tobytes()
 
     def test_header_comments_are_skipped(self, tmp_path):
         p = tmp_path / "c.ppm"
@@ -70,6 +94,14 @@ class TestPpmCodec:
         with pytest.raises(TruncatedFileError):
             dataio.ppm_read(p)
 
+    # the payload is read at an offset into the file, never past its end
+    @pytest.mark.parametrize("raw", [b"P6\n2 2\n255\n", b"P6\n2 2\n255"])
+    def test_no_payload(self, tmp_path, raw):
+        p = tmp_path / "t.ppm"
+        p.write_bytes(raw)
+        with pytest.raises(TruncatedFileError, match="found 0"):
+            dataio.ppm_read(p)
+
     def test_unsupported_maxval(self, tmp_path):
         p = tmp_path / "m.ppm"
         p.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
@@ -79,6 +111,8 @@ class TestPpmCodec:
     def test_write_rejects_non_rgb(self, tmp_path):
         with pytest.raises(ValueError):
             dataio.ppm_write(np.zeros((4, 4)), tmp_path / "x.ppm")
+        with pytest.raises(ShapeMismatchError):
+            dataio.ppm_write(np.zeros((4, 4, 4), np.uint8), tmp_path / "x.ppm")
 
 
 class TestManifest:

@@ -1,10 +1,19 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from whtfire import arch, pipeline
-from whtfire.dataio import SynthConfig, checkpoint_load, ppm_write, synth_dataset
+from whtfire.dataio import (
+    Manifest,
+    SynthConfig,
+    checkpoint_load,
+    ppm_read,
+    ppm_write,
+    save_manifest,
+    synth_dataset,
+)
 from whtfire.errors import (
     EmptyDatasetError,
     LengthNotPowerOfTwoError,
@@ -13,6 +22,7 @@ from whtfire.errors import (
     TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
+from oracles import render_overlay_per_block
 
 # Published evaluation rows (percent) for metric cross-checks:
 # (model, transfer, accuracy, precision, recall, f1, parameter count).
@@ -132,7 +142,6 @@ class TestTrain:
             pipeline.train(man, "wht", TrainConfig(epochs=1, seed=0), tmp_path / "r")
 
     def test_empty_manifest_rejected(self, tmp_path):
-        from whtfire.dataio import Manifest
         man = Manifest([], tmp_path)
         with pytest.raises(EmptyDatasetError):
             pipeline.train(man, "wht", TrainConfig(epochs=1, seed=0), tmp_path / "r")
@@ -307,6 +316,58 @@ class TestDetect:
             tmp_path / "two" / "o.ppm").read_bytes()
         assert (tmp_path / "one" / "s.json").read_bytes() == (
             tmp_path / "two" / "s.json").read_bytes()
+
+
+def _byte_frame(path, seed, h, w):
+    """Write a seeded (h, w, 3) byte frame; returns its bytes."""
+    u = np.random.default_rng(seed).integers(0, 256, (h, w, 3), dtype=np.uint8)
+    ppm_write(u, path)
+    return u
+
+
+class TestFramesStayBytes:
+    """``detect`` and ``load_dataset`` against the float-frame formulas they replace."""
+
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    @pytest.mark.parametrize("draw_scores", [False, True])
+    @pytest.mark.parametrize("h,w", [(100, 140), (40, 150)])  # a grid, a fallback row
+    def test_overlay_matches_the_float_frame_overlay(self, tmp_path, variant,
+                                                     draw_scores, h, w):
+        net = arch.build_toy_net(variant, 8, 32, seed=3)
+        u = _byte_frame(tmp_path / "frame.ppm", h * w, h, w)
+        grid, _ = pipeline.detect(net, tmp_path / "frame.ppm", 0.5,
+                                  out_overlay=tmp_path / "overlay.ppm",
+                                  draw_scores=draw_scores)
+        assert grid.fallback == (h < 64)
+        want = render_overlay_per_block(u / 255.0, grid, draw_scores)
+        want = np.clip(np.rint(want * 255.0), 0, 255).astype(np.uint8)
+        assert ppm_read(tmp_path / "overlay.ppm").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_dataset_scales_as_before(self, tmp_path, dtype):
+        frames = [_byte_frame(tmp_path / f"{i}.ppm", i, 32, 32) for i in range(3)]
+        manifest = Manifest([(f"{i}.ppm", i % 2) for i in range(3)], tmp_path)
+        save_manifest(manifest, tmp_path / "manifest.csv")
+        net = arch.build_toy_net("wht", 8, 32, dtype=dtype)
+        images, labels = pipeline.load_dataset(tmp_path / "manifest.csv", net)
+        want = np.stack([(u.astype(np.float64) / 255.0).astype(dtype) for u in frames])
+        assert images.dtype == dtype and np.array_equal(images, want)
+        assert labels.tolist() == [0, 1, 0]
+
+    # one 1080p detect, overlay and scores written; float64 frames peaked at 154 MiB
+    @pytest.mark.parametrize("variant,block", [("wht", 32), ("conv-baseline", 224)])
+    def test_1080p_detect_peak_memory(self, tmp_path, variant, block):
+        net = arch.build_toy_net(variant, 8, block, seed=1)
+        _byte_frame(tmp_path / "frame.ppm", 1080, 1080, 1920)
+        tracemalloc.start()
+        try:
+            pipeline.detect(net, tmp_path / "frame.ppm", 0.5,
+                            out_overlay=tmp_path / "overlay.ppm",
+                            out_json=tmp_path / "scores.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestBench:

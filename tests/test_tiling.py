@@ -6,9 +6,15 @@ from whtfire.errors import (
     BlockLargerThanImageError,
     NonFiniteScoreError,
     OddDimensionsError,
+    ShapeMismatchError,
 )
 from whtfire.nn import mean_pool
 from oracles import DegenerateGridError, border_mask, extract_windows, render_overlay_per_block
+
+
+def random_frame(seed, h, w):
+    """A seeded (h, w, 3) byte frame, as ``dataio.ppm_read`` gives one."""
+    return np.random.default_rng(seed).integers(0, 256, (h, w, 3), dtype=np.uint8)
 
 
 def dims(*args):
@@ -35,6 +41,9 @@ class TestGridDims:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             tiling.GridSpec(0, 10, 2)
+        for extents in ((10, 0, 2), (10, 10, -1)):
+            with pytest.raises(ShapeMismatchError):
+                tiling.GridSpec(*extents)
 
     def test_matches_integer_division_everywhere(self):
         rng = np.random.default_rng(0)
@@ -155,14 +164,14 @@ class TestScoreGrid:
 
     def test_constant_image_gives_identical_scores(self):
         net = self._net()
-        image = np.full((192, 320, 3), 0.4)
+        image = np.full((192, 320, 3), 102, np.uint8)
         grid = tiling.score_grid(net, image)
         assert grid.scores.shape == (5, 9)
         assert np.allclose(grid.scores, grid.scores[0, 0])
 
     def test_scores_are_probabilities(self):
         net = self._net()
-        image = np.random.default_rng(4).random((96, 128, 3))
+        image = random_frame(4, 96, 128)
         grid = tiling.score_grid(net, image)
         assert ((grid.scores >= 0) & (grid.scores <= 1)).all()
 
@@ -170,6 +179,21 @@ class TestScoreGrid:
         spec = tiling.GridSpec(96, 128, 32)
         with pytest.raises(ValueError):
             tiling.ScoreGrid(spec, np.zeros((3, 3)))
+        with pytest.raises(ShapeMismatchError):
+            tiling.ScoreGrid(spec, np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("image", [
+        np.full((96, 128, 3), 0.5),  # a float frame in [0, 1]
+        np.zeros((96, 128, 3), np.int64),
+        np.zeros((96, 128), np.uint8),
+        np.zeros((96, 128, 4), np.uint8),
+    ])
+    def test_only_byte_frames_accepted(self, image):
+        grid = tiling.ScoreGrid(tiling.GridSpec(96, 128, 32), np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatchError, match="uint8 frame"):
+            tiling.score_grid(self._net(), image)
+        with pytest.raises(ShapeMismatchError, match="uint8 frame"):
+            tiling.render_overlay(image, grid)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):
@@ -179,7 +203,7 @@ class TestScoreGrid:
 
     def test_whole_image_fallback(self):
         net = self._net()
-        image = np.random.default_rng(5).random((32, 160, 3))
+        image = random_frame(5, 32, 160)
         grid = tiling.score_grid(net, image)
         assert grid.fallback and grid.scores.shape == (1, 1)
         assert 0.0 <= grid.scores[0, 0] <= 1.0
@@ -188,18 +212,22 @@ class TestScoreGrid:
     @pytest.mark.parametrize("h,w", [(32, 160), (32, 32), (70, 41), (45, 200)])
     def test_fallback_is_the_block_area_pooled_to_one_patch(self, h, w):
         net = _random_head(arch.build_toy_net("wht", 8, 32, seed=1, dtype=np.float64), 2)
-        image = np.random.default_rng(h * w).random((h, w, 3))
+        image = random_frame(h * w, h, w)
         grid = tiling.score_grid(net, image, threshold=0.3)
         rows, cols = h // 32, w // 32
         area = image[: rows * 32, : cols * 32]
-        want = arch.forward_classify(net, mean_pool(area, rows, cols))[1]
+        want = arch.forward_classify(net, mean_pool(area, rows, cols) / 255.0)[1]
         assert grid.fallback and grid.threshold == 0.3
         assert (grid.spec.rows, grid.spec.cols) == (rows, cols)
         assert grid.scores.tolist() == [[want]]
+        # pooling the float frame u / 255 instead differs by float rounding only
+        first = arch.forward_classify(net, mean_pool(area / 255.0, rows, cols))[1]
+        assert abs(grid.scores[0, 0] - first) <= 1e-12
 
 
 def per_window_oracle(net, image, spec):
-    """Scores the way windows were first scored: pool each one, classify it."""
+    """Scores the way windows were first scored: pool each window of the
+    float frame ``image`` in [0, 1], classify it."""
     scores = np.zeros((spec.rows - 1, spec.cols - 1))
     for (r, c), win in extract_windows(image, spec):
         scores[r, c] = arch.forward_classify(net, tiling.downsample_window(win))[1]
@@ -226,17 +254,17 @@ class TestScoreGridEquivalence:
     def test_matches_per_window_oracle(self, variant, block, dtype):
         # 3 leftover rows at the bottom and 5 leftover columns on the right
         h, w = 3 * block + 3, 4 * block + 5
-        image = np.random.default_rng(block).random((h, w, 3))
+        image = random_frame(block, h, w)
         spec = tiling.GridSpec(h, w, block)
         net = _random_head(arch.build_toy_net(variant, 8, block, seed=7, dtype=dtype), 8)
         grid = tiling.score_grid(net, image)
-        oracle = per_window_oracle(net, image, spec)
+        oracle = per_window_oracle(net, image / 255.0, spec)
         assert grid.scores.shape == (2, 3)
         assert np.max(np.abs(grid.scores - oracle)) <= self.TOL[dtype]
         assert np.ptp(oracle) > 1e-3  # the windows really score differently
 
     def test_hard_threshold_bites(self):
-        image = np.random.default_rng(9).random((96, 128, 3))
+        image = random_frame(9, 96, 128)
         spec = tiling.GridSpec(96, 128, 32)
         net = _random_head(arch.build_toy_net(
             "wht", 8, 32, seed=9, dtype=np.float64, threshold_trainable=True,
@@ -246,7 +274,8 @@ class TestScoreGridEquivalence:
             net.parameters[f"wht{b}.lambda"][0] = 0.1
         grid = tiling.score_grid(net, image)
         assert np.max(np.abs(grid.scores - open_scores)) > 1e-6
-        assert np.max(np.abs(grid.scores - per_window_oracle(net, image, spec))) <= 1e-10
+        oracle = per_window_oracle(net, image / 255.0, spec)
+        assert np.max(np.abs(grid.scores - oracle)) <= 1e-10
 
     @pytest.mark.parametrize("variant,forwards", [("wht", 0), ("conv-baseline", 6)])
     def test_network_forward_calls(self, monkeypatch, variant, forwards):
@@ -260,7 +289,7 @@ class TestScoreGridEquivalence:
         monkeypatch.setattr(arch, "network_forward", counting)
         net = arch.build_toy_net(variant, 8, 32, seed=0)
         # 32 px blocks: (R-1)(C-1) = 2 * 3 windows
-        tiling.score_grid(net, np.full((96, 128, 3), 0.3))
+        tiling.score_grid(net, np.full((96, 128, 3), 77, np.uint8))
         assert len(calls) == forwards
 
 
@@ -271,21 +300,21 @@ class TestRenderOverlay:
 
     def test_all_clear_is_all_green(self):
         grid = self._grid(np.zeros((2, 3)))
-        image = np.full((24, 32, 3), 0.5)
+        image = np.full((24, 32, 3), 128, np.uint8)
         out = tiling.render_overlay(image, grid)
         mask = border_mask(grid.spec)
-        assert np.allclose(out[mask], [0.0, 1.0, 0.0])
+        assert out.dtype == np.uint8 and (out[mask] == [0, 255, 0]).all()
 
     def test_all_fire_is_all_red(self):
         grid = self._grid(np.ones((2, 3)))
-        image = np.full((24, 32, 3), 0.5)
+        image = np.full((24, 32, 3), 128, np.uint8)
         out = tiling.render_overlay(image, grid)
         mask = border_mask(grid.spec)
-        assert np.allclose(out[mask], [1.0, 0.0, 0.0])
+        assert out.dtype == np.uint8 and (out[mask] == [255, 0, 0]).all()
 
     def test_pixels_outside_borders_untouched(self):
         rng = np.random.default_rng(6)
-        image = rng.random((24, 32, 3))
+        image = random_frame(6, 24, 32)
         grid = self._grid(rng.random((2, 3)))
         out = tiling.render_overlay(image, grid)
         mask = border_mask(grid.spec)
@@ -293,7 +322,7 @@ class TestRenderOverlay:
 
     def test_residual_margin_untouched(self):
         rng = np.random.default_rng(7)
-        image = rng.random((27, 35, 3))  # 3 extra rows, 3 extra cols
+        image = random_frame(7, 27, 35)  # 3 extra rows, 3 extra cols
         spec = tiling.GridSpec(27, 35, 8)
         grid = tiling.ScoreGrid(spec, rng.random((2, 3)))
         out = tiling.render_overlay(image, grid)
@@ -301,7 +330,7 @@ class TestRenderOverlay:
         assert np.array_equal(out[:, 32:], image[:, 32:])
 
     def test_burned_in_scores_touch_block_interiors(self):
-        image = np.full((24, 32, 3), 0.5)
+        image = np.full((24, 32, 3), 128, np.uint8)
         grid = self._grid(np.full((2, 3), 0.75))
         plain = tiling.render_overlay(image, grid, draw_scores=False)
         digits = tiling.render_overlay(image, grid, draw_scores=True)
@@ -313,14 +342,15 @@ class TestRenderOverlay:
         scores = np.array([[0.2, 0.9, 0.2]])
         spec = tiling.GridSpec(16, 32, 8)
         grid = tiling.ScoreGrid(spec, scores)
-        out = tiling.render_overlay(np.zeros((16, 32, 3)), grid)
-        assert np.allclose(out[0, 0], [0.0, 1.0, 0.0])     # block (0,0): 0.2
-        assert np.allclose(out[0, 8], [1.0, 0.0, 0.0])     # block (0,1): 0.9
+        out = tiling.render_overlay(np.zeros((16, 32, 3), np.uint8), grid)
+        assert out[0, 0].tolist() == [0, 255, 0]     # block (0,0): 0.2
+        assert out[0, 8].tolist() == [255, 0, 0]     # block (0,1): 0.9
         # last column inherits the nearest anchor score (0.2 -> green)
-        assert np.allclose(out[0, 31], [0.0, 1.0, 0.0])
+        assert out[0, 31].tolist() == [0, 255, 0]
 
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    # a writable frame, and a read-only one as ``dataio.ppm_read`` gives
+    @pytest.mark.parametrize("writeable", [True, False])
     @pytest.mark.parametrize("draw_scores", [False, True])
     @pytest.mark.parametrize("block,h,w,fallback_score", [
         (8, 43, 61, None),  # digits spill over the borders of later blocks
@@ -331,7 +361,8 @@ class TestRenderOverlay:
         (64, 200, 300, None),
         (224, 450, 700, None),
     ])
-    def test_matches_per_block_oracle(self, block, h, w, fallback_score, draw_scores, dtype):
+    def test_matches_per_block_oracle(self, block, h, w, fallback_score, draw_scores,
+                                      writeable):
         rng = np.random.default_rng([block, h, w])
         spec = tiling.GridSpec(h, w, block)
         if fallback_score is None:
@@ -340,12 +371,13 @@ class TestRenderOverlay:
             grid = tiling.ScoreGrid(spec, scores)
         else:
             grid = tiling.ScoreGrid(spec, [[fallback_score]], fallback=True)
-        image = rng.random((h, w, 3)).astype(dtype)
+        image = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        image.flags.writeable = writeable
         out = tiling.render_overlay(image, grid, draw_scores)
         want = render_overlay_per_block(image, grid, draw_scores)
-        assert out.dtype == want.dtype == dtype
+        assert out.dtype == want.dtype == np.uint8
         assert out.tobytes() == want.tobytes()
-        assert not np.shares_memory(out, image)
+        assert not np.shares_memory(out, image) and out.flags.writeable
 
 
 class TestScoreGridJson:
