@@ -189,7 +189,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_detect(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid, detected = pipeline.detect(
         args.checkpoint, args.image, args.tau,
         out_overlay=out_dir / "overlay.ppm",

@@ -1,6 +1,11 @@
 """Bit-exact file formats: P6 pixmaps, CSV manifests, binary checkpoints,
 and a seeded synthetic smoke/background image generator.
 
+A frame is an (H, W, 3) uint8 array on both sides of a pixmap file:
+``ppm_read`` gives one, ``ppm_write`` takes only one, and ``synth_dataset``
+turns ``synth_image``'s [0, 1] floats into one.  ``_check_frame`` is the one
+test of that form, shared by ``ppm_write`` and ``tiling``.
+
 Every writer is deterministic: identical inputs produce identical bytes.
 No payload carries timestamps; checkpoint metadata holds only
 caller-supplied fields.
@@ -82,24 +87,19 @@ def ppm_read(path) -> np.ndarray:
     return np.frombuffer(raw, np.uint8, count=need, offset=pos).reshape(height, width, 3)
 
 
-def ppm_write(image: np.ndarray, path) -> None:
-    """Write an (H, W, 3) image as binary P6 with maxval 255.
+def _check_frame(image: np.ndarray) -> None:
+    if image.dtype != np.uint8 or image.ndim != 3 or image.shape[2] != 3:
+        raise ShapeMismatchError(
+            f"expected an (H, W, 3) uint8 frame, got {image.dtype} {image.shape}"
+        )
 
-    uint8 input (a frame as ``ppm_read`` gives it) is written as is.  Any
-    other input holds values in [0, 1], as ``synth_image`` makes them, and
-    is written as ``clip(rint(image * 255), 0, 255)``.
-    """
+
+def ppm_write(image: np.ndarray, path) -> None:
+    """Write an (H, W, 3) uint8 frame as binary P6 with maxval 255."""
     arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ShapeMismatchError(f"expected an (H, W, 3) image, got {arr.shape}")
-    h, w = arr.shape[:2]
-    if arr.dtype != np.uint8:
-        t = arr * 255.0
-        np.rint(t, out=t)
-        np.clip(t, 0, 255, out=t)
-        arr = t.astype(np.uint8)
+    _check_frame(arr)
     with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
+        f.write(b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
         f.write(np.ascontiguousarray(arr))
 
 
@@ -229,7 +229,8 @@ def synth_dataset(config: SynthConfig, out_dir) -> Manifest:
     for label, prefix in ((0, "bg"), (1, "smoke")):
         for i in range(config.count_per_class):
             rel = f"{prefix}_{i:04d}.ppm"
-            ppm_write(synth_image(config, i, label), out_dir / rel)
+            unit = synth_image(config, i, label)  # already clipped to [0, 1]
+            ppm_write(np.rint(unit * 255.0).astype(np.uint8), out_dir / rel)
             entries.append((rel, label))
     manifest = Manifest(entries, out_dir)
     save_manifest(manifest, out_dir / "manifest.csv")

@@ -207,9 +207,10 @@ def _write_run_json(record: RunRecord, out_dir: Path) -> None:
     (out_dir / "run.json").write_text(text + "\n")
 
 
-def _run_training(net: Network, manifest, config: TrainConfig, variant: str,
-                  out_dir: Path, frozen: frozenset[str] = frozenset(),
+def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
+                  frozen: frozenset[str] = frozenset(),
                   transfer_source: str | None = None):
+    variant = ARCH_NAME_TO_VARIANT[net.descriptor.name]
     images, labels = load_dataset(manifest, net)
     both = set(np.unique(labels))
     if both != {0, 1}:
@@ -242,8 +243,9 @@ def _run_training(net: Network, manifest, config: TrainConfig, variant: str,
             losses.append(batch_losses)
         probs = _fire_probabilities(net, images[val_idx])
         bad = int(np.sum(~np.isfinite(probs)))
-        train_loss = float(np.mean(np.concatenate(losses))) if losses else None
-        loss_diverged = train_loss is not None and not math.isfinite(train_loss)
+        # both classes make N >= 2, so n_val < N and every epoch has a batch
+        train_loss = float(np.mean(np.concatenate(losses)))
+        loss_diverged = not math.isfinite(train_loss)
         record.epochs.append({
             "epoch": epoch,
             "train_loss": None if loss_diverged else train_loss,
@@ -286,7 +288,7 @@ def train(manifest, variant: str, config: TrainConfig, out_dir, *,
     """Train a toy variant from scratch; returns (RunRecord, Network, path)."""
     net = build_toy_net(variant, width, input_size, seed=config.seed,
                         dtype=dtype, threshold_trainable=threshold_trainable)
-    return _run_training(net, manifest, config, variant, Path(out_dir))
+    return _run_training(net, manifest, config, Path(out_dir))
 
 
 def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
@@ -294,28 +296,27 @@ def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
     """Continue training, on a new manifest, whichever network the checkpoint holds."""
     net = checkpoint_load(source_checkpoint)
     frozen = frozenset({"stem.weight"}) if freeze_stem else frozenset()
-    return _run_training(
-        net, manifest, config, ARCH_NAME_TO_VARIANT[net.descriptor.name], Path(out_dir),
-        frozen=frozen, transfer_source=str(source_checkpoint),
-    )
+    return _run_training(net, manifest, config, Path(out_dir), frozen=frozen,
+                         transfer_source=str(source_checkpoint))
 
 
 # -- detection -----------------------------------------------------------------
 
-def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
-           out_overlay=None, out_json=None, draw_scores: bool = False):
-    """Score a full frame block-by-block; returns (ScoreGrid, detected)."""
+def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD, *,
+           out_overlay, out_json, draw_scores: bool = False):
+    """Score a full frame block-by-block, then always write both the overlay
+    and the scores JSON, creating their directories; returns (ScoreGrid, detected).
+
+    Nothing is written if scoring raises.  ``tiling.score_grid`` only scores.
+    """
     net = _as_network(net_or_checkpoint)
     image = ppm_read(image_path)
     grid = score_grid(net, image, threshold)
-    if out_overlay is not None:
-        Path(out_overlay).parent.mkdir(parents=True, exist_ok=True)
-        ppm_write(render_overlay(image, grid, draw_scores), out_overlay)
-    if out_json is not None:
-        out_json = Path(out_json)
-        out_json.parent.mkdir(parents=True, exist_ok=True)
-        payload = score_grid_json(grid, str(image_path))
-        out_json.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    Path(out_overlay).parent.mkdir(parents=True, exist_ok=True)
+    ppm_write(render_overlay(image, grid, draw_scores), out_overlay)
+    Path(out_json).parent.mkdir(parents=True, exist_ok=True)
+    payload = score_grid_json(grid, str(image_path))
+    Path(out_json).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return grid, grid.any_detection
 
 

@@ -1,7 +1,7 @@
 """Block grid over high-resolution frames and 2x2-block window scoring.
 
-A frame is the (H, W, 3) uint8 array that ``dataio.ppm_read`` gives, and
-stays bytes here: scoring pools the bytes and scales only the pooled,
+A frame is the (H, W, 3) uint8 array of ``dataio`` (see its docstring),
+and stays bytes here: scoring pools the bytes and scales only the pooled,
 quarter-size array to [0, 1], and the overlay is drawn in byte colours on
 a copy of the frame.
 
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import Network, feature_map, feature_stride, forward_classify, head_classify
+from .dataio import _check_frame
 from .errors import BlockLargerThanImageError, NonFiniteScoreError, ShapeMismatchError
 from .nn import mean_pool
 
@@ -94,13 +95,6 @@ class ScoreGrid:
     @property
     def any_detection(self) -> bool:
         return bool(np.any(self.scores >= self.threshold))
-
-
-def _check_frame(image: np.ndarray) -> None:
-    if image.dtype != np.uint8 or image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeMismatchError(
-            f"expected an (H, W, 3) uint8 frame, got {image.dtype} {image.shape}"
-        )
 
 
 def downsample_window(window: np.ndarray) -> np.ndarray:

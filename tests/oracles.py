@@ -40,6 +40,11 @@ def dyadic_convolve_bruteforce(x, h) -> np.ndarray:
     return y
 
 
+def unit_to_bytes(x) -> np.ndarray:
+    """Values in [0, 1] as the bytes ``clip(rint(x * 255), 0, 255)``."""
+    return np.clip(np.rint(np.asarray(x) * 255.0), 0, 255).astype(np.uint8)
+
+
 def extract_windows(image: np.ndarray, spec):
     """All ((r, c), window) pairs; window (r, c) covers blocks (r..r+1, c..c+1)."""
     rows, cols = spec.rows, spec.cols

@@ -5,11 +5,13 @@ import struct
 import numpy as np
 import pytest
 
-from whtfire import arch, dataio
+from whtfire import arch, dataio, pipeline
 from whtfire.cli import EXIT_DATA, EXIT_DETECTED, EXIT_OK, EXIT_USAGE, _build_parser, main
 from whtfire.dataio import ppm_write
 from whtfire.errors import ArchMismatchError
 from whtfire.fwht import fwht
+from whtfire.nn import TrainConfig
+from oracles import unit_to_bytes
 
 
 @pytest.fixture()
@@ -86,7 +88,7 @@ class TestTrainEvalDetect:
         assert set(payload["metrics"]) >= {"accuracy", "precision", "recall", "f1"}
 
         frame = tmp_path / "frame.ppm"
-        ppm_write(np.random.default_rng(1).random((96, 128, 3)), frame)
+        ppm_write(unit_to_bytes(np.random.default_rng(1).random((96, 128, 3))), frame)
         rc = main([
             "--out-dir", str(tmp_path / "det"),
             "detect", "--checkpoint", str(ckpt), "--image", str(frame),
@@ -102,6 +104,18 @@ class TestTrainEvalDetect:
         scores = json.loads((tmp_path / "det2" / "scores.json").read_text())
         assert scores["grid"] == [3, 4]
         assert (tmp_path / "det2" / "overlay.ppm").exists()
+
+    def test_precision_f64_trains_in_float64(self, dataset_dir, tmp_path):
+        manifest = dataset_dir / "manifest.csv"
+        for precision in ("f32", "f64"):
+            assert main(["--seed", "3", "--precision", precision,
+                         "--out-dir", str(tmp_path / precision),
+                         "train", "--manifest", str(manifest), "--epochs", "2"]) == EXIT_OK
+        _, _, ckpt = pipeline.train(manifest, "wht", TrainConfig(epochs=2, seed=3),
+                                    tmp_path / "lib", dtype=np.float64)
+        f32, f64 = (tmp_path / p / "checkpoint.whtc" for p in ("f32", "f64"))
+        assert f64.read_bytes() == ckpt.read_bytes()
+        assert f64.read_bytes() != f32.read_bytes()
 
     def test_finetune_cycle(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.csv"
@@ -179,7 +193,7 @@ class TestExitCodes:
                            "--manifest", str(dataset_dir / "manifest.csv")]
         if args[0] == "train":
             if "mixed.csv" in args:  # one 16 px image among the 32 px ones
-                ppm_write(np.zeros((16, 16, 3)), dataset_dir / "small.ppm")
+                ppm_write(unit_to_bytes(np.zeros((16, 16, 3))), dataset_dir / "small.ppm")
                 (dataset_dir / "mixed.csv").write_text(
                     (dataset_dir / "manifest.csv").read_text() + "small.ppm,1\n")
                 args = args[:-1] + [str(dataset_dir / "mixed.csv")]
@@ -210,7 +224,8 @@ class TestExitCodes:
             if image.name in self.INPUTS:
                 image.write_bytes(self.INPUTS[image.name])
             else:
-                ppm_write(np.random.default_rng(2).random((64, 96, 3)), image)
+                ppm_write(unit_to_bytes(np.random.default_rng(2).random((64, 96, 3))),
+                          image)
             args = ["detect", "--checkpoint", str(ckpt), "--image", str(image)]
         if args[0] == "eval":
             manifest = dataset_dir / "manifest.csv"
@@ -234,7 +249,7 @@ class TestDetectErrors:
     @pytest.fixture()
     def frame(self, tmp_path):
         path = tmp_path / "frame.ppm"
-        ppm_write(np.random.default_rng(2).random((64, 96, 3)), path)
+        ppm_write(unit_to_bytes(np.random.default_rng(2).random((64, 96, 3))), path)
         return path
 
     def _detect(self, tmp_path, ckpt, frame, *extra):

@@ -11,6 +11,7 @@ from whtfire.errors import (
     UnsupportedMaxvalError,
     VersionMismatchError,
 )
+from oracles import unit_to_bytes
 
 
 class TestPpmCodec:
@@ -25,26 +26,17 @@ class TestPpmCodec:
         rng = np.random.default_rng(0)
         img = rng.random((13, 7, 3))
         a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
-        dataio.ppm_write(img, a)
+        dataio.ppm_write(unit_to_bytes(img), a)
         dataio.ppm_write(dataio.ppm_read(a), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_write_bytes_match_clip_of_rint(self, tmp_path):
-        # out-of-range values and .5 rounding boundaries (rint rounds half to even)
-        edges = np.array([-0.7, -1e-9, 0.0, 1.0, 1.0 + 1e-9, 1.3, 7.0])
-        halves = (np.arange(256) + 0.5) / 255.0
-        rng = np.random.default_rng(3)
-        for arr in (np.concatenate([edges, halves, rng.normal(0.5, 0.6, 257)]),
-                    np.arange(-3.5, 260.0) / 255.0):
-            img = arr[: arr.size // 3 * 3].reshape(1, -1, 3)
-            for dtype in (np.float64, np.float32):
-                typed = img.astype(dtype)
-                p = tmp_path / "x.ppm"
-                dataio.ppm_write(typed, p)
-                expected = np.clip(np.rint(typed * 255.0), 0, 255).astype(np.uint8)
-                payload = p.read_bytes()
-                assert payload[-expected.size :] == expected.tobytes()
-                assert len(payload) == len(b"P6\n%d 1\n255\n" % img.shape[1]) + expected.size
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_write_rejects_float_frames(self, tmp_path, dtype):
+        # floats in [0, 1] are the caller's to turn into bytes (synth_dataset does)
+        p = tmp_path / "x.ppm"
+        with pytest.raises(ShapeMismatchError, match=r"uint8 frame, got float"):
+            dataio.ppm_write(np.full((2, 3, 3), 0.5, dtype), p)
+        assert not p.exists()
 
     def test_values_scaled_to_unit_interval(self, tmp_path):
         # the read keeps the payload bytes; scaling to [0, 1] is the caller's
@@ -157,6 +149,18 @@ class TestSynthDataset:
             assert (tmp_path / "a" / rel).read_bytes() == (
                 tmp_path / "b" / rel_b
             ).read_bytes()
+
+    @pytest.mark.parametrize("seed,resolution,contrast",
+                             [(0, 32, 0.0), (3, 64, 0.4), (7, 16, 0.9)])
+    def test_files_are_the_bytes_of_synth_image(self, tmp_path, seed, resolution,
+                                                contrast):
+        cfg = dataio.SynthConfig(seed=seed, count_per_class=3, resolution=resolution,
+                                 smoke_contrast=contrast)
+        man = dataio.synth_dataset(cfg, tmp_path)
+        header = b"P6\n%d %d\n255\n" % (resolution, resolution)
+        for i, (rel, label) in enumerate(man.entries):
+            want = unit_to_bytes(dataio.synth_image(cfg, i % 3, label))
+            assert (tmp_path / rel).read_bytes() == header + want.tobytes()
 
     def test_counts_and_balance(self, tmp_path):
         cfg = dataio.SynthConfig(seed=1, count_per_class=100, resolution=8)

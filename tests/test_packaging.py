@@ -5,6 +5,7 @@ import tomllib
 from pathlib import Path
 
 import numpy as np
+from oracles import unit_to_bytes
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -42,7 +43,7 @@ def test_benchmark_entry_points(tmp_path):
                            {"variant": "conv-baseline"}, detector)
     pixels = np.random.default_rng(1).random((96, 128, 3))
     frame = tmp_path / "frame.ppm"
-    dataio.ppm_write(pixels, frame)
+    dataio.ppm_write(unit_to_bytes(pixels), frame)
     grid, detected = pipeline.detect(detector, frame, out_overlay=tmp_path / "overlay.ppm",
                                      out_json=tmp_path / "scores.json")
     assert grid.scores.shape == (2, 3) and not grid.fallback and isinstance(detected, bool)

@@ -22,7 +22,7 @@ from whtfire.errors import (
     TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
-from oracles import render_overlay_per_block
+from oracles import render_overlay_per_block, unit_to_bytes
 
 # Published evaluation rows (percent) for metric cross-checks:
 # (model, transfer, accuracy, precision, recall, f1, parameter count).
@@ -261,7 +261,7 @@ class TestDetect:
         net, ckpt = self._trained(small_dataset, tmp_path)
         image = np.random.default_rng(0).random((192, 320, 3))
         img_path = tmp_path / "frame.ppm"
-        ppm_write(image, img_path)
+        ppm_write(unit_to_bytes(image), img_path)
         grid, detected = pipeline.detect(
             ckpt, img_path, 0.5,
             out_overlay=tmp_path / "overlay.ppm",
@@ -277,8 +277,9 @@ class TestDetect:
         net, ckpt = self._trained(small_dataset, tmp_path)
         image = np.random.default_rng(1).random((32, 32, 3))
         img_path = tmp_path / "tiny.ppm"
-        ppm_write(image, img_path)
+        ppm_write(unit_to_bytes(image), img_path)
         grid, _ = pipeline.detect(ckpt, img_path, 0.5,
+                                  out_overlay=tmp_path / "fb.ppm",
                                   out_json=tmp_path / "fb.json")
         assert grid.fallback
         payload = json.loads((tmp_path / "fb.json").read_text())
@@ -289,16 +290,20 @@ class TestDetect:
         net, ckpt = self._trained(small_dataset, tmp_path)
         image = np.random.default_rng(2).random((32, 160, 3))
         img_path = tmp_path / "strip.ppm"
-        ppm_write(image, img_path)
-        grid, _ = pipeline.detect(ckpt, img_path, 0.5)
+        ppm_write(unit_to_bytes(image), img_path)
+        grid, _ = pipeline.detect(ckpt, img_path, 0.5,
+                                  out_overlay=tmp_path / "o.ppm",
+                                  out_json=tmp_path / "s.json")
         assert grid.fallback and grid.scores.shape == (1, 1)
 
     def test_threshold_one_never_detects(self, small_dataset, tmp_path):
         net, ckpt = self._trained(small_dataset, tmp_path)
         image = np.random.default_rng(3).random((96, 96, 3))
         img_path = tmp_path / "f.ppm"
-        ppm_write(image, img_path)
-        grid, detected = pipeline.detect(ckpt, img_path, threshold=1.0)
+        ppm_write(unit_to_bytes(image), img_path)
+        grid, detected = pipeline.detect(ckpt, img_path, threshold=1.0,
+                                         out_overlay=tmp_path / "o.ppm",
+                                         out_json=tmp_path / "s.json")
         assert (grid.scores < 1.0).all()
         assert detected is False
 
@@ -306,7 +311,7 @@ class TestDetect:
         net, ckpt = self._trained(small_dataset, tmp_path)
         image = np.random.default_rng(4).random((96, 128, 3))
         img_path = tmp_path / "g.ppm"
-        ppm_write(image, img_path)
+        ppm_write(unit_to_bytes(image), img_path)
         for d in ("one", "two"):
             pipeline.detect(ckpt, img_path, 0.5,
                             out_overlay=tmp_path / d / "o.ppm",
@@ -337,10 +342,10 @@ class TestFramesStayBytes:
         u = _byte_frame(tmp_path / "frame.ppm", h * w, h, w)
         grid, _ = pipeline.detect(net, tmp_path / "frame.ppm", 0.5,
                                   out_overlay=tmp_path / "overlay.ppm",
+                                  out_json=tmp_path / "scores.json",
                                   draw_scores=draw_scores)
         assert grid.fallback == (h < 64)
-        want = render_overlay_per_block(u / 255.0, grid, draw_scores)
-        want = np.clip(np.rint(want * 255.0), 0, 255).astype(np.uint8)
+        want = unit_to_bytes(render_overlay_per_block(u / 255.0, grid, draw_scores))
         assert ppm_read(tmp_path / "overlay.ppm").tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
