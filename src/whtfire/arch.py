@@ -282,7 +282,7 @@ def wht_resnet50_descriptor(num_classes: int = 2) -> ArchDescriptor:
 def toy_descriptor(variant: str, width: int = 8, input_size: int = 32,
                    threshold_trainable: bool = False) -> ArchDescriptor:
     """Three-residual-block toy net; ``variant`` picks conv3x3 or wht blocks."""
-    if variant not in ("conv-baseline", "wht"):
+    if variant not in TOY_VARIANTS:
         raise InvalidDescriptorError(f"unknown variant {variant!r}")
     if width < 8 or (width & (width - 1)):
         raise BadWidthError(f"width must be a power of two >= 8, got {width}")

@@ -7,7 +7,6 @@ Exit codes: 0 success (or no detection), 1 fire detected (``detect`` only),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arch, pipeline
-from .dataio import SynthConfig, synth_dataset
+from .dataio import SynthConfig, _write_json, synth_dataset
 from .errors import CorruptFileError, WhtFireError
 from .fwht import fwht, ifwht
 from .nn import TrainConfig
@@ -53,7 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Walsh-Hadamard transform layers and block-grid smoke detection",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--precision", choices=("f32", "f64"), default="f32")
+    parser.add_argument("--precision", choices=("f32", "f64"), default="f32",
+                        help="train's arithmetic; finetune, eval and detect run "
+                             "the float32 tensors a checkpoint stores")
     parser.add_argument("--out-dir", default="out")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_detect)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--tau", type=_probability, default=0.5)
+    p.add_argument("--tau", type=_probability, default=pipeline.DECISION_THRESHOLD)
     p.add_argument("--draw-scores", action="store_true")
 
     p = sub.add_parser("params", help="parameter-count table for an architecture")
@@ -142,7 +143,7 @@ def _cmd_synth(args) -> int:
         seed=args.seed, count_per_class=args.count,
         resolution=args.resolution, smoke_contrast=args.contrast,
     )
-    manifest = synth_dataset(config, args.out_dir)
+    synth_dataset(config, args.out_dir)
     print(f"wrote {2 * args.count} images and {Path(args.out_dir) / 'manifest.csv'}")
     return EXIT_OK
 
@@ -180,10 +181,8 @@ def _cmd_finetune(args) -> int:
 def _cmd_eval(args) -> int:
     metrics, cm = pipeline.evaluate(args.checkpoint, args.manifest)
     print(pipeline.format_metrics_table(metrics, cm))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"metrics": metrics.as_dict(), "confusion": asdict(cm)}
-    (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json({"metrics": metrics.as_dict(), "confusion": asdict(cm)},
+                Path(args.out_dir) / "metrics.json")
     return EXIT_OK
 
 

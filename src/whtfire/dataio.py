@@ -1,18 +1,21 @@
 """Bit-exact file formats: P6 pixmaps, CSV manifests, binary checkpoints,
-and a seeded synthetic smoke/background image generator.
+JSON records, and a seeded synthetic smoke/background image generator.
 
 A frame is an (H, W, 3) uint8 array on both sides of a pixmap file:
 ``ppm_read`` gives one, ``ppm_write`` takes only one, and ``synth_dataset``
 turns ``synth_image``'s [0, 1] floats into one.  ``_check_frame`` is the one
 test of that form, shared by ``ppm_write`` and ``tiling``.
 
-Every writer is deterministic: identical inputs produce identical bytes.
-No payload carries timestamps; checkpoint metadata holds only
-caller-supplied fields.
+A checkpoint holds what ``checkpoint_load`` needs to rebuild and check the
+network: its descriptor keys, its init seed and its tensors, plus whatever
+metadata the caller passes.  The settings of a run live in its ``run.json``.
+
+Every writer is deterministic and stamps no time: same inputs, same bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -101,6 +104,12 @@ def ppm_write(image: np.ndarray, path) -> None:
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
         f.write(np.ascontiguousarray(arr))
+
+
+def _write_json(payload, path) -> None:
+    """Strict, indented JSON: a non-finite number raises instead of writing NaN."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 # -- dataset manifests ----------------------------------------------------------
@@ -244,7 +253,6 @@ def _descriptor_metadata(desc: ArchDescriptor) -> dict[str, str]:
         "arch": desc.name,
         "width": str(desc.width),
         "input_size": str(desc.input_size),
-        "num_classes": str(desc.num_classes),
         "threshold_trainable": str(
             int(any(l.kind == "wht" and l.threshold_trainable for l in desc.layers))
         ),

@@ -7,7 +7,6 @@ so identical invocations produce byte-identical checkpoints and records.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -26,6 +25,7 @@ from .arch import (
 from .dataio import (
     Manifest,
     SynthConfig,
+    _write_json,
     checkpoint_load,
     checkpoint_save,
     load_manifest,
@@ -201,12 +201,6 @@ class RunRecord:
         return asdict(self)
 
 
-def _write_run_json(record: RunRecord, out_dir: Path) -> None:
-    # strict JSON: a non-finite number fails here instead of writing NaN
-    text = json.dumps(record.as_dict(), indent=2, allow_nan=False)
-    (out_dir / "run.json").write_text(text + "\n")
-
-
 def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
                   frozen: frozenset[str] = frozenset(),
                   transfer_source: str | None = None):
@@ -261,24 +255,15 @@ def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
         if record.early_stop_reason is not None:
             break
     if record.early_stop_reason is not None:
-        _write_run_json(record, out_dir)
+        _write_json(record.as_dict(), out_dir / "run.json")
         raise TrainingDivergedError(
             f"training diverged ({record.early_stop_reason}); no checkpoint written, "
             f"see {out_dir / 'run.json'}"
         )
     ckpt_path = out_dir / "checkpoint.whtc"
-    metadata = {
-        "epoch": str(config.epochs),
-        "learning_rate": repr(config.learning_rate),
-        "momentum": repr(config.momentum),
-        "batch_size": str(config.batch_size),
-        "variant": variant,
-    }
-    if transfer_source:
-        metadata["transfer_source"] = transfer_source
-    checkpoint_save(net, metadata, ckpt_path)
+    checkpoint_save(net, {}, ckpt_path)  # the run's settings are in run.json
     record.final_checkpoint = str(ckpt_path)
-    _write_run_json(record, out_dir)
+    _write_json(record.as_dict(), out_dir / "run.json")
     return record, net, ckpt_path
 
 
@@ -314,9 +299,7 @@ def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
     grid = score_grid(net, image, threshold)
     Path(out_overlay).parent.mkdir(parents=True, exist_ok=True)
     ppm_write(render_overlay(image, grid, draw_scores), out_overlay)
-    Path(out_json).parent.mkdir(parents=True, exist_ok=True)
-    payload = score_grid_json(grid, str(image_path))
-    Path(out_json).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _write_json(score_grid_json(grid, str(image_path)), out_json)
     return grid, grid.any_detection
 
 

@@ -1,7 +1,10 @@
 """Deliberately naive reference implementations that the tests judge against."""
 
+from pathlib import Path
+
 import numpy as np
 
+from whtfire.dataio import _Reader
 from whtfire.errors import LengthNotPowerOfTwoError, ShapeMismatchError, WhtFireError
 from whtfire.tiling import _FONT, BORDER_PX, GREEN, RED
 
@@ -43,6 +46,17 @@ def dyadic_convolve_bruteforce(x, h) -> np.ndarray:
 def unit_to_bytes(x) -> np.ndarray:
     """Values in [0, 1] as the bytes ``clip(rint(x * 255), 0, 255)``."""
     return np.clip(np.rint(np.asarray(x) * 255.0), 0, 255).astype(np.uint8)
+
+
+def checkpoint_metadata(path) -> dict[str, str]:
+    """The key/value block of a checkpoint, skipping its magic and version."""
+    rd = _Reader(Path(path).read_bytes(), str(path))
+    rd.take(8)
+    meta = {}
+    for _ in range(rd.u32()):
+        key = rd.text()
+        meta[key] = rd.text()
+    return meta
 
 
 def extract_windows(image: np.ndarray, spec):

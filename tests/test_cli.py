@@ -1,6 +1,10 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +151,8 @@ class TestTrainEvalDetect:
 class TestExitCodes:
     # input files named by the transform, detect and eval cases
     INPUTS = {"words.txt": b"1\n2\nthree\n4\n", "binary.txt": b"\xff\xfe1\n2\n",
-              "empty.ppm": b"P6 0 0 255\n", "binary.csv": b"\xff\xfebg_0000.ppm,0\n"}
+              "empty.ppm": b"P6 0 0 255\n", "short.ppm": b"P6\n2 2",
+              "stray.ppm": b"P6\n2 x 255\n", "binary.csv": b"\xff\xfebg_0000.ppm,0\n"}
     # checkpoint tensor values no training run writes, named by the detect and eval
     # cases; a finite gain of 3e38 overflows the forward pass to NaN scores
     TENSORS = {"negative-lambda.whtc": ("wht0.lambda", -0.5),
@@ -174,6 +179,8 @@ class TestExitCodes:
         (["detect", "--checkpoint", "nan-scale.whtc"], EXIT_DATA,
          "tensor wht0.scale holds a non-finite value"),
         (["detect", "--image", "empty.ppm"], EXIT_DATA, "0x0 pixmap has no pixels"),
+        (["detect", "--image", "short.ppm"], EXIT_DATA, "header ended early"),
+        (["detect", "--image", "stray.ppm"], EXIT_DATA, "unexpected header byte"),
         (["detect", "--checkpoint", "huge-shape.whtc"], EXIT_DATA, "ran out of bytes"),
         (["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
          "gives 2 of 2 windows a non-finite score"),
@@ -183,7 +190,8 @@ class TestExitCodes:
     ], ids=["width", "width-text", "input-size", "lr-nan", "finetune-lr-nan",
             "lr-diverges", "input-size-mismatch", "mixed-sizes", "params-width",
             "transform-text", "transform-binary", "detect-negative-lambda",
-            "detect-nan-scale", "detect-empty-pixmap", "detect-huge-shape",
+            "detect-nan-scale", "detect-empty-pixmap", "detect-short-header",
+            "detect-stray-header-byte", "detect-huge-shape",
             "detect-huge-gain", "eval-binary-manifest", "eval-huge-gain"])
     def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
                                   message):
@@ -262,6 +270,7 @@ class TestDetectErrors:
         {"width": "eight"},
         {"threshold_trainable": "yes"},
         {"seed": "1.5"},
+        {"arch": "toy-mlp"},
     ])
     def test_bad_checkpoint_metadata_is_data_error(self, tmp_path, frame, monkeypatch,
                                                    capsys, meta):
@@ -373,3 +382,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestEntryPoint:
+    def test_exit_code_leaves_the_process(self, tmp_path):
+        # main_entry's sys.exit(main()) carries EXIT_DETECTED out of the interpreter
+        net = arch.build_toy_net("wht", 8, 32)
+        net.parameters["head.bias"][:] = [-50.0, 50.0]  # every window scores fire
+        ckpt, frame = tmp_path / "c.whtc", tmp_path / "frame.ppm"
+        dataio.checkpoint_save(net, {}, ckpt)
+        ppm_write(unit_to_bytes(np.random.default_rng(2).random((64, 96, 3))), frame)
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "whtfire.cli", "--out-dir", str(tmp_path / "det"),
+             "detect", "--checkpoint", str(ckpt), "--image", str(frame)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_DETECTED, done.stderr
+        assert "detected=True" in done.stdout

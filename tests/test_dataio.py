@@ -3,6 +3,7 @@ import pytest
 
 from whtfire import arch, dataio
 from whtfire.errors import (
+    ArchMismatchError,
     BadMagicError,
     ManifestError,
     ShapeMismatchError,
@@ -74,16 +75,24 @@ class TestPpmCodec:
         img = dataio.ppm_read(p)
         assert img.shape == (1, 1, 3)
 
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "p5.ppm"
-        p.write_bytes(b"P5\n1 1\n255\n\x00")
-        with pytest.raises(BadMagicError):
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n1 1\n255\n\x00", "expected P6 magic"),
+        (b"P6\n2 x 255\n", "unexpected header byte b'x'"),
+    ])
+    def test_bad_magic(self, tmp_path, raw, message):
+        p = tmp_path / "p.ppm"
+        p.write_bytes(raw)
+        with pytest.raises(BadMagicError, match=message):
             dataio.ppm_read(p)
 
-    def test_truncated_payload(self, tmp_path):
+    @pytest.mark.parametrize("raw, message", [
+        (b"P6\n2 2\n255\n\x00\x00\x00", "expected 12 pixel bytes, found 3"),
+        (b"P6\n2 2", "header ended early"),
+    ])
+    def test_truncated_payload(self, tmp_path, raw, message):
         p = tmp_path / "t.ppm"
-        p.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
-        with pytest.raises(TruncatedFileError):
+        p.write_bytes(raw)
+        with pytest.raises(TruncatedFileError, match=message):
             dataio.ppm_read(p)
 
     # the payload is read at an offset into the file, never past its end
@@ -189,6 +198,8 @@ class TestSynthDataset:
             dataio.SynthConfig(count_per_class=0)
         with pytest.raises(ValueError):
             dataio.SynthConfig(smoke_contrast=1.5)
+        with pytest.raises(ValueError, match="resolution"):
+            dataio.SynthConfig(resolution=4)
 
 
 class TestCheckpoint:
@@ -252,6 +263,19 @@ class TestCheckpoint:
         p = tmp_path / "c.whtc"
         dataio.checkpoint_save(net, {}, p)
         with pytest.raises(TensorShapeMismatchError):
+            dataio.checkpoint_load(p)
+
+    @pytest.mark.parametrize("sabotage, message", [
+        (lambda params: params.pop("head.bias"), r"missing \['head.bias'\], extra \[\]"),
+        (lambda params: params.update({"head.scale": np.ones(2, np.float32)}),
+         r"missing \[\], extra \['head.scale'\]"),
+    ], ids=["missing", "extra"])
+    def test_tensor_names_disagree(self, tmp_path, sabotage, message):
+        net = self._net()
+        sabotage(net.parameters)
+        p = tmp_path / "c.whtc"
+        dataio.checkpoint_save(net, {}, p)
+        with pytest.raises(ArchMismatchError, match=message):
             dataio.checkpoint_load(p)
 
     def test_float64_networks_persist_as_float32(self, tmp_path):

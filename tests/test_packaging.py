@@ -19,6 +19,12 @@ def test_every_declared_dependency_imports():
         importlib.import_module(name.replace("-", "_"))
 
 
+def test_console_script_resolves_to_a_callable():
+    target = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["whtfire"]
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+
+
 def test_benchmark_entry_points(tmp_path):
     # every library call perfbench/ makes, with the arguments it passes;
     # it imports the modules by name, as here ("whtfire.fwht" is not whtfire.fwht)

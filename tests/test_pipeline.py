@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from whtfire.errors import (
     TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
-from oracles import render_overlay_per_block, unit_to_bytes
+from oracles import checkpoint_metadata, render_overlay_per_block, unit_to_bytes
 
 # Published evaluation rows (percent) for metric cross-checks:
 # (model, transfer, accuracy, precision, recall, f1, parameter count).
@@ -213,6 +214,26 @@ class TestFinetune:
         _, _, src_ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "src")
         record, _, _ = pipeline.finetune(src_ckpt, small_dataset, cfg, tmp_path / "ft")
         assert record.transfer_source == str(src_ckpt)
+
+    def test_source_path_spelling_keeps_checkpoint_bytes(self, small_dataset, tmp_path,
+                                                         monkeypatch):
+        cfg = TrainConfig(epochs=1, learning_rate=0.01, seed=1)
+        _, _, src_ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "src")
+        _, _, by_abs = pipeline.finetune(src_ckpt.resolve(), small_dataset, cfg,
+                                         tmp_path / "abs")
+        monkeypatch.chdir(tmp_path)
+        _, _, by_rel = pipeline.finetune(Path("src", "checkpoint.whtc"), small_dataset,
+                                         cfg, tmp_path / "rel")
+        assert by_abs.read_bytes() == by_rel.read_bytes()
+
+    def test_checkpoints_hold_only_what_load_reads(self, small_dataset, tmp_path):
+        # the run's settings, the source path among them, are in run.json
+        cfg = TrainConfig(epochs=1, learning_rate=0.01, seed=0)
+        _, _, src_ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "src")
+        _, _, ft_ckpt = pipeline.finetune(src_ckpt, small_dataset, cfg, tmp_path / "ft")
+        keys = {"arch", "width", "input_size", "threshold_trainable", "seed"}
+        assert set(checkpoint_metadata(src_ckpt)) == keys
+        assert set(checkpoint_metadata(ft_ckpt)) == keys
 
 
 class TestTransferExperiment:
