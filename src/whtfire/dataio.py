@@ -77,6 +77,9 @@ def ppm_read(path) -> np.ndarray:
         else:
             raise BadMagicError(f"{path}: unexpected header byte {ch!r}")
     width, height, maxval = fields
+    sep = raw[pos : pos + 1]
+    if sep and not sep.isspace():
+        raise BadMagicError(f"{path}: unexpected header byte {sep!r} after maxval")
     if maxval != 255:
         raise UnsupportedMaxvalError(f"{path}: maxval {maxval} unsupported")
     if width == 0 or height == 0:

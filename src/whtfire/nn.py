@@ -141,6 +141,9 @@ def gap_backward(cache: tuple, dy: np.ndarray):
     return dx.astype(dy.dtype, copy=True)
 
 
+_BYTE_POOL_BAND = 32  # output rows per pass of mean_pool's byte path: ~0.5 MiB at 1080p
+
+
 def mean_pool(x: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:
     """Integer-factor mean pooling of the two axes before the channel axis.
 
@@ -148,12 +151,36 @@ def mean_pool(x: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:
     slices are summed in row-major cell order, then divided once, which
     for 2x2 rounds exactly as a reshape-mean does.  Floating inputs keep
     their dtype; any other input pools to float64.
+
+    Bytes pooled over at most 257 cells sum exactly in uint16 (255 * 257
+    = 65,535): the ``factor_y`` row slabs are added whole, then the
+    ``factor_x`` column groups one channel at a time, so every add runs
+    along a row rather than over C values.  The sums convert to float64
+    and divide once, which rounds as the float64 sums of the strided
+    slices do, so both paths give the same bits.  This runs on bands of
+    ``_BYTE_POOL_BAND`` output rows, so the uint16 sums stay small beside
+    the float64 result.
     """
     h, w = x.shape[-3:-1]
     if h % factor_y or w % factor_x:
         raise OddDimensionsError(
             f"extents {h}x{w} not divisible by {factor_y}x{factor_x}"
         )
+    if x.dtype == np.uint8 and factor_y * factor_x <= 257:
+        lead, c = x.shape[:-3], x.shape[-1]
+        slabs = x.reshape(*lead, h // factor_y, factor_y, w * c)
+        out = np.empty((*lead, h // factor_y, w // factor_x, c))
+        for r in range(0, h // factor_y, _BYTE_POOL_BAND):
+            part = slice(r, r + _BYTE_POOL_BAND)
+            band = slabs[..., part, :, :]
+            rows = np.empty(band.shape[:-2] + band.shape[-1:], np.uint16)
+            _add_u16([band[..., i, :] for i in range(factor_y)], rows)
+            groups = rows.reshape(*rows.shape[:-1], w // factor_x, factor_x, c)
+            sums = np.empty(groups.shape[:-2] + (c,), np.uint16)
+            for k in range(c):
+                _add_u16([groups[..., j, k] for j in range(factor_x)], sums[..., k])
+            np.divide(sums, factor_y * factor_x, out=out[..., part, :, :], dtype=np.float64)
+        return out
     dtype = x.dtype if np.issubdtype(x.dtype, np.inexact) else np.float64
     acc = x[..., ::factor_y, ::factor_x, :].astype(dtype)
     for i in range(factor_y):
@@ -162,6 +189,16 @@ def mean_pool(x: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:
                 acc += x[..., i::factor_y, j::factor_x, :]
     acc /= factor_y * factor_x
     return acc
+
+
+def _add_u16(parts: list, out: np.ndarray) -> None:
+    """Write the sum of the same-shape views ``parts``, in order, to the uint16 ``out``."""
+    if len(parts) == 1:
+        out[...] = parts[0]
+        return
+    np.add(parts[0], parts[1], out=out, dtype=np.uint16)
+    for part in parts[2:]:
+        out += part
 
 
 def avgpool2_forward(x: np.ndarray) -> LayerIO:

@@ -1,9 +1,12 @@
 """Block grid over high-resolution frames and 2x2-block window scoring.
 
 A frame is the (H, W, 3) uint8 array of ``dataio`` (see its docstring),
-and stays bytes here: scoring pools the bytes and scales only the pooled,
-quarter-size array to [0, 1], and the overlay is drawn in byte colours on
-a copy of the frame.
+and stays bytes here: scoring pools the bytes (exact uint16 sums, see
+``nn.mean_pool``) and scales only the pooled, quarter-size array to [0, 1],
+and the overlay is drawn in byte colours on a copy of the frame.  Its
+borders are written as whole strips: the top and bottom ones as lines
+across a block row, the left and right ones from a materialised colour
+array, so each write copies contiguous runs rather than one pixel at a time.
 
 An image is cut into an R x C grid of S x S blocks, where S is the
 network's input size (floor division; leftover pixels on the right/bottom
@@ -215,13 +218,17 @@ def render_overlay(image: np.ndarray, grid: ScoreGrid,
         for r, c in np.ndindex((rows, cols) if grid.fallback else (n_r, n_c)):
             _draw_text(out, r * block + 2 * BORDER_PX, c * block + 2 * BORDER_PX,
                        f"{nearest[r, c]:.2f}", colors[r, c], pixel)
-    # splitting both axes makes this a view: writes land in ``out``
-    blocks = out[: rows * block, : cols * block].reshape(rows, block, cols, block, -1)
-    strip = colors[:, None, :, None]
-    blocks[:, :BORDER_PX] = strip
-    blocks[:, -BORDER_PX:] = strip
-    blocks[:, :, :, :BORDER_PX] = strip
-    blocks[:, :, :, -BORDER_PX:] = strip
+    # splitting the axes makes these views: writes land in ``out``
+    area = out[: rows * block, : cols * block]
+    lines = np.repeat(colors, block, axis=1)[:, None]  # (R, 1, C*S, 3)
+    block_rows = area.reshape(rows, block, cols * block, 3)
+    block_rows[:, :BORDER_PX] = lines
+    block_rows[:, -BORDER_PX:] = lines
+    # materialised, so each (BORDER_PX, 3) run is one contiguous copy
+    sides = np.repeat(colors[:, None, :, None], BORDER_PX, axis=3)
+    blocks = area.reshape(rows, block, cols, block, 3)
+    blocks[:, :, :, :BORDER_PX] = sides
+    blocks[:, :, :, -BORDER_PX:] = sides
     return out
 
 

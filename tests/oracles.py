@@ -168,6 +168,19 @@ def avgpool2_reshape_mean(x) -> np.ndarray:
     return out.astype(x.dtype, copy=False)
 
 
+def mean_pool_strided(x, factor_y: int, factor_x: int) -> np.ndarray:
+    """Mean pooling as float sums of the strided cell slices, in row-major
+    cell order, divided once; non-float input pools to float64."""
+    dtype = x.dtype if np.issubdtype(x.dtype, np.inexact) else np.float64
+    acc = x[..., ::factor_y, ::factor_x, :].astype(dtype)
+    for i in range(factor_y):
+        for j in range(factor_x):
+            if i or j:
+                acc += x[..., i::factor_y, j::factor_x, :]
+    acc /= factor_y * factor_x
+    return acc
+
+
 def avgpool2_backward_repeat(cache, dy) -> np.ndarray:
     """avgpool2's adjoint as two ``np.repeat`` calls and a multiply."""
     (x_shape,) = cache

@@ -152,7 +152,8 @@ class TestExitCodes:
     # input files named by the transform, detect and eval cases
     INPUTS = {"words.txt": b"1\n2\nthree\n4\n", "binary.txt": b"\xff\xfe1\n2\n",
               "empty.ppm": b"P6 0 0 255\n", "short.ppm": b"P6\n2 2",
-              "stray.ppm": b"P6\n2 x 255\n", "binary.csv": b"\xff\xfebg_0000.ppm,0\n"}
+              "stray.ppm": b"P6\n2 x 255\n", "comment.ppm": b"P6\n2 1\n255#c\n" + bytes(6),
+              "binary.csv": b"\xff\xfebg_0000.ppm,0\n"}
     # checkpoint tensor values no training run writes, named by the detect and eval
     # cases; a finite gain of 3e38 overflows the forward pass to NaN scores
     TENSORS = {"negative-lambda.whtc": ("wht0.lambda", -0.5),
@@ -181,6 +182,7 @@ class TestExitCodes:
         (["detect", "--image", "empty.ppm"], EXIT_DATA, "0x0 pixmap has no pixels"),
         (["detect", "--image", "short.ppm"], EXIT_DATA, "header ended early"),
         (["detect", "--image", "stray.ppm"], EXIT_DATA, "unexpected header byte"),
+        (["detect", "--image", "comment.ppm"], EXIT_DATA, "b'#' after maxval"),
         (["detect", "--checkpoint", "huge-shape.whtc"], EXIT_DATA, "ran out of bytes"),
         (["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
          "gives 2 of 2 windows a non-finite score"),
@@ -191,7 +193,7 @@ class TestExitCodes:
             "lr-diverges", "input-size-mismatch", "mixed-sizes", "params-width",
             "transform-text", "transform-binary", "detect-negative-lambda",
             "detect-nan-scale", "detect-empty-pixmap", "detect-short-header",
-            "detect-stray-header-byte", "detect-huge-shape",
+            "detect-stray-header-byte", "detect-byte-after-maxval", "detect-huge-shape",
             "detect-huge-gain", "eval-binary-manifest", "eval-huge-gain"])
     def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
                                   message):

@@ -78,6 +78,9 @@ class TestPpmCodec:
     @pytest.mark.parametrize("raw, message", [
         (b"P5\n1 1\n255\n\x00", "expected P6 magic"),
         (b"P6\n2 x 255\n", "unexpected header byte b'x'"),
+        # a comment or any other byte right after maxval is not pixel data
+        (b"P6\n2 1\n255#c\n\x0a\x0a\x0a\x14\x1e\x28", "b'#' after maxval"),
+        (b"P6\n1 1\n255X\x00\x00\x00", "b'X' after maxval"),
     ])
     def test_bad_magic(self, tmp_path, raw, message):
         p = tmp_path / "p.ppm"

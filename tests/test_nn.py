@@ -1,11 +1,14 @@
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from whtfire import nn
+from whtfire.dataio import ppm_read, ppm_write
 from whtfire.errors import BadLabelError, ShapeMismatchError
-from oracles import avgpool2_backward_repeat, avgpool2_reshape_mean, gradient_check
+from oracles import (avgpool2_backward_repeat, avgpool2_reshape_mean, gradient_check,
+                     mean_pool_strided)
 
 
 def conv3x3_direct(x, w):
@@ -216,6 +219,60 @@ class TestSimpleLayers:
             lambda v: float(np.sum(nn.dense_forward(v, w, b).output * dy)), x, dx
         )
         assert err <= 1e-9
+
+
+class TestBytePool:
+    """``mean_pool`` on uint8 input sums in uint16 up to 257 cells; the
+    strided float64 sums are the oracle, bit for bit."""
+
+    @staticmethod
+    def _bytes(shape, fill, layout, tmp_path):
+        """uint8 input: contiguous, read-only (a ``ppm_read`` frame, else a
+        read-only view) or cropped from wider rows as a grid's block area is."""
+        rng = np.random.default_rng(sum(shape))
+        wide = shape[:-2] + (shape[-2] + 5, shape[-1])
+        u = (rng.integers(0, 256, wide, dtype=np.uint8) if fill == "random"
+             else np.full(wide, 255, np.uint8))
+        if layout == "cropped":
+            return u[..., : shape[-2], :]
+        u = np.ascontiguousarray(u[..., : shape[-2], :])
+        if layout == "read-only":
+            if u.ndim == 3:
+                ppm_write(u, tmp_path / "u.ppm")
+                return ppm_read(tmp_path / "u.ppm")
+            u.flags.writeable = False
+        return u
+
+    @pytest.mark.parametrize("layout", ["contiguous", "read-only", "cropped"])
+    @pytest.mark.parametrize("fill", ["random", "255"])
+    @pytest.mark.parametrize("factors", [(2, 2), (1, 7), (5, 1), (3, 5), (16, 16),
+                                         (1, 257), (1, 258)])
+    def test_matches_strided_float_sums(self, tmp_path, factors, fill, layout):
+        fy, fx = factors  # (1, 257) of 255s sums to 65,535; (1, 258) pools in float64
+        for shape in [(3 * fy, 2 * fx, 3), (2, 2 * fy, 3 * fx, 5)]:
+            u = self._bytes(shape, fill, layout, tmp_path)
+            assert layout != "cropped" or not u.flags.c_contiguous
+            out = nn.mean_pool(u, fy, fx)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, mean_pool_strided(u, fy, fx))
+
+    def test_block_224_grid_area(self, tmp_path):
+        # score_grid pools a read-only frame's R x C block area, cropped in both axes
+        frame = self._bytes((2 * 224 + 9, 3 * 224 + 31, 3), "random", "read-only", tmp_path)
+        area = frame[: 2 * 224, : 3 * 224]
+        assert np.array_equal(nn.mean_pool(area, 2, 2), mean_pool_strided(area, 2, 2))
+
+    def test_1056p_frame_peak_memory(self, tmp_path):
+        # the float64 result is 11.6 MiB and the banded uint16 sums add ~1 MiB;
+        # whole-frame uint16 sums kept alive through the conversion read 20.3 MiB
+        frame = self._bytes((1056, 1920, 3), "random", "read-only", tmp_path)
+        tracemalloc.start()
+        try:
+            nn.mean_pool(frame, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestSoftmaxCrossEntropy:

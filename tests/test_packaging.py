@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 from oracles import unit_to_bytes
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def test_every_declared_dependency_imports():
@@ -17,6 +19,15 @@ def test_every_declared_dependency_imports():
     for requirement in deps:
         name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
         importlib.import_module(name.replace("-", "_"))
+
+
+def test_ci_runs_tier1_on_the_declared_python_floor():
+    # the workflow is read as text, so checking it needs no YAML parser
+    floor = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    text = WORKFLOW.read_text()
+    assert re.findall(r"python-version:\s*\"?([0-9.]+)", text) == [floor.removeprefix(">=")]
+    assert "python -m pytest -q --continue-on-collection-errors" in text
+    assert "perfbench" not in text  # its known-stale tests stay out of CI
 
 
 def test_console_script_resolves_to_a_callable():
