@@ -25,8 +25,9 @@ from .errors import (
 )
 
 TOY_INPUT_SIZES = (32, 64, 224)
-TOY_VARIANTS = ("conv-baseline", "wht")
 ARCH_NAME_TO_VARIANT = {"toy-conv": "conv-baseline", "toy-wht": "wht"}
+_VARIANT_TO_ARCH_NAME = {v: k for k, v in ARCH_NAME_TO_VARIANT.items()}
+TOY_VARIANTS = tuple(_VARIANT_TO_ARCH_NAME)
 
 # Published reference counts for the full-scale backbones (2-class heads).
 # Only the plain residual-50 count is an audit target; the spectral and
@@ -34,7 +35,7 @@ ARCH_NAME_TO_VARIANT = {"toy-conv": "conv-baseline", "toy-wht": "wht"}
 # replacement policy behind them is not recoverable.
 REFERENCE_PARAM_COUNTS = {
     "resnet50": 23_512_146,
-    "wht-resnet50": 20_580_290,
+    "wht-resnet50-preset": 20_580_290,
     "htma-resnet50": 11_797_826,
 }
 
@@ -61,7 +62,6 @@ class LayerDescriptor:
 class ArchDescriptor:
     name: str
     layers: tuple[LayerDescriptor, ...]
-    num_classes: int = 2
     input_size: int | None = None
     width: int | None = None
     assumptions: tuple[str, ...] = ()
@@ -267,7 +267,6 @@ def resnet50_descriptor(num_classes: int = 2,
     return ArchDescriptor(
         name=name,
         layers=tuple(layers),
-        num_classes=num_classes,
         assumptions=assumptions,
     )
 
@@ -320,9 +319,8 @@ def toy_descriptor(variant: str, width: int = 8, input_size: int = 32,
     layers.append(LayerDescriptor("gap", width, width, name="head.gap"))
     layers.append(LayerDescriptor("dense", width, 2, name="head"))
     return ArchDescriptor(
-        name="toy-wht" if variant == "wht" else "toy-conv",
+        name=_VARIANT_TO_ARCH_NAME[variant],
         layers=tuple(layers),
-        num_classes=2,
         input_size=input_size,
         width=width,
     )
@@ -419,7 +417,7 @@ def feature_map(net: Network, images: np.ndarray) -> np.ndarray:
 
 def head_classify(net: Network, pooled: np.ndarray) -> np.ndarray:
     """Class probabilities for (B, C) ``gap`` outputs: the layers after ``gap``
-    then softmax, for all B rows in one call; returns (B, num_classes)."""
+    then softmax, for all B rows in one call; returns (B, classes)."""
     desc = net.descriptor
     layers = desc.layers[_gap_index(desc) + 1 :]
     logits = _run_layers(net, np.asarray(pooled, dtype=net.dtype), layers)[0]

@@ -24,7 +24,12 @@ EXIT_DETECTED = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
-_ARCHES = ("resnet50", "wht-resnet50-preset", "toy-conv", "toy-wht")
+# params --arch: each name's descriptor, from the --classes and --width options
+_DESCRIPTORS = {
+    "resnet50": lambda args: arch.resnet50_descriptor(args.classes),
+    "wht-resnet50-preset": lambda args: arch.wht_resnet50_descriptor(args.classes),
+} | {name: lambda args, variant=variant: arch.toy_descriptor(variant, width=args.width)
+     for name, variant in arch.ARCH_NAME_TO_VARIANT.items()}
 
 
 def _probability(text: str) -> float:
@@ -104,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="parameter-count table for an architecture")
     p.set_defaults(run=_cmd_params)
-    p.add_argument("--arch", choices=_ARCHES, required=True)
+    p.add_argument("--arch", choices=_DESCRIPTORS, required=True)
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--width", type=_width, default=8)
 
@@ -202,13 +207,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    if args.arch == "resnet50":
-        desc = arch.resnet50_descriptor(args.classes)
-    elif args.arch == "wht-resnet50-preset":
-        desc = arch.wht_resnet50_descriptor(args.classes)
-    else:
-        variant = arch.ARCH_NAME_TO_VARIANT[args.arch]
-        desc = arch.toy_descriptor(variant, width=args.width)
+    desc = _DESCRIPTORS[args.arch](args)
     total = arch.count_params(desc)
     for name, kind, count in arch.param_table(desc):
         print(f"{name:<28} {kind:<10} {count:>12,}")
@@ -217,9 +216,7 @@ def _cmd_params(args) -> int:
         print("assumptions:")
         for line in desc.assumptions:
             print(f"  - {line}")
-    reference = arch.REFERENCE_PARAM_COUNTS.get(
-        "wht-resnet50" if args.arch == "wht-resnet50-preset" else args.arch
-    )
+    reference = arch.REFERENCE_PARAM_COUNTS.get(desc.name)
     if reference and args.classes == 2:
         delta = total - reference
         print(f"reference count {reference:,} (delta {delta:+,}, "

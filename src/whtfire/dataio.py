@@ -73,7 +73,10 @@ def ppm_read(path) -> np.ndarray:
             start = pos
             while pos < len(raw) and raw[pos : pos + 1].isdigit():
                 pos += 1
-            fields.append(int(raw[start:pos]))
+            try:
+                fields.append(int(raw[start:pos]))
+            except ValueError as exc:  # more digits than int() converts
+                raise CorruptFileError(f"{path}: header number: {exc}") from None
         else:
             raise BadMagicError(f"{path}: unexpected header byte {ch!r}")
     width, height, maxval = fields

@@ -71,19 +71,19 @@ def _require_power_of_two(n: int) -> None:
         raise LengthNotPowerOfTwoError(f"length {n} is not a power of two")
 
 
-def fwht(x: np.ndarray, normalized: bool = False, axis: int = -1) -> np.ndarray:
-    """Fast Walsh-Hadamard transform along ``axis``; always a new array.
+def fwht(x: np.ndarray, normalized: bool = False) -> np.ndarray:
+    """Fast Walsh-Hadamard transform along the last axis; always a new array.
 
-    Equal to multiplying by ``hadamard_matrix(m)`` along the chosen axis.
+    Equal to multiplying by ``hadamard_matrix(m)`` along the last axis.
     float32 input stays float32 and anything else is computed in float64.
     Viewing the axis as (k, q), the leading H_k acts as ``H_k @ (k, q)``
     on every row at once, and the last factor as ``(rows, k) @ H_k``.
     """
     arr = np.asarray(x)
-    n = arr.shape[axis]
+    n = arr.shape[-1]
     _require_power_of_two(n)
     dtype = np.float32 if arr.dtype == np.float32 else np.float64
-    y = arr.swapaxes(axis, -1).astype(dtype)
+    y = arr.astype(dtype)
     shape = y.shape
     q = n
     while q > 1:
@@ -94,19 +94,18 @@ def fwht(x: np.ndarray, normalized: bool = False, axis: int = -1) -> np.ndarray:
     y = y.reshape(shape)
     if normalized:
         y *= dtype(1.0 / np.sqrt(n))
-    return y.swapaxes(axis, -1)
+    return y
 
 
-def ifwht(y: np.ndarray, normalized: bool = False, axis: int = -1) -> np.ndarray:
-    """Inverse transform: ``ifwht(fwht(x)) == x``.
+def ifwht(y: np.ndarray, normalized: bool = False) -> np.ndarray:
+    """Inverse transform along the last axis: ``ifwht(fwht(x)) == x``.
 
     For the default unnormalized convention this is the fast transform
     followed by division by N (exact, since N is a power of two).  The
     normalized transform is involutory, so it is its own inverse.
     """
     if normalized:
-        return fwht(y, normalized=True, axis=axis)
-    n = np.asarray(y).shape[axis]
-    out = fwht(y, axis=axis)
-    out *= out.dtype.type(1.0 / n)
+        return fwht(y, normalized=True)
+    out = fwht(y)
+    out *= out.dtype.type(1.0 / out.shape[-1])
     return out

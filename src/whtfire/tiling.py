@@ -15,8 +15,8 @@ right, bottom, and bottom-right neighbours, giving (R-1)*(C-1) overlapping
 windows.  A window is mean-pooled 2x2 back to block resolution before
 classification, by the same ``nn.mean_pool`` that the network's avgpool2
 layers run, and per-anchor scores are rendered as coloured block borders.
-A grid with no 2x2 window (R or C is 1) is scored once instead, from its
-whole block area pooled down to one block, and marked ``fallback``.
+A ``fallback`` grid, with no 2x2 window (R or C is 1), is the one-window
+case of per-window scoring: its whole block area pooled down to one block.
 
 Scoring pools the R x C block area once: since every window starts on a
 block boundary, its pooled patch is a slice of the pooled frame.  When
@@ -71,29 +71,38 @@ class GridSpec:
     def cols(self) -> int:
         return self.image_width // self.block
 
+    @property
+    def fallback(self) -> bool:
+        """No 2x2 window fits (R or C is 1): the whole block area is one window."""
+        return min(self.rows, self.cols) < 2
+
+    @property
+    def windows(self) -> tuple[int, int]:
+        """The shape of the scores: one per anchor, or one on a fallback grid."""
+        return (1, 1) if self.fallback else (self.rows - 1, self.cols - 1)
+
 
 @dataclass
 class ScoreGrid:
     spec: GridSpec
     scores: np.ndarray
     threshold: float = 0.5
-    fallback: bool = False
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.fallback:
-            expected = (1, 1)
-        else:
-            expected = (self.spec.rows - 1, self.spec.cols - 1)
-        if self.scores.shape != expected:
+        if self.scores.shape != self.spec.windows:
             raise ShapeMismatchError(
-                f"scores shape {self.scores.shape} != expected {expected}"
+                f"scores shape {self.scores.shape} != expected {self.spec.windows}"
             )
         bad = int(np.sum(~np.isfinite(self.scores)))
         if bad:
             raise NonFiniteScoreError(
                 f"the network gives {bad} of {self.scores.size} windows a non-finite score"
             )
+
+    @property
+    def fallback(self) -> bool:
+        return self.spec.fallback
 
     @property
     def any_detection(self) -> bool:
@@ -116,30 +125,23 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     ``forward_classify(net, downsample_window(window / 255))[1]`` up to
     float rounding.  Windows share the feature map (see the module docstring)
     when ``arch.feature_stride`` allows it and S/2 is a multiple of the
-    stride; otherwise each slice is classified on its own.  A grid with no
-    2x2 window gives the 1x1 ``fallback`` grid: the block area mean-pooled
-    to one S x S patch and classified once.
+    stride; otherwise each slice is classified on its own, as is the one
+    window of a ``fallback`` grid: the block area pooled to one S x S patch.
     """
     _check_frame(image)
     block = net.descriptor.input_size
     spec = GridSpec(image.shape[0], image.shape[1], block)
     rows, cols = spec.rows, spec.cols
     area = image[: rows * block, : cols * block]
-    if rows < 2 or cols < 2:
-        score = forward_classify(net, mean_pool(area, rows, cols) / 255.0)[1]
-        return ScoreGrid(spec, np.array([[score]]), threshold, fallback=True)
-    pooled = downsample_window(area)  # float64: bytes pool exactly, then scale once
-    pooled /= 255.0
+    pooled = mean_pool(area, rows, cols) if spec.fallback else downsample_window(area)
+    pooled /= 255.0  # float64: bytes pool exactly, then scale once
     half = block // 2  # one block, in pooled pixels
     stride = feature_stride(net.descriptor)
-    if stride is None or half % stride:
-        scores = np.array([
-            [forward_classify(net, pooled[r * half : r * half + block,
-                                          c * half : c * half + block])[1]
-             for c in range(cols - 1)]
-            for r in range(rows - 1)
-        ])
-        return ScoreGrid(spec, scores, threshold)
+    if spec.fallback or stride is None or half % stride:
+        scores = [forward_classify(net, pooled[r * half : r * half + block,
+                                               c * half : c * half + block])[1]
+                  for r, c in np.ndindex(spec.windows)]
+        return ScoreGrid(spec, np.reshape(scores, spec.windows), threshold)
     fb = half // stride  # one block, in feature pixels
     # one block row at a time bounds the transient feature maps
     sums = np.stack([

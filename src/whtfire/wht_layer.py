@@ -63,11 +63,11 @@ def wht_layer_forward(x: np.ndarray, scale: np.ndarray,
         w = (h * scale) @ h
         w *= dtype(1.0 / n)
         return LayerIO((x.reshape(-1, n) @ w).reshape(x.shape), (x, w, scale))
-    t = fwht(x, axis=-1)
+    t = fwht(x)
     u = t * scale
     mask = np.abs(u) >= (0.0 if lam is None else lam[0])
     u *= mask  # a multiply, not a masked write: a NaN bin stays NaN
-    return LayerIO(ifwht(u, axis=-1), (t, mask, scale, lam))
+    return LayerIO(ifwht(u), (t, mask, scale, lam))
 
 
 def wht_layer_backward(cache: tuple, dy: np.ndarray):
@@ -94,10 +94,10 @@ def wht_layer_backward(cache: tuple, dy: np.ndarray):
         dx = (dy.reshape(-1, n) @ w).reshape(dy.shape)
         return dx, dscale.astype(scale.dtype, copy=False)
     t, mask, scale, lam = cache
-    du = ifwht(dy, axis=-1)        # dL/dv, since the inverse transform is symmetric
+    du = ifwht(dy)  # dL/dv, since the inverse transform is symmetric
     du *= mask
     dscale = np.sum(du * t, axis=tuple(range(du.ndim - 1))).astype(scale.dtype, copy=False)
-    dx = fwht(du * scale, axis=-1)
+    dx = fwht(du * scale)
     if lam is None:
         return dx, dscale
     return dx, dscale, np.asarray([-np.sum(np.sign(t * scale) * du)], dtype=lam.dtype)

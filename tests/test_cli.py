@@ -153,6 +153,7 @@ class TestExitCodes:
     INPUTS = {"words.txt": b"1\n2\nthree\n4\n", "binary.txt": b"\xff\xfe1\n2\n",
               "empty.ppm": b"P6 0 0 255\n", "short.ppm": b"P6\n2 2",
               "stray.ppm": b"P6\n2 x 255\n", "comment.ppm": b"P6\n2 1\n255#c\n" + bytes(6),
+              "long.ppm": b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3),
               "binary.csv": b"\xff\xfebg_0000.ppm,0\n"}
     # checkpoint tensor values no training run writes, named by the detect and eval
     # cases; a finite gain of 3e38 overflows the forward pass to NaN scores
@@ -183,6 +184,7 @@ class TestExitCodes:
         (["detect", "--image", "short.ppm"], EXIT_DATA, "header ended early"),
         (["detect", "--image", "stray.ppm"], EXIT_DATA, "unexpected header byte"),
         (["detect", "--image", "comment.ppm"], EXIT_DATA, "b'#' after maxval"),
+        (["detect", "--image", "long.ppm"], EXIT_DATA, "header number"),
         (["detect", "--checkpoint", "huge-shape.whtc"], EXIT_DATA, "ran out of bytes"),
         (["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
          "gives 2 of 2 windows a non-finite score"),
@@ -193,7 +195,8 @@ class TestExitCodes:
             "lr-diverges", "input-size-mismatch", "mixed-sizes", "params-width",
             "transform-text", "transform-binary", "detect-negative-lambda",
             "detect-nan-scale", "detect-empty-pixmap", "detect-short-header",
-            "detect-stray-header-byte", "detect-byte-after-maxval", "detect-huge-shape",
+            "detect-stray-header-byte", "detect-byte-after-maxval",
+            "detect-long-header-number", "detect-huge-shape",
             "detect-huge-gain", "eval-binary-manifest", "eval-huge-gain"])
     def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
                                   message):

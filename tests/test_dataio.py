@@ -5,6 +5,7 @@ from whtfire import arch, dataio
 from whtfire.errors import (
     ArchMismatchError,
     BadMagicError,
+    CorruptFileError,
     ManifestError,
     ShapeMismatchError,
     TensorShapeMismatchError,
@@ -104,6 +105,17 @@ class TestPpmCodec:
         p = tmp_path / "t.ppm"
         p.write_bytes(raw)
         with pytest.raises(TruncatedFileError, match="found 0"):
+            dataio.ppm_read(p)
+
+    # int() converts at most 4,300 digits, so a longer header number is corrupt
+    @pytest.mark.parametrize("raw", [
+        b"P6\n" + b"9" * 5000 + b" 1\n255\n\x00\x00\x00",
+        b"P6\n1 1\n" + b"0" * 5000 + b"255\n\x00\x00\x00",
+    ], ids=["width", "maxval"])
+    def test_header_number_past_the_digit_limit(self, tmp_path, raw):
+        p = tmp_path / "n.ppm"
+        p.write_bytes(raw)
+        with pytest.raises(CorruptFileError, match="header number"):
             dataio.ppm_read(p)
 
     def test_unsupported_maxval(self, tmp_path):

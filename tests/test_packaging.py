@@ -23,11 +23,19 @@ def test_every_declared_dependency_imports():
 
 def test_ci_runs_tier1_on_the_declared_python_floor():
     # the workflow is read as text, so checking it needs no YAML parser
-    floor = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    floor = project["requires-python"]
     text = WORKFLOW.read_text()
     assert re.findall(r"python-version:\s*\"?([0-9.]+)", text) == [floor.removeprefix(">=")]
-    assert "python -m pytest -q --continue-on-collection-errors" in text
+    tier1 = "python -m pytest -q --continue-on-collection-errors"
+    assert tier1 in text
     assert "perfbench" not in text  # its known-stale tests stay out of CI
+    # and once more after pinning numpy to its declared floor
+    numpy_floor = [d.removeprefix("numpy>=") for d in project["dependencies"]
+                   if d.startswith("numpy>=")]
+    pins = re.findall(r"numpy==([0-9.]+)\.\*", text)
+    assert pins == numpy_floor and len(pins) == 1
+    assert text.count(tier1) == 2 and text.index("numpy==") < text.rindex(tier1)
 
 
 def test_console_script_resolves_to_a_callable():
@@ -88,6 +96,7 @@ def test_benchmark_entry_points(tmp_path):
             assert out.dtype == np.float64 and out.shape == x.shape
             assert not np.shares_memory(out, x)
         assert np.max(np.abs(z - x)) <= 1e-12
-    # its oracle multiplies by hadamard_matrix, and spans.py reads axis as argument 2
+    # its oracle multiplies by hadamard_matrix, and spans.py reads argument 2 as
+    # the axis, so nothing may sit there: the transform runs on the last axis
     assert fwht.hadamard_matrix(3).dtype == np.int64
-    assert list(inspect.signature(fwht.fwht).parameters)[2] == "axis"
+    assert list(inspect.signature(fwht.fwht).parameters) == ["x", "normalized"]

@@ -182,6 +182,11 @@ class TestScoreGrid:
         with pytest.raises(ShapeMismatchError):
             tiling.ScoreGrid(spec, np.zeros((1, 1)))
 
+    def test_a_grid_without_a_2x2_window_is_a_fallback(self):
+        grid = tiling.ScoreGrid(tiling.GridSpec(32, 160, 32), [[0.4]])
+        assert grid.fallback and grid.scores.tolist() == [[0.4]]
+        assert not tiling.ScoreGrid(tiling.GridSpec(64, 64, 32), [[0.4]]).fallback
+
     @pytest.mark.parametrize("image", [
         np.full((96, 128, 3), 0.5),  # a float frame in [0, 1]
         np.zeros((96, 128, 3), np.int64),
@@ -370,7 +375,7 @@ class TestRenderOverlay:
             scores.flat[::2] = 0.5  # exactly at the threshold: red
             grid = tiling.ScoreGrid(spec, scores)
         else:
-            grid = tiling.ScoreGrid(spec, [[fallback_score]], fallback=True)
+            grid = tiling.ScoreGrid(spec, [[fallback_score]])
         image = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
         image.flags.writeable = writeable
         out = tiling.render_overlay(image, grid, draw_scores)

@@ -112,7 +112,7 @@ class TestBackward:
         scale = rng.normal(size=8)
 
         def boundary_gap(xv, sv):
-            u = fwht(xv, axis=-1) * sv
+            u = fwht(xv) * sv
             return float(np.min(np.abs(np.abs(u) - lam)))
 
         # nudge the sample until every |u| is clearly away from the threshold
@@ -143,10 +143,10 @@ class TestBackward:
         _, _, dlam = wht_layer_backward(io.cache, dy)
         assert dlam.shape == (1,) and dlam.dtype == np.float64
         dlam = dlam[0]
-        t = fwht(x, axis=-1)
+        t = fwht(x)
         u = t * scale
         mask = np.abs(u) >= 0.5
-        expected = -np.sum(np.sign(u) * mask * ifwht(dy, axis=-1))
+        expected = -np.sum(np.sign(u) * mask * ifwht(dy))
         assert abs(dlam - expected) <= 1e-12
         assert dlam != 0.0
 
@@ -189,9 +189,9 @@ WIDTHS = tuple(sorted({8, 64, CROSSOVER, 2 * CROSSOVER}))
 
 def two_transform_formula(x, scale, dy):
     """The threshold-free layer and its gradients written with fwht/ifwht."""
-    t = fwht(x, axis=-1)
-    g = ifwht(dy, axis=-1)
-    return ifwht(t * scale, axis=-1), fwht(g * scale, axis=-1), np.sum(g * t, axis=(0, 1, 2))
+    t = fwht(x)
+    g = ifwht(dy)
+    return ifwht(t * scale), fwht(g * scale), np.sum(g * t, axis=(0, 1, 2))
 
 
 def rel_err(got, want):
