@@ -30,13 +30,11 @@ _VARIANT_TO_ARCH_NAME = {v: k for k, v in ARCH_NAME_TO_VARIANT.items()}
 TOY_VARIANTS = tuple(_VARIANT_TO_ARCH_NAME)
 
 # Published reference counts for the full-scale backbones (2-class heads).
-# Only the plain residual-50 count is an audit target; the spectral and
-# all-spectral variants are compared directionally because the exact layer
-# replacement policy behind them is not recoverable.
+# Only the plain residual-50 count is an audit target; the spectral variant
+# is compared directionally: its exact layer replacement policy is not recoverable.
 REFERENCE_PARAM_COUNTS = {
     "resnet50": 23_512_146,
     "wht-resnet50-preset": 20_580_290,
-    "htma-resnet50": 11_797_826,
 }
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success (or no detection), 1 fire detected (``detect`` only),
-2 usage error, 3 data/format error.
+Exit codes: 0 success (or no detection); 1 fire detected (``detect`` only);
+2 usage error, argparse refused an argument; 3 data/format error, a
+``WhtFireError`` or ``OSError``.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -32,23 +33,23 @@ _DESCRIPTORS = {
      for name, variant in arch.ARCH_NAME_TO_VARIANT.items()}
 
 
-def _probability(text: str) -> float:
-    """argparse type for a decision threshold: a finite number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"{text} is outside [0, 1]")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, then refuse a value not ``ok``."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):  # a comparison with nan is False
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
 
 
-def _width(text: str) -> int:
-    """argparse type for a toy-net width: a power of two >= 8."""
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 8 or value & (value - 1):
-        raise argparse.ArgumentTypeError(f"{value} is not a power of two >= 8")
-    return value
+_NON_NEGATIVE = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_POSITIVE = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_UNIT = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_LEARNING_RATE = _checked(float, lambda x: 0.0 < x < float("inf"), "a finite number > 0")
+_WIDTH = _checked(int, lambda n: n >= 8 and not n & (n - 1), "a power of two >= 8")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="whtfire",
         description="Walsh-Hadamard transform layers and block-grid smoke detection",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     parser.add_argument("--precision", choices=("f32", "f64"), default="f32",
                         help="train's arithmetic; finetune, eval and detect run "
                              "the float32 tensors a checkpoint stores")
@@ -71,28 +72,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.set_defaults(run=_cmd_synth)
-    p.add_argument("--count", type=int, default=20, help="images per class")
-    p.add_argument("--resolution", type=int, default=32)
-    p.add_argument("--contrast", type=float, default=0.8)
+    p.add_argument("--count", type=_POSITIVE, default=20, help="images per class")
+    p.add_argument("--resolution", type=_checked(int, lambda n: n >= 8, "an integer >= 8"),
+                   default=32)
+    p.add_argument("--contrast", type=_UNIT, default=0.8)
 
     # the options train and finetune share; --lr differs in its default
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--manifest", required=True)
-    training.add_argument("--epochs", type=int, default=25)
-    training.add_argument("--momentum", type=float, default=0.9)
-    training.add_argument("--batch-size", type=int, default=8)
+    training.add_argument("--epochs", type=_NON_NEGATIVE, default=25)
+    training.add_argument("--momentum", default=0.9, type=_checked(
+        float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)"))
+    training.add_argument("--batch-size", type=_POSITIVE, default=8)
 
     p = sub.add_parser("train", parents=[training], help="train a toy variant from scratch")
     p.set_defaults(run=_cmd_train)
     p.add_argument("--variant", choices=arch.TOY_VARIANTS, default="wht")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--width", type=_width, default=8)
+    p.add_argument("--lr", type=_LEARNING_RATE, default=0.01)
+    p.add_argument("--width", type=_WIDTH, default=8)
     p.add_argument("--input-size", type=int, choices=arch.TOY_INPUT_SIZES, default=32)
 
     p = sub.add_parser("finetune", parents=[training], help="fine-tune from a source checkpoint")
     p.set_defaults(run=_cmd_finetune)
     p.add_argument("--source", required=True)
-    p.add_argument("--lr", type=float, default=pipeline.FINETUNE_LEARNING_RATE)
+    p.add_argument("--lr", type=_LEARNING_RATE, default=pipeline.FINETUNE_LEARNING_RATE)
     p.add_argument("--freeze-stem", action="store_true")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
@@ -104,19 +107,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_detect)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--tau", type=_probability, default=pipeline.DECISION_THRESHOLD)
+    p.add_argument("--tau", type=_UNIT, default=pipeline.DECISION_THRESHOLD)
     p.add_argument("--draw-scores", action="store_true")
 
     p = sub.add_parser("params", help="parameter-count table for an architecture")
     p.set_defaults(run=_cmd_params)
     p.add_argument("--arch", choices=_DESCRIPTORS, required=True)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--width", type=_width, default=8)
+    p.add_argument("--classes", type=_POSITIVE, default=2)
+    p.add_argument("--width", type=_WIDTH, default=8)
 
     p = sub.add_parser("bench", help="transform timing report")
     p.set_defaults(run=_cmd_bench)
-    p.add_argument("--sizes", default=None,
-                   help="comma-separated powers of two, e.g. 1024,4096,65536")
+    p.add_argument("--sizes", default=None, type=_checked(
+        lambda text: [int(s) for s in text.split(",")],
+        lambda sizes: all(n >= 1 and not n & (n - 1) for n in sizes),
+        "comma-separated powers of two",
+    ), help="comma-separated powers of two, e.g. 1024,4096,65536")
     return parser
 
 
@@ -225,10 +231,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = None
-    if args.sizes:
-        sizes = [int(s) for s in args.sizes.split(",")]
-    report = pipeline.bench(sizes, seed=args.seed)
+    report = pipeline.bench(args.sizes, seed=args.seed)
     for e in report["entries"]:
         line = f"N={e['n']:>8} fwht {e['fwht_seconds'] * 1e3:9.3f} ms"
         if "naive_seconds" in e:
@@ -241,16 +244,12 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (WhtFireError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main_entry() -> None:

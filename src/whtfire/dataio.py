@@ -159,6 +159,8 @@ def load_manifest(path) -> Manifest:
             raise ManifestError(
                 f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}"
             )
+        if "\0" in rel:  # open() refuses such a path with a plain ValueError
+            raise ManifestError(f"{path}:{lineno}: NUL byte in path {rel!r}")
         if rel in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate path {rel!r}")
         seen.add(rel)
@@ -361,14 +363,13 @@ def checkpoint_load(path) -> Network:
     for _ in range(rd.u32()):
         key = rd.text()
         meta[key] = rd.text()
-    tensors: dict[str, np.ndarray] = {}
+    tensors: dict[str, tuple[tuple[int, ...], np.ndarray]] = {}  # (shape, flat values)
     for _ in range(rd.u32()):
         name = rd.text()
         rank = rd.u32()
         shape = struct.unpack(f"<{rank}I", rd.take(4 * rank))
         count = math.prod(shape)  # a Python int: a huge shape cannot wrap to 0
-        values = np.frombuffer(rd.take(4 * count), dtype="<f4")
-        tensors[name] = values.reshape(shape).astype(np.float32)
+        tensors[name] = shape, np.frombuffer(rd.take(4 * count), dtype="<f4")
     desc = _rebuild_descriptor(meta)
     specs = param_specs(desc)
     if set(specs) != set(tensors):
@@ -380,11 +381,12 @@ def checkpoint_load(path) -> Network:
         )
     params: dict[str, np.ndarray] = {}
     for name, spec in specs.items():
-        t = tensors[name]
-        if t.shape != spec.shape:
+        shape, values = tensors[name]
+        if shape != spec.shape:
             raise TensorShapeMismatchError(
-                f"{path}: tensor {name} has shape {t.shape}, expected {spec.shape}"
+                f"{path}: tensor {name} has shape {shape}, expected {spec.shape}"
             )
+        t = values.reshape(shape).astype(np.float32)  # after the check: numpy caps the rank
         # training writes only finite values and keeps thresholds, the only
         # bounded tensors, at or above their bound of 0
         if not np.all(np.isfinite(t)):

@@ -154,14 +154,16 @@ class TestExitCodes:
               "empty.ppm": b"P6 0 0 255\n", "short.ppm": b"P6\n2 2",
               "stray.ppm": b"P6\n2 x 255\n", "comment.ppm": b"P6\n2 1\n255#c\n" + bytes(6),
               "long.ppm": b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3),
-              "binary.csv": b"\xff\xfebg_0000.ppm,0\n"}
+              "binary.csv": b"\xff\xfebg_0000.ppm,0\n", "nul.csv": b"bg\x00_0000.ppm,0\n"}
     # checkpoint tensor values no training run writes, named by the detect and eval
     # cases; a finite gain of 3e38 overflows the forward pass to NaN scores
     TENSORS = {"negative-lambda.whtc": ("wht0.lambda", -0.5),
                "nan-scale.whtc": ("wht0.scale", np.nan),
                "huge-gain.whtc": ("block0.gain", 3e38)}
-    # a stored shape whose element count, 2^64, wraps to 0 in int64
-    SHAPES = {"huge-shape.whtc": ("block0.gain", (1 << 21, 1 << 21, 1 << 22))}
+    # a stored shape whose element count, 2^64, wraps to 0 in int64, and one
+    # of a rank numpy cannot hold
+    SHAPES = {"huge-shape.whtc": ("block0.gain", (1 << 21, 1 << 21, 1 << 22)),
+              "rank-65.whtc": ("block0.gain", (1,) * 65)}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows
     @pytest.mark.parametrize("args, expected, message", [
@@ -174,6 +176,15 @@ class TestExitCodes:
         (["train", "--input-size", "64"], EXIT_DATA, "32x32 image, network input 64x64"),
         (["train", "--manifest", "mixed.csv"], EXIT_DATA, "16x16 image, network input 32x32"),
         (["params", "--arch", "toy-wht", "--width", "12"], EXIT_USAGE, "--width"),
+        (["--seed", "-1", "synth"], EXIT_USAGE, "--seed"),
+        (["train", "--epochs", "-1"], EXIT_USAGE, "--epochs"),
+        (["train", "--momentum", "1"], EXIT_USAGE, "--momentum"),
+        (["train", "--batch-size", "0"], EXIT_USAGE, "--batch-size"),
+        (["synth", "--count", "0"], EXIT_USAGE, "--count"),
+        (["synth", "--contrast", "2"], EXIT_USAGE, "--contrast"),
+        (["synth", "--resolution", "4"], EXIT_USAGE, "--resolution"),
+        (["params", "--arch", "resnet50", "--classes", "-1"], EXIT_USAGE, "--classes"),
+        (["bench", "--sizes", "8,x"], EXIT_USAGE, "--sizes"),
         (["transform", "--input", "words.txt"], EXIT_DATA, "line 3: 'three'"),
         (["transform", "--input", "binary.txt"], EXIT_DATA, "not UTF-8"),
         (["detect", "--checkpoint", "negative-lambda.whtc"], EXIT_DATA,
@@ -186,18 +197,25 @@ class TestExitCodes:
         (["detect", "--image", "comment.ppm"], EXIT_DATA, "b'#' after maxval"),
         (["detect", "--image", "long.ppm"], EXIT_DATA, "header number"),
         (["detect", "--checkpoint", "huge-shape.whtc"], EXIT_DATA, "ran out of bytes"),
+        (["detect", "--checkpoint", "rank-65.whtc"], EXIT_DATA,
+         "tensor block0.gain has shape (1, 1, 1,"),
         (["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
          "gives 2 of 2 windows a non-finite score"),
         (["eval", "--manifest", "binary.csv"], EXIT_DATA, "not UTF-8"),
+        (["eval", "--manifest", "nul.csv"], EXIT_DATA, "1: NUL byte in path"),
         (["eval", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
          "gives 20 of 20 samples a non-finite fire probability"),
     ], ids=["width", "width-text", "input-size", "lr-nan", "finetune-lr-nan",
             "lr-diverges", "input-size-mismatch", "mixed-sizes", "params-width",
+            "seed-negative", "epochs-negative", "momentum-one", "batch-size-zero",
+            "synth-count-zero", "synth-contrast-two", "synth-resolution-four",
+            "params-classes-negative", "bench-sizes-text",
             "transform-text", "transform-binary", "detect-negative-lambda",
             "detect-nan-scale", "detect-empty-pixmap", "detect-short-header",
             "detect-stray-header-byte", "detect-byte-after-maxval",
-            "detect-long-header-number", "detect-huge-shape",
-            "detect-huge-gain", "eval-binary-manifest", "eval-huge-gain"])
+            "detect-long-header-number", "detect-huge-shape", "detect-rank-65",
+            "detect-huge-gain", "eval-binary-manifest", "eval-nul-manifest",
+            "eval-huge-gain"])
     def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
                                   message):
         if args[0] == "finetune":
@@ -256,6 +274,55 @@ class TestExitCodes:
             assert not (tmp_path / "out" / "checkpoint.whtc").exists()
         if args[0] in ("detect", "eval"):  # nothing is written for a refused result
             assert not list((tmp_path / "out").glob("*"))
+
+    def test_unmapped_exception_propagates(self, monkeypatch):
+        # a plain ValueError from inside a command is a bug, not a usage error
+        def broken(checkpoint, manifest):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(pipeline, "evaluate", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["eval", "--checkpoint", "c.whtc", "--manifest", "m.csv"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # corrupt finite tensors overflow
+    def test_corrupt_inputs_end_with_a_documented_code(self, dataset_dir, tmp_path, capsys):
+        # seeded truncations and byte flips of a valid checkpoint, pixmap and manifest
+        rng = np.random.default_rng(0)
+        ckpt, frame = tmp_path / "c.whtc", tmp_path / "frame.ppm"
+        dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32, threshold_trainable=True),
+                               {}, ckpt)
+        ppm_write(unit_to_bytes(rng.random((64, 96, 3))), frame)
+        manifest = dataset_dir / "four.csv"
+        rows = (dataset_dir / "manifest.csv").read_text().splitlines()
+        manifest.write_text("\n".join(rows[:2] + rows[-2:]) + "\n")
+        detect = ["detect", "--checkpoint", str(ckpt), "--image", str(frame)]
+        evaluate = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]
+        # (file, command, cut stride, flips, bytes the cuts and flips reach): the
+        # pixmap's structure is its 13-byte header, so its cuts and flips stay near it
+        cases = [(ckpt, detect, 32, 100, None), (frame, detect, 1, 50, 16),
+                 (manifest, evaluate, 4, 50, None)]
+        escapes = []
+        for path, argv, stride, flips, reach in cases:
+            raw = path.read_bytes()
+            reach = reach or len(raw)
+            mutants = [(f"cut {n}", raw[:n]) for n in range(0, reach, stride)]
+            for _ in range(flips):
+                at, mask = int(rng.integers(reach)), int(rng.integers(1, 256))
+                flipped = bytearray(raw)
+                flipped[at] ^= mask
+                mutants.append((f"byte {at} ^ {mask}", bytes(flipped)))
+            for label, mutant in mutants:
+                path.write_bytes(mutant)
+                try:
+                    rc = main(["--out-dir", str(tmp_path / "out"), *argv])
+                except Exception as exc:  # every escape is a finding
+                    rc = repr(exc)
+                err = capsys.readouterr().err
+                if rc not in (EXIT_OK, EXIT_DETECTED) and not (
+                        rc == EXIT_DATA and err.startswith("error: ")):
+                    escapes.append((path.name, label, rc))
+            path.write_bytes(raw)
+        assert escapes == []
 
 
 class TestDetectErrors:
