@@ -357,27 +357,39 @@ def build_toy_net(variant: str, width: int = 8, input_size: int = 32,
 
 # -- execution ----------------------------------------------------------------
 
-def _run_layers(net: Network, x: np.ndarray, layers):
+def _run_layers(net: Network, x: np.ndarray, layers, backward: bool = False):
     """The executor: run ``layers`` in order on a batch ``x``.
 
-    Returns (final output, per-layer caches).  Maps are (B, H, W, C) and
+    Returns (final output, per-layer caches) when ``backward``, for
+    ``network_backward``; otherwise (final output, None), and each cache is
+    dropped as soon as its layer returns.  Maps are (B, H, W, C) and
     vectors (B, C); every kind acts on the channel axis or the two spatial
-    axes before it, so ``x`` may have any spatial extent.  Outputs are kept
-    only while the run lasts, for ``add_skip``.
+    axes before it, so ``x`` may have any spatial extent.  Only the outputs
+    that a later ``add_skip`` reads are held, and only while the run lasts.
+    Without caches nothing else reads the running output, so ``add_skip``
+    adds into it, unless it is itself held or the add would promote its
+    dtype.
     """
     params = net.parameters
+    sources = {layer.skip_from for layer in layers if layer.kind == "add_skip"}
+    held: dict[int, np.ndarray] = {}
+    caches: list[tuple | None] | None = [] if backward else None
     cur = x
-    outputs: list[np.ndarray] = []
-    caches: list[tuple | None] = []
-    for layer in layers:
+    for idx, layer in enumerate(layers):
+        cache = None  # the last layer's, dropped before this one runs
         if layer.kind == "add_skip":
-            cur = cur + outputs[layer.skip_from]
-            cache = None
+            skip = held[layer.skip_from]
+            if backward or idx - 1 in sources or np.result_type(cur, skip) != cur.dtype:
+                cur = cur + skip
+            else:
+                cur += skip
         else:
             kind, names = layer._runnable
             cur, cache = kind.forward(cur, *[params[n] for n in names])
-        outputs.append(cur)
-        caches.append(cache)
+        if idx in sources:
+            held[idx] = cur
+        if backward:
+            caches.append(cache)
     return cur, caches
 
 
@@ -393,13 +405,17 @@ def _gap_index(desc: ArchDescriptor) -> int:
     raise InvalidDescriptorError(f"{desc.name} has no gap layer")
 
 
-def network_forward(net: Network, x: np.ndarray):
-    """Run the descriptor on a (B, S, S, 3) batch; returns ((B, K) logits, caches)."""
+def network_forward(net: Network, x: np.ndarray, backward: bool = True):
+    """Run the descriptor on a (B, S, S, 3) batch; returns ((B, K) logits, caches).
+
+    ``backward=False`` is inference: no cache is kept and caches is None
+    (see ``_run_layers``); the logits are the same bits either way.
+    """
     desc = net.descriptor
     size = desc.input_size
     if x.shape[1:] != (size, size, 3):
         raise ShapeMismatchError(f"expected a (B, {size}, {size}, 3) batch, got {x.shape}")
-    return _run_layers(net, _centered(net, x), desc.layers)
+    return _run_layers(net, _centered(net, x), desc.layers, backward)
 
 
 def feature_map(net: Network, images: np.ndarray) -> np.ndarray:
@@ -460,5 +476,5 @@ def network_backward(net: Network, caches: list,
 
 def forward_classify(net: Network, patch: np.ndarray) -> np.ndarray:
     """Class probabilities (sums to 1) for one (S, S, 3) input patch."""
-    logits, _ = network_forward(net, np.asarray(patch)[None])
+    logits, _ = network_forward(net, np.asarray(patch)[None], backward=False)
     return nn.softmax(logits[0].astype(np.float64))

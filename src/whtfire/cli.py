@@ -2,13 +2,17 @@
 
 Exit codes: 0 success (or no detection); 1 fire detected (``detect`` only);
 2 usage error, argparse refused an argument; 3 data/format error, a
-``WhtFireError`` or ``OSError``.  Any other exception is a bug and propagates.
+``WhtFireError`` or ``OSError``; 4 internal error.  Any other exception is
+a bug, or a ``MemoryError``, and propagates out of ``main``; ``main_entry``,
+the process boundary, prints its traceback to stderr and exits 4, so that
+status 1 always means a detection.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,6 +28,7 @@ EXIT_OK = 0
 EXIT_DETECTED = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+EXIT_INTERNAL = 4
 
 # params --arch: each name's descriptor, from the --classes and --width options
 _DESCRIPTORS = {
@@ -56,6 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whtfire",
         description="Walsh-Hadamard transform layers and block-grid smoke detection",
+        epilog="exit status: 0 success or no detection, 1 fire detected (detect), "
+               "2 usage error, 3 data or format error, 4 internal error "
+               "(a bug or out of memory; the traceback goes to stderr)",
     )
     parser.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     parser.add_argument("--precision", choices=("f32", "f64"), default="f32",
@@ -253,7 +261,12 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except Exception:  # Python's own status for it, 1, would read as a detection
+        traceback.print_exc()
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,12 +11,22 @@ network: its descriptor keys, its init seed and its tensors, plus whatever
 metadata the caller passes.  The settings of a run live in its ``run.json``.
 
 Every writer is deterministic and stamps no time: same inputs, same bytes.
+All of them write through ``_write_file``, which writes over the bytes a
+path already holds instead of truncating it first: ``detect`` rewrites the
+same overlay and ``scores.json`` every frame, and emptying a file of
+megabytes before refilling it can cost more than the write.  A regular
+file is then cut to the new length if it was longer.  A write that fails
+part-way leaves only the bytes it wrote, never the new bytes followed by
+the tail of the old file, so a failed overlay reads as truncated.  A new
+file gets the mode bits ``open(path, "wb")`` would give it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,15 +117,40 @@ def ppm_write(image: np.ndarray, path) -> None:
     """Write an (H, W, 3) uint8 frame as binary P6 with maxval 255."""
     arr = np.asarray(image)
     _check_frame(arr)
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        f.write(np.ascontiguousarray(arr))
+    _write_file(path, b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]),
+                np.ascontiguousarray(arr))
+
+
+def _write_file(path, *chunks) -> None:
+    """Write the byte buffers ``chunks``, in order, over the file at ``path``.
+
+    The file is opened without truncation.  A regular file that held more
+    bytes than were written is then cut to those written, also when a
+    write raises part-way.  Other files (``os.devnull``, a pipe) are never
+    cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        old = os.fstat(fd)
+        written = 0
+        try:
+            for chunk in chunks:
+                view = memoryview(chunk).cast("B")
+                while view:
+                    n = os.write(fd, view)
+                    written += n
+                    view = view[n:]
+        finally:  # no tail of the old bytes may follow the new ones
+            if stat.S_ISREG(old.st_mode) and old.st_size > written:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _write_json(payload, path) -> None:
     """Strict, indented JSON: a non-finite number raises instead of writing NaN."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _write_file(path, (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode())
 
 
 # -- dataset manifests ----------------------------------------------------------
@@ -169,8 +204,9 @@ def load_manifest(path) -> Manifest:
 
 
 def save_manifest(manifest: Manifest, path) -> None:
+    """Write the rows as UTF-8, the encoding ``load_manifest`` reads, whatever the locale."""
     lines = [f"{rel},{label}" for rel, label in manifest.entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # -- synthetic data ----------------------------------------------------------
@@ -290,7 +326,7 @@ def checkpoint_save(net: Network, metadata: dict[str, str], path) -> None:
         parts.append(struct.pack("<I", t.ndim))
         parts.append(struct.pack(f"<{t.ndim}I", *t.shape))
         parts.append(t.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    _write_file(path, b"".join(parts))
 
 
 class _Reader:

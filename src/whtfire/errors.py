@@ -1,11 +1,12 @@
 """Exception types shared across the library.
 
 Every error is a ``WhtFireError``.  The CLI exits 3 on one or on an
-``OSError``, 2 when argparse refuses an argument, and lets any other
-exception, a bug, propagate.  A narrower error subclasses the broader one
-it refines, so one ``except`` catches both: ``OddDimensionsError``, raised
-by the one mean pooling that frames and ``avgpool2`` layers share, is a
-``ShapeMismatchError``.  Only errors the package raises live here; one that
+``OSError``, 2 when argparse refuses an argument, and 4 on any other
+exception, a bug or a ``MemoryError``, after printing its traceback
+(``cli.main`` lets it propagate; ``cli.main_entry`` maps it).  A narrower
+error subclasses the broader one it refines, so one ``except`` catches
+both: ``OddDimensionsError``, raised by the one mean pooling that frames
+and ``avgpool2`` layers share, is a ``ShapeMismatchError``.  Only errors the package raises live here; one that
 only a test oracle raises lives with that oracle.
 """
 

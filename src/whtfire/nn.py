@@ -3,9 +3,12 @@
 Maps are (B, H, W, C) and vectors (B, C): every op takes a leading batch
 axis, and every backward sums its parameter gradients over it.  Each
 forward returns a ``LayerIO(output, cache)`` pair whose cache feeds the
-matching backward.  Training runs in float32; gradient checks run the
-same code in float64.  ``mean_pool`` is the one mean pooling: avgpool2
-layers run it on maps, and ``tiling`` on (H, W, C) frames and windows.
+matching backward; a cache holds arrays the forward made anyway, or its
+inputs, so inference, which drops it, builds nothing it does not read
+(relu's cache is its output, whose positive entries are the pass mask).
+Training runs in float32; gradient checks run the same code in float64.
+``mean_pool`` is the one mean pooling: avgpool2 layers run it on maps,
+and ``tiling`` on (H, W, C) frames and windows.
 """
 
 from __future__ import annotations
@@ -119,12 +122,15 @@ def dense_backward(cache: tuple, dy: np.ndarray):
 
 
 def relu_forward(x: np.ndarray) -> LayerIO:
-    return LayerIO(np.maximum(x, 0), (x > 0,))
+    """max(x, 0); the cache is the output itself, whose sign is the pass mask."""
+    y = np.maximum(x, 0)
+    return LayerIO(y, (y,))
 
 
 def relu_backward(cache: tuple, dy: np.ndarray):
-    (mask,) = cache
-    return dy * mask
+    # y > 0 exactly where x > 0: a NaN stays NaN and both zeros map to a zero
+    (y,) = cache
+    return dy * (y > 0)
 
 
 def gap_forward(x: np.ndarray) -> LayerIO:

@@ -166,7 +166,7 @@ def confusion_from_scores(labels: np.ndarray, scores: np.ndarray) -> ConfusionMa
 
 def _fire_probabilities(net: Network, images: np.ndarray) -> np.ndarray:
     logits = np.concatenate([
-        network_forward(net, images[start : start + EVAL_BATCH])[0]
+        network_forward(net, images[start : start + EVAL_BATCH], backward=False)[0]
         for start in range(0, len(images), EVAL_BATCH)
     ])
     return softmax(logits.astype(np.float64))[:, 1]

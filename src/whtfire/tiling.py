@@ -25,8 +25,14 @@ also share all per-pixel work: the feature map is computed once per block
 row, as a (1, H, W, C) batch, each window's ``gap`` is a sum of four block
 sums of it, and the dense head classifies all windows as one (B, C) batch.
 Otherwise (conv3x3, whose zero padding differs at window edges) each slice
-runs through ``forward_classify`` alone, as a batch of one: a 224 px conv
-window's forward holds ~15 MiB, so larger batches raise the peak memory.
+runs through ``forward_classify`` alone, as a batch of one.  Both run the
+executor without backward caches (``arch._run_layers``), so a row or a
+window holds only the current layer's input and output, its working
+arrays, and each residual block's input until its ``add_skip``: measured
+with tracemalloc, a block-32 wht row (1, 16, 944, 3) peaks at ~3.4 of its
+first-stage (1, 16, 944, 8) float32 maps, and a 224 px conv window at ~5.4
+of its (1, 224, 224, 8) ones (~8.3 MiB, its padded copies included), so
+larger conv batches would raise the peak memory in step.
 """
 
 from __future__ import annotations
@@ -243,7 +249,5 @@ def score_grid_json(grid: ScoreGrid, image_path: str) -> dict:
         "grid": [spec.rows, spec.cols],
         "threshold": grid.threshold,
         "fallback": grid.fallback,
-        "scores": [
-            [round(float(s), 6) for s in row] for row in grid.scores
-        ],
+        "scores": [[round(s, 6) for s in row] for row in grid.scores.tolist()],
     }

@@ -1,9 +1,11 @@
-"""Deliberately naive reference implementations that the tests judge against."""
+"""Deliberately naive reference implementations that the tests judge against,
+and the one spy that more than one test file uses."""
 
 from pathlib import Path
 
 import numpy as np
 
+from whtfire import arch
 from whtfire.dataio import _Reader
 from whtfire.errors import LengthNotPowerOfTwoError, ShapeMismatchError, WhtFireError
 from whtfire.tiling import _FONT, BORDER_PX, GREEN, RED
@@ -216,3 +218,16 @@ def network_backward_pending(net, caches, dlogits) -> dict:
         if idx > 0:
             pending[idx - 1] = pending.get(idx - 1, 0) + dx
     return grads
+
+
+def record_backward_flags(monkeypatch) -> list:
+    """The ``backward`` flag of every executor run from here on."""
+    flags = []
+    run = arch._run_layers
+
+    def recording(net, x, layers, backward=False):
+        flags.append(backward)
+        return run(net, x, layers, backward)
+
+    monkeypatch.setattr(arch, "_run_layers", recording)
+    return flags

@@ -424,3 +424,41 @@ class TestBatchEquivalence:
             assert np.any(want != 0), name
             err = np.max(np.abs(grads[name] - want)) / np.max(np.abs(want))
             assert err <= 1e-12, f"{name}: {err}"
+
+
+class TestInference:
+    # (variant, trainable threshold): the λ path runs the two transforms
+    NETS = [("conv-baseline", False), ("wht", False), ("wht", True)]
+
+    @pytest.mark.parametrize("variant, lam", NETS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_logits_are_the_training_forwards_bits(self, variant, lam, dtype, batch):
+        net = arch.build_toy_net(variant, 8, 32, seed=5, dtype=dtype, threshold_trainable=lam)
+        for name, p in net.parameters.items():
+            if name.endswith(".lambda"):
+                p[:] = 0.05  # a positive threshold, so some bins are cut
+        x = np.random.default_rng(5).random((batch, 32, 32, 3))
+        trained, caches = arch.network_forward(net, x)
+        inferred, none = arch.network_forward(net, x, backward=False)
+        assert none is None and len(caches) == len(net.descriptor.layers)
+        assert inferred.dtype == trained.dtype == dtype
+        assert inferred.tobytes() == trained.tobytes()
+
+    def test_an_add_writes_into_no_held_output_or_cache(self):
+        # the first add's input is the stem output the second one reads; the
+        # second's input is the output relu caches for a backward
+        layers = (arch.LayerDescriptor("pointwise", 3, 8, name="stem"),
+                  arch.LayerDescriptor("add_skip", 8, 8, skip_from=0),
+                  arch.LayerDescriptor("relu", 8, 8),
+                  arch.LayerDescriptor("add_skip", 8, 8, skip_from=0))
+        desc = arch.ArchDescriptor("skips", layers)
+        net = arch.Network(desc, arch.init_parameters(desc, 0), 0)
+        x = np.random.default_rng(0).random((1, 4, 4, 3)).astype(np.float32) - 0.5
+        stem = x @ net.parameters["stem.weight"]
+        relu = np.maximum(stem + stem, 0)
+        for backward in (True, False):
+            out, caches = arch._run_layers(net, x, layers, backward)
+            assert out.tobytes() == (relu + stem).tobytes()
+            if backward:
+                assert caches[2][0].tobytes() == relu.tobytes()

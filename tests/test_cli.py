@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whtfire import arch, dataio, pipeline
-from whtfire.cli import EXIT_DATA, EXIT_DETECTED, EXIT_OK, EXIT_USAGE, _build_parser, main
+from whtfire import arch, cli, dataio, pipeline
+from whtfire.cli import (EXIT_DATA, EXIT_DETECTED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
+                         _build_parser, main)
 from whtfire.dataio import ppm_write
 from whtfire.errors import ArchMismatchError
 from whtfire.fwht import fwht
@@ -332,6 +333,13 @@ class TestDetectErrors:
         ppm_write(unit_to_bytes(np.random.default_rng(2).random((64, 96, 3))), path)
         return path
 
+    def test_an_overlay_path_that_is_a_directory_exits_data(self, tmp_path, frame, capsys):
+        ckpt = tmp_path / "c.whtc"
+        dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32), {}, ckpt)
+        (tmp_path / "det" / "overlay.ppm").mkdir(parents=True)
+        assert self._detect(tmp_path, ckpt, frame) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
     def _detect(self, tmp_path, ckpt, frame, *extra):
         return main(["--out-dir", str(tmp_path / "det"), "detect",
                      "--checkpoint", str(ckpt), "--image", str(frame), *extra])
@@ -473,3 +481,45 @@ class TestEntryPoint:
         )
         assert done.returncode == EXIT_DETECTED, done.stderr
         assert "detected=True" in done.stdout
+
+    def test_a_crash_exits_internal_with_its_traceback(self):
+        # Python's own status for an uncaught exception, 1, is detect's "fire detected"
+        script = ("import sys\nfrom whtfire import cli, pipeline\n"
+                  "def broken(*args, **kwargs):\n    raise RuntimeError('a planted bug')\n"
+                  "pipeline.bench = broken\nsys.argv = ['whtfire', 'bench']\ncli.main_entry()\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_INTERNAL
+        assert "Traceback" in done.stderr and "RuntimeError: a planted bug" in done.stderr
+
+    def test_out_of_memory_exits_internal(self, monkeypatch, tmp_path, capsys):
+        # synth --resolution 1000000000 asks numpy for 333 PiB; only the error is planted
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 333. PiB")
+
+        monkeypatch.setattr(dataio, "synth_image", no_memory)
+        monkeypatch.setattr(sys, "argv", ["whtfire", "--out-dir", str(tmp_path), "synth",
+                                          "--count", "1", "--resolution", "1000000000"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main_entry()
+        assert exc.value.code == EXIT_INTERNAL
+        assert "MemoryError: Unable to allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [(["params", "--arch", "toy-wht"], EXIT_OK),
+                                            (["params", "--arch", "toy"], EXIT_USAGE),
+                                            (["eval", "--checkpoint", "missing.whtc",
+                                              "--manifest", "missing.csv"], EXIT_DATA)])
+    def test_mapped_codes_pass_through(self, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["whtfire", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main_entry()
+        assert exc.value.code == code
+
+    def test_help_documents_every_exit_code(self):
+        text = " ".join(_build_parser().format_help().split())
+        for code, meaning in [(EXIT_OK, "success"), (EXIT_DETECTED, "fire detected"),
+                              (EXIT_USAGE, "usage error"), (EXIT_DATA, "data or format error"),
+                              (EXIT_INTERNAL, "internal error")]:
+            assert f"{code} {meaning}" in text

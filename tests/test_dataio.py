@@ -1,3 +1,10 @@
+import errno
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -131,6 +138,83 @@ class TestPpmCodec:
             dataio.ppm_write(np.zeros((4, 4, 4), np.uint8), tmp_path / "x.ppm")
 
 
+class TestWriteFile:
+    """``_write_file`` writes over a file's old bytes instead of emptying it first."""
+
+    def test_a_shorter_payload_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "overlay.ppm"
+        dataio.ppm_write(np.full((40, 30, 3), 9, np.uint8), path)
+        small = np.arange(2 * 5 * 3, dtype=np.uint8).reshape(2, 5, 3)
+        dataio.ppm_write(small, path)
+        assert path.read_bytes() == b"P6\n5 2\n255\n" + small.tobytes()
+
+    def test_a_payload_no_shorter_is_written_without_a_cut(self, tmp_path, monkeypatch):
+        # the next frame's overlay has the same length: its write is the only change
+        path = tmp_path / "overlay.ppm"
+        dataio.ppm_write(np.full((4, 4, 3), 1, np.uint8), path)
+        cuts = []
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length))
+        dataio.ppm_write(np.full((4, 4, 3), 2, np.uint8), path)
+        assert cuts == [] and path.read_bytes() == b"P6\n4 4\n255\n" + bytes([2] * 48)
+
+    def test_a_longer_payload_replaces_the_old_file(self, tmp_path):
+        path = tmp_path / "scores.json"
+        path.write_bytes(b"old")
+        dataio._write_json({"a": [1, 2]}, path)
+        assert path.read_bytes() == b'{\n  "a": [\n    1,\n    2\n  ]\n}\n'
+
+    def test_a_failed_write_leaves_only_what_it_wrote(self, tmp_path, monkeypatch):
+        # the header and 150 pixel bytes land, then the disk fills: the old
+        # frame's tail must not pad the file back to a readable length
+        path = tmp_path / "overlay.ppm"
+        dataio.ppm_write(np.full((8, 8, 3), 7, np.uint8), path)
+        new = np.full((8, 8, 3), 200, np.uint8)
+        written, write = [], os.write
+
+        def filling(fd, data):
+            if sum(written) >= 11 + 150:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(write(fd, data[:50]))
+            return written[-1]
+
+        monkeypatch.setattr(os, "write", filling)
+        with pytest.raises(OSError, match="No space"):
+            dataio.ppm_write(new, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == (b"P6\n8 8\n255\n" + new.tobytes())[:161]
+        with pytest.raises(TruncatedFileError):
+            dataio.ppm_read(path)
+
+    def test_a_new_file_gets_the_mode_open_gives(self, tmp_path):
+        # os.open's own default mode, 0o777, would add the execute bits
+        old_umask = os.umask(0)
+        try:
+            with open(tmp_path / "reference", "wb"):
+                pass
+            dataio._write_file(tmp_path / "new", b"x")
+        finally:
+            os.umask(old_umask)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("reference", "new")]
+        assert modes[0] == modes[1]
+
+    def test_a_device_is_written_and_not_cut(self, monkeypatch):
+        dataio.ppm_write(np.zeros((2, 2, 3), np.uint8), os.devnull)
+        dataio._write_file(os.devnull, b"abc", memoryview(b"def"))
+
+        def full(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "write", full)
+        with pytest.raises(OSError, match="No space"):  # not ftruncate's EINVAL
+            dataio._write_file(os.devnull, b"abc")
+
+    def test_a_directory_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            dataio.ppm_write(np.zeros((2, 2, 3), np.uint8), tmp_path)
+        with pytest.raises(OSError):
+            dataio._write_json({}, tmp_path)
+
+
 class TestManifest:
     def test_parse_and_roundtrip(self, tmp_path):
         text = "# header comment\nimgs/a.ppm,0\n\nimgs/b.ppm,1\n"
@@ -142,6 +226,25 @@ class TestManifest:
         out = tmp_path / "copy.csv"
         dataio.save_manifest(man, out)
         assert dataio.load_manifest(out).entries == man.entries
+
+    def test_saved_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # load_manifest reads UTF-8, so save_manifest must write it whatever the
+        # locale; the child's source stays ASCII, as the C locale decodes argv
+        path = tmp_path / "manifest.csv"
+        script = ("import sys\nfrom pathlib import Path\nfrom whtfire import dataio\n"
+                  "path = Path(sys.argv[1])\n"
+                  "dataio.save_manifest(dataio.Manifest([('fum\\u00e9e.ppm', 1)], path.parent), path)\n"
+                  "print(ascii(dataio.load_manifest(path).entries))\n")
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+        src = Path(__file__).resolve().parent.parent / "src"
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script, str(path)],
+                              env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        assert done.stdout == b"[('fum\\xe9e.ppm', 1)]\n"
+        assert path.read_bytes() == "fumée.ppm,1\n".encode("utf-8")
+        assert dataio.load_manifest(path).entries == [("fumée.ppm", 1)]
 
     def test_bad_label_reports_line_number(self, tmp_path):
         p = tmp_path / "m.csv"

@@ -103,6 +103,15 @@ class TestSimpleLayers:
         dx = nn.relu_backward(io.cache, np.ones((1, 3)))
         assert dx.tolist() == [[0.0, 0.0, 1.0]]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_is_the_input_mask_formula(self, dtype):
+        # the cache is the output: y > 0 must pick what x > 0 picked, NaN and both zeros too
+        x = np.array([np.nan, -0.0, 0.0, -1.5, 2.0, np.inf, -np.inf, 1e-30], dtype)
+        dy = np.array([3.0, -2.0, -1.0, 4.0, np.nan, 6.0, -7.0, -8.0], dtype)
+        y, cache = nn.relu_forward(x)
+        assert cache[0] is y
+        assert nn.relu_backward(cache, dy).tobytes() == (dy * (x > 0)).tobytes()
+
     def test_gap_constant_channel(self):
         c = 3.25
         x = np.full((1, 4, 5, 2), c)

@@ -23,7 +23,8 @@ from whtfire.errors import (
     TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
-from oracles import checkpoint_metadata, render_overlay_per_block, unit_to_bytes
+from oracles import (checkpoint_metadata, record_backward_flags, render_overlay_per_block,
+                     unit_to_bytes)
 
 # Published evaluation rows (percent) for metric cross-checks:
 # (model, transfer, accuracy, precision, recall, f1, parameter count).
@@ -262,6 +263,11 @@ class TestEvaluate:
         net = arch.build_toy_net("wht", 8, 32, seed=0)
         _, cm = pipeline.evaluate(net, small_dataset)
         assert cm.total == len(small_dataset)
+
+    def test_evaluation_keeps_no_backward_caches(self, small_dataset, monkeypatch):
+        flags = record_backward_flags(monkeypatch)
+        pipeline.evaluate(arch.build_toy_net("wht", 8, 32, seed=0), small_dataset)
+        assert flags and not any(flags)
 
     def test_f1_bound_on_real_evaluations(self, small_dataset):
         for seed in range(3):

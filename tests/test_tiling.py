@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from whtfire.errors import (
     ShapeMismatchError,
 )
 from whtfire.nn import mean_pool
-from oracles import DegenerateGridError, border_mask, extract_windows, render_overlay_per_block
+from oracles import (DegenerateGridError, border_mask, extract_windows,
+                     record_backward_flags, render_overlay_per_block)
 
 
 def random_frame(seed, h, w):
@@ -287,15 +291,50 @@ class TestScoreGridEquivalence:
         calls = []
         original = arch.network_forward
 
-        def counting(net, x):
+        def counting(net, x, backward=True):
             calls.append(x.shape)
-            return original(net, x)
+            return original(net, x, backward)
 
         monkeypatch.setattr(arch, "network_forward", counting)
         net = arch.build_toy_net(variant, 8, 32, seed=0)
         # 32 px blocks: (R-1)(C-1) = 2 * 3 windows
         tiling.score_grid(net, np.full((96, 128, 3), 77, np.uint8))
         assert len(calls) == forwards
+
+
+class TestInferenceMemory:
+    @staticmethod
+    def peak_maps(run, map_shape) -> float:
+        """``run()``'s tracemalloc peak, in float32 maps of ``map_shape``."""
+        run()  # a warm-up, so first-call caches are not counted
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (4 * math.prod(map_shape))
+
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    def test_scoring_keeps_no_backward_caches(self, monkeypatch, variant):
+        flags = record_backward_flags(monkeypatch)
+        tiling.score_grid(arch.build_toy_net(variant, 8, 32), random_frame(1, 96, 128))
+        assert flags and not any(flags)
+
+    def test_a_block_row_holds_at_most_six_first_stage_maps(self):
+        # the pooled block row of a 32 px wht grid over 1888 px: 3.4 maps; 8.6
+        # when every output and cache lived until the run ended
+        net = arch.build_toy_net("wht", 8, 32, seed=0)
+        row = np.random.default_rng(0).random((1, 16, 944, 3))
+        peak = self.peak_maps(lambda: arch.feature_map(net, row), (16, 944, 8))
+        assert peak <= 6, f"{peak:.2f} maps"
+
+    def test_a_conv_window_holds_at_most_six_first_stage_maps(self):
+        # 5.4 maps, its padded conv inputs included; 9.9 with every output kept
+        net = arch.build_toy_net("conv-baseline", 8, 224, seed=0)
+        patch = np.random.default_rng(0).random((224, 224, 3))
+        peak = self.peak_maps(lambda: arch.forward_classify(net, patch), (224, 224, 8))
+        assert peak <= 6, f"{peak:.2f} maps"
 
 
 class TestRenderOverlay:
