@@ -366,15 +366,20 @@ def _run_layers(net: Network, x: np.ndarray, layers, backward: bool = False):
     vectors (B, C); every kind acts on the channel axis or the two spatial
     axes before it, so ``x`` may have any spatial extent.  Only the outputs
     that a later ``add_skip`` reads are held, and only while the run lasts.
-    Without caches nothing else reads the running output, so ``add_skip``
-    adds into it, unless it is itself held or the add would promote its
-    dtype.
+    The run drops its own reference to ``x`` at the start, so an input the
+    caller does not keep (``network_forward``'s centered copy) is freed as
+    soon as the first layer's output replaces it.  Without caches the run
+    thus holds the current layer's input and output, its working arrays,
+    and the held outputs; nothing else reads the running output, so
+    ``add_skip`` adds into it, unless it is itself held or the add would
+    promote its dtype.
     """
     params = net.parameters
     sources = {layer.skip_from for layer in layers if layer.kind == "add_skip"}
     held: dict[int, np.ndarray] = {}
     caches: list[tuple | None] | None = [] if backward else None
     cur = x
+    del x  # so the input is freed once the first layer replaces ``cur``
     for idx, layer in enumerate(layers):
         cache = None  # the last layer's, dropped before this one runs
         if layer.kind == "add_skip":

@@ -50,11 +50,21 @@ class TrainConfig:
 
 # -- convolutions ---------------------------------------------------------
 
+_CONV_BAND_PX = 8192  # output pixels per band of conv3x3_forward: 36 rows at 224 px
+
+
 def conv3x3_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
     """3x3 cross-correlation with padding 1, stride 1 and no bias.
 
     ``x`` is (B, H, W, Cin), ``w`` is (3, 3, Cin, Cout); the output keeps
-    the spatial extents.
+    the spatial extents.  It is made in bands of output rows holding about
+    ``_CONV_BAND_PX`` pixels of the batch: each band's zero-padded input
+    rows are copied into one band-size buffer, and its 9 tap products are
+    added to it in order, so neither a padded map nor a product's
+    temporary is ever larger than a band.  ``matmul`` already stacks over
+    the row axis, so every row gets the same product call on the same
+    values as in one whole-map pass: the bits do not depend on the band.
+    The cache is ``(x, w)``; the backward pads ``x`` itself.
     """
     if x.ndim != 4 or w.shape[:2] != (3, 3) or w.ndim != 4:
         raise ShapeMismatchError(f"bad conv shapes {x.shape} / {w.shape}")
@@ -62,20 +72,30 @@ def conv3x3_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
         raise ShapeMismatchError(
             f"input channels {x.shape[3]} != kernel channels {w.shape[2]}"
         )
-    hh, ww = x.shape[1:3]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    out = np.zeros((x.shape[0], hh, ww, w.shape[3]), dtype=x.dtype)
-    for di in range(3):
-        for dj in range(3):
-            out += xp[:, di : di + hh, dj : dj + ww] @ w[di, dj]
-    return LayerIO(out, (xp, w))
+    b, hh, ww, cin = x.shape
+    out = np.zeros((b, hh, ww, w.shape[3]), dtype=x.dtype)
+    band = max(1, _CONV_BAND_PX // (b * ww))
+    # padded row p of the band at r is input row r - 1 + p; rows and
+    # columns outside the map stay 0
+    xp = np.zeros((b, band + 2, ww + 2, cin), dtype=x.dtype)
+    for r in range(0, hh, band):
+        rows = out[:, r : r + band]
+        n = rows.shape[1]
+        lo, hi = max(r - 1, 0), min(r + n + 1, hh)
+        xp[:, lo - r + 1 : hi - r + 1, 1:-1] = x[:, lo:hi]
+        xp[:, hi - r + 1 :] = 0  # below the map's last row
+        for di in range(3):
+            for dj in range(3):
+                rows += xp[:, di : di + n, dj : dj + ww] @ w[di, dj]
+    return LayerIO(out, (x, w))
 
 
 def conv3x3_backward(cache: tuple, dy: np.ndarray):
-    xp, w = cache
+    x, w = cache
     hh, ww = dy.shape[1:3]
     if dy.shape[3] != w.shape[3]:
         raise ShapeMismatchError("upstream gradient channel mismatch")
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     dw = np.zeros_like(w)
     dxp = np.zeros_like(xp)
     for di in range(3):

@@ -25,19 +25,28 @@ also share all per-pixel work: the feature map is computed once per block
 row, as a (1, H, W, C) batch, each window's ``gap`` is a sum of four block
 sums of it, and the dense head classifies all windows as one (B, C) batch.
 Otherwise (conv3x3, whose zero padding differs at window edges) each slice
-runs through ``forward_classify`` alone, as a batch of one.  Both run the
-executor without backward caches (``arch._run_layers``), so a row or a
-window holds only the current layer's input and output, its working
-arrays, and each residual block's input until its ``add_skip``: measured
-with tracemalloc, a block-32 wht row (1, 16, 944, 3) peaks at ~3.4 of its
-first-stage (1, 16, 944, 8) float32 maps, and a 224 px conv window at ~5.4
-of its (1, 224, 224, 8) ones (~8.3 MiB, its padded copies included), so
-larger conv batches would raise the peak memory in step.
+runs through ``forward_classify`` alone, as a batch of one, and the slices
+are spread over min(usable CPUs, windows) threads: a conv window's time is
+mostly matrix products, which release the interpreter lock, so windows
+overlap.  The shared path's block rows stay on the calling thread: their
+many short numpy passes hold the lock, and threading them measured slower.
+Both run the executor without backward caches (``arch._run_layers``), so a
+row or a window holds only the current layer's input and output, its
+working arrays, and each residual block's input until its ``add_skip``:
+measured with tracemalloc, a block-32 wht row (1, 16, 944, 3) peaks at
+~3.0 of its first-stage (1, 16, 944, 8) float32 maps, and a 224 px conv
+window at ~3.3 of its (1, 224, 224, 8) ones (~5.1 MiB; conv3x3 pads and
+multiplies one band of rows at a time).  Each thread beyond the first
+holds one more window's working set, so scoring memory grows with the
+usable CPUs, up to the window count; larger conv batches would raise it
+in step.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +140,12 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     ``forward_classify(net, downsample_window(window / 255))[1]`` up to
     float rounding.  Windows share the feature map (see the module docstring)
     when ``arch.feature_stride`` allows it and S/2 is a multiple of the
-    stride; otherwise each slice is classified on its own, as is the one
-    window of a ``fallback`` grid: the block area pooled to one S x S patch.
+    stride, all on the calling thread.  Otherwise each slice is classified
+    on its own, and the slices are spread over min(usable CPUs, windows)
+    threads (``_classify_each``); the scores are the bits one thread gives,
+    and each thread beyond the first holds one more window's working set
+    (~5 MiB at 224 px).  The one window of a ``fallback`` grid, the block
+    area pooled to one S x S patch, is classified on the calling thread.
     """
     _check_frame(image)
     block = net.descriptor.input_size
@@ -144,9 +157,9 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     half = block // 2  # one block, in pooled pixels
     stride = feature_stride(net.descriptor)
     if spec.fallback or stride is None or half % stride:
-        scores = [forward_classify(net, pooled[r * half : r * half + block,
-                                               c * half : c * half + block])[1]
-                  for r, c in np.ndindex(spec.windows)]
+        patches = [pooled[r * half : r * half + block, c * half : c * half + block]
+                   for r, c in np.ndindex(spec.windows)]
+        scores = _classify_each(net, patches)
         return ScoreGrid(spec, np.reshape(scores, spec.windows), threshold)
     fb = half // stride  # one block, in feature pixels
     # one block row at a time bounds the transient feature maps
@@ -158,6 +171,38 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     gap = (sums[:-1, :-1] + sums[:-1, 1:] + sums[1:, :-1] + sums[1:, 1:]) / (4 * fb * fb)
     probs = head_classify(net, gap.reshape((rows - 1) * (cols - 1), -1))
     return ScoreGrid(spec, probs[:, 1].reshape(rows - 1, cols - 1), threshold)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _classify_each(net: Network, patches: list[np.ndarray]) -> list[float]:
+    """``forward_classify(net, patch)[1]`` for each patch, in order.
+
+    The patches are split over min(usable CPUs, patches) threads: with w of
+    them, this thread scores patches 0, w, 2w, ... and a pool of w - 1
+    threads, made and joined within the call, scores the other strides.
+    Each score lands at its patch's index, and a worker's exception is
+    raised here when its result is read.
+    """
+    workers = min(_usable_cpus(), len(patches))
+    scores = [0.0] * len(patches)
+
+    def score_stride(start: int) -> None:
+        for i in range(start, len(patches), workers):
+            scores[i] = forward_classify(net, patches[i])[1]
+
+    # a pool starts a thread only on submit, so one worker starts none
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(score_stride, start) for start in range(1, workers)]
+        score_stride(0)
+        for future in futures:
+            future.result()
+    return scores
 
 
 # 5x7 bitmap glyphs for burned-in probabilities.

@@ -163,6 +163,18 @@ def gradient_check(fun, x, analytic, epsilon: float = 1e-5) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def conv3x3_whole_map(x, w) -> np.ndarray:
+    """3x3 convolution (padding 1) as 9 tap products over the whole padded
+    map, each added to a zero-initialised output in tap order."""
+    hh, ww = x.shape[1:3]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    out = np.zeros((x.shape[0], hh, ww, w.shape[3]), dtype=x.dtype)
+    for di in range(3):
+        for dj in range(3):
+            out += xp[:, di : di + hh, dj : dj + ww] @ w[di, dj]
+    return out
+
+
 def avgpool2_reshape_mean(x) -> np.ndarray:
     """2x2 mean pooling of a (B, H, W, C) map as a reshape and a mean."""
     b, hh, ww, c = x.shape

@@ -7,8 +7,8 @@ import pytest
 from whtfire import nn
 from whtfire.dataio import ppm_read, ppm_write
 from whtfire.errors import BadLabelError, ShapeMismatchError
-from oracles import (avgpool2_backward_repeat, avgpool2_reshape_mean, gradient_check,
-                     mean_pool_strided)
+from oracles import (avgpool2_backward_repeat, avgpool2_reshape_mean, conv3x3_whole_map,
+                     gradient_check, mean_pool_strided)
 
 
 def conv3x3_direct(x, w):
@@ -52,6 +52,24 @@ class TestConv3x3:
         w = rng.normal(size=(3, 3, 2, 3))
         out = nn.conv3x3_forward(x, w).output
         assert np.max(np.abs(out - conv3x3_direct(x, w))) <= 1e-6
+
+    # 37 rows: 2 bands at batch 1 (36 + 1), 10 at batch 8 (9 x 4 + 1); 224
+    # rows: 7 bands (6 x 36 + 8), 56 at batch 8; a row of 9000 px is wider
+    # than a band, so each band is one row
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("height,width,cin,cout", [
+        (37, 224, 8, 8), (224, 224, 8, 8), (3, 9000, 2, 3),
+    ])
+    def test_banded_forward_equals_the_whole_map_bit_for_bit(
+            self, dtype, batch, height, width, cin, cout):
+        assert height > max(1, nn._CONV_BAND_PX // (batch * width))  # more than one band
+        rng = np.random.default_rng(height * width + batch)
+        x = rng.normal(size=(batch, height, width, cin)).astype(dtype)
+        w = rng.normal(size=(3, 3, cin, cout)).astype(dtype)
+        out = nn.conv3x3_forward(x, w).output
+        want = conv3x3_whole_map(x, w)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(3)
