@@ -25,6 +25,10 @@ class LengthNotPowerOfTwoError(WhtFireError, ValueError):
     """Transform input length is not a power of two."""
 
 
+class TransformInputError(WhtFireError, ValueError):
+    """Transform input is 0-d or not real-valued (complex, object, text)."""
+
+
 # -- tensors and layers -------------------------------------------------
 
 class ShapeMismatchError(WhtFireError, ValueError):

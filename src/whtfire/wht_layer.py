@@ -31,11 +31,11 @@ from .nn import LayerIO
 # product.  The product costs N multiply-adds per element against the two
 # transforms' ~2 log2 N, but it is one BLAS call instead of a dozen numpy
 # passes; building W and H M costs ~3 N^3 per call whatever the map size.
-# Forward + backward in float32 on a 2-vCPU host (BENCH_wht_layer.json),
-# transforms over product: on (8, 32, 32, N) maps 11x at N = 8, 9.8x at 64
-# and 1.9-2.6x at 256-512.  On the smaller maps the toy net also runs, down
-# to one 8 x 8 map per sample, the product still wins >= 1.8x at N <= 64
-# but loses at N >= 128 (0.23-0.7x on one 8 x 8 map), so it stops at 64.
+# Forward + backward in float32 on a 2-vCPU host (BENCH_fwht_plan.json),
+# transforms over product: on (8, 32, 32, N) maps 4.4x at N = 8, 3.1x at 64
+# and 1.3-1.9x at 256-512.  On the smaller maps the toy net also runs, down
+# to one 8 x 8 map per sample, the product still wins >= 1.5x at N <= 64
+# but loses at N >= 128 (0.08-0.44x on one 8 x 8 map), so it stops at 64.
 _PRODUCT_MAX_CHANNELS = 64
 
 

@@ -8,6 +8,7 @@ import numpy as np
 from whtfire import arch
 from whtfire.dataio import _Reader
 from whtfire.errors import LengthNotPowerOfTwoError, ShapeMismatchError, WhtFireError
+from whtfire.fwht import hadamard_matrix
 from whtfire.tiling import _FONT, BORDER_PX, GREEN, RED
 
 
@@ -43,6 +44,32 @@ def dyadic_convolve_bruteforce(x, h) -> np.ndarray:
             acc += xv[i] * hv[k ^ i]
         y[k] = acc
     return y
+
+
+def fwht_remainder_last(x) -> np.ndarray:
+    """``fwht`` with the Kronecker factors of N = 2^m in the order
+    [16, ..., 16, 2^(m % 4)], the remainder last.
+
+    At N = 16^a both orders make the same products, so ``fwht`` must match
+    this bit for bit there; other N only to rounding.
+    """
+    y = np.asarray(x)
+    dtype = np.float32 if y.dtype == np.float32 else np.float64
+    y = y.astype(dtype)
+    shape, q = y.shape, y.shape[-1]
+    while q > 1:
+        k = min(q, 16)
+        q //= k
+        h = hadamard_matrix(k.bit_length() - 1).astype(dtype)
+        y = y.reshape(-1, k) @ h if q == 1 else h @ y.reshape(-1, k, q)
+    return y.reshape(shape)
+
+
+def ifwht_separate_pass(y) -> np.ndarray:
+    """``fwht_remainder_last`` followed by its own pass scaling by 1/N."""
+    out = fwht_remainder_last(y)
+    out *= out.dtype.type(1.0 / out.shape[-1])
+    return out
 
 
 def unit_to_bytes(x) -> np.ndarray:

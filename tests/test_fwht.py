@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
-from whtfire.errors import LengthNotPowerOfTwoError, OrderTooLargeError
+from whtfire.errors import LengthNotPowerOfTwoError, OrderTooLargeError, TransformInputError
 from whtfire.fwht import fwht, hadamard_matrix, ifwht
-from oracles import LengthMismatchError, dyadic_convolve_bruteforce
+from oracles import (LengthMismatchError, dyadic_convolve_bruteforce, fwht_remainder_last,
+                     ifwht_separate_pass)
+
+
+def _hadamard_rows(xs: np.ndarray, m: int) -> np.ndarray:
+    """Each row of ``xs`` times the order-2^m Hadamard matrix.
+
+    hadamard_matrix stops at m = 12, so m = 13 applies
+    H_8192 = H_128 kron H_64 as H_128 @ X @ H_64.T on each row, reshaped.
+    """
+    if m <= 12:
+        return xs @ hadamard_matrix(m).astype(np.float64).T
+    h_hi, h_lo = (hadamard_matrix(b).astype(np.float64) for b in (7, m - 7))
+    return (h_hi @ xs.reshape(-1, 128, 1 << (m - 7)) @ h_lo.T).reshape(xs.shape)
 
 
 class TestHadamardMatrix:
@@ -67,16 +80,15 @@ class TestFwht:
         assert np.allclose(fwht(x), expected)
 
     def test_matches_matrix_product_all_small_sizes(self):
-        # up to m = 12: three Kronecker factors of the transform
+        # up to m = 13: four Kronecker factors of the transform, the first a
+        # remainder
         rng = np.random.default_rng(2024)
-        for m in range(13):
-            n = 1 << m
-            h = hadamard_matrix(m).astype(np.float64)
-            xs = rng.normal(size=(10, n))
+        for m in range(14):
+            xs = rng.normal(size=(10, 1 << m))
             got = fwht(xs)
-            assert np.max(np.abs(got - xs @ h.T)) <= 1e-9
+            assert np.max(np.abs(got - _hadamard_rows(xs, m))) <= 1e-9
             xs32 = xs.astype(np.float32)
-            ref = xs32.astype(np.float64) @ h.T
+            ref = _hadamard_rows(xs32.astype(np.float64), m)
             got32 = fwht(xs32)
             assert got32.dtype == np.float32
             assert np.max(np.abs(got32 - ref)) <= 1e-5 * np.max(np.abs(ref))
@@ -114,10 +126,11 @@ class TestFwht:
         assert np.allclose(got, expected, atol=1e-9)
 
     def test_returns_a_new_array_and_leaves_the_input_unchanged(self):
+        # the input is converted without a copy, and N = 1 makes no product
         rng = np.random.default_rng(1)
-        for n in (1, 8, 64):
+        for shape in ((3, 1), (1,), (3, 8), (64,), (3, 64), (4096,)):
             for dtype in (np.float32, np.float64):
-                x = rng.normal(size=(3, n)).astype(dtype)
+                x = rng.normal(size=shape).astype(dtype)
                 before = x.copy()
                 for transform in (fwht, ifwht):
                     for normalized in (False, True):
@@ -136,6 +149,39 @@ class TestFwht:
         with pytest.raises(LengthNotPowerOfTwoError):
             fwht(np.zeros(0))
 
+    @pytest.mark.parametrize("x", [np.float64(2.0), np.array(1.0), 3,
+                                   np.array([1.0 + 2.0j, 0.5j]),
+                                   np.ones((2, 4), dtype=np.complex64),
+                                   np.array([1.0, 2.0], dtype=object),
+                                   np.array(["1", "2"])])
+    def test_rejects_0d_and_non_real_input(self, x):
+        # a complex input must not lose its imaginary part with a warning
+        for transform in (fwht, ifwht):
+            for normalized in (False, True):
+                with pytest.raises(TransformInputError):
+                    transform(x, normalized=normalized)
+
+    def test_accepts_bool_and_integer_input_as_float64(self):
+        x = np.array([[True, False, True, True]])
+        assert fwht(x).dtype == np.float64
+        assert fwht(x).tolist() == [[3.0, 1.0, -1.0, 1.0]]
+        assert fwht(np.arange(8, dtype=np.uint8)).tolist() == fwht(np.arange(8.0)).tolist()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_the_remainder_last_order_at_powers_of_sixteen(self, dtype):
+        # at N = 16^a both factor orders make the same products; elsewhere
+        # they differ in the last bits only
+        rng = np.random.default_rng(21)
+        for m in range(17):
+            x = rng.normal(size=(3, 1 << m)).astype(dtype)
+            got, ref = fwht(x), fwht_remainder_last(x)
+            if m % 4 == 0 or m < 4:
+                assert np.array_equal(got, ref), m
+                assert np.array_equal(ifwht(x), ifwht_separate_pass(x)), m
+            else:
+                tol = 8 * np.finfo(dtype).eps * np.max(np.abs(ref))
+                assert np.max(np.abs(got - ref)) <= tol, m
+
 
 class TestIfwht:
     def test_inverse_of_constant_case(self):
@@ -148,6 +194,19 @@ class TestIfwht:
     def test_rejects_bad_length(self):
         with pytest.raises(LengthNotPowerOfTwoError):
             ifwht([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_the_forward_times_one_over_n_bit_for_bit(self, dtype):
+        # the 1/N rides in the last factor: a power-of-two scale commutes
+        # with rounding, so no bit may differ from scaling afterwards
+        rng = np.random.default_rng(31)
+        for m in range(15):
+            n = 1 << m
+            for shape in ((n,), (5, n)):
+                y = rng.normal(size=shape).astype(dtype)
+                want = fwht(y) * dtype(1.0 / n)
+                got = ifwht(y)
+                assert got.dtype == dtype and np.array_equal(got, want), (m, shape)
 
 
 class TestDyadicConvolution:

@@ -36,6 +36,8 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
     pins = re.findall(r"numpy==([0-9.]+)\.\*", text)
     assert pins == numpy_floor and len(pins) == 1
     assert text.count(tier1) == 2 and text.index("numpy==") < text.rindex(tier1)
+    # a hung thread pool ends the job, not the runner's 6-hour default
+    assert re.search(r"^    timeout-minutes: [1-9][0-9]?$", text, re.MULTILINE)
 
 
 def test_console_script_resolves_to_a_callable():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whtfire import arch, pipeline
+from whtfire import arch, pipeline, wht_layer
 from whtfire.dataio import (
     Manifest,
     SynthConfig,
@@ -23,8 +23,8 @@ from whtfire.errors import (
     TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
-from oracles import (checkpoint_metadata, record_backward_flags, render_overlay_per_block,
-                     unit_to_bytes)
+from oracles import (checkpoint_metadata, fwht_remainder_last, ifwht_separate_pass,
+                     record_backward_flags, render_overlay_per_block, unit_to_bytes)
 
 # Published evaluation rows (percent) for metric cross-checks:
 # (model, transfer, accuracy, precision, recall, f1, parameter count).
@@ -113,6 +113,20 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, learning_rate=0.01, seed=3)
         _, _, ck_a = pipeline.train(small_dataset, "wht", cfg, tmp_path / "a")
         _, _, ck_b = pipeline.train(small_dataset, "wht", cfg, tmp_path / "b")
+        assert ck_a.read_bytes() == ck_b.read_bytes()
+
+    @pytest.mark.parametrize("threshold_trainable", [False, True])
+    def test_width_8_checkpoints_keep_the_remainder_last_transforms_bytes(
+            self, small_dataset, tmp_path, monkeypatch, threshold_trainable):
+        # at N = 8 the transform is one factor, so factor order and where
+        # the inverse scales by 1/N change no bit of a trained net
+        cfg = TrainConfig(epochs=2, seed=4)
+        _, _, ck_a = pipeline.train(small_dataset, "wht", cfg, tmp_path / "a",
+                                    threshold_trainable=threshold_trainable)
+        monkeypatch.setattr(wht_layer, "fwht", fwht_remainder_last)
+        monkeypatch.setattr(wht_layer, "ifwht", ifwht_separate_pass)
+        _, _, ck_b = pipeline.train(small_dataset, "wht", cfg, tmp_path / "b",
+                                    threshold_trainable=threshold_trainable)
         assert ck_a.read_bytes() == ck_b.read_bytes()
 
     def test_run_record_contents(self, small_dataset, tmp_path):
