@@ -103,8 +103,9 @@ class _Kind:
     ``params(layer)`` gives one ``ParamSpec`` per tensor; counting,
     instantiation, training's bounds and checkpoint loading all read it.
     ``forward(x, *tensors)`` returns a ``LayerIO`` and
-    ``backward(cache, dy)`` returns ``(dx, *tensor grads)``: the cache holds
-    whatever of the tensors the gradients need.
+    ``backward(cache, dy, input_grad)`` returns ``(dx, *tensor grads)``: the
+    cache holds whatever of the tensors the gradients need, and dx is None
+    when ``input_grad`` is False (only kinds with tensors are asked that).
     Kinds without passes are counted only (``add_skip`` is wiring in the
     executor).  A ``local`` kind computes each output pixel from its own
     input pixel (avgpool2: its aligned 2x2 cell), so a map of a whole frame
@@ -128,8 +129,9 @@ def _ops(module, op: str, params: Callable = _no_params, local: bool = False) ->
     def forward(x, *tensors):
         return getattr(module, forward_name)(x, *tensors)
 
-    def backward(cache, dy):
-        out = getattr(module, backward_name)(cache, dy)
+    def backward(cache, dy, input_grad=True):
+        run = getattr(module, backward_name)
+        out = run(cache, dy) if input_grad else run(cache, dy, input_grad=False)
         return out if isinstance(out, tuple) else (out,)
 
     return _Kind(params, forward, backward, local)
@@ -461,6 +463,8 @@ def network_backward(net: Network, caches: list,
 
     One gradient walks the layers last to first; an ``add_skip`` parks it for
     its source layer to add once.  Each grad is the array its layer returns.
+    Layer 0's input gradient has no reader, so it is not formed: that layer
+    computes only its tensors' gradients, and is skipped if it has none.
     """
     grads: dict[str, np.ndarray] = {}
     parked: dict[int, np.ndarray] = {}
@@ -474,8 +478,9 @@ def network_backward(net: Network, caches: list,
             parked[j] = parked[j] + g if j in parked else g
         else:
             kind, names = layer._runnable
-            g, *dparams = kind.backward(caches[idx], g)
-            grads.update(zip(names, dparams))
+            if idx or names:
+                g, *dparams = kind.backward(caches[idx], g, input_grad=idx > 0)
+                grads.update(zip(names, dparams))
     return grads
 
 

@@ -6,7 +6,10 @@ forward returns a ``LayerIO(output, cache)`` pair whose cache feeds the
 matching backward; a cache holds arrays the forward made anyway, or its
 inputs, so inference, which drops it, builds nothing it does not read
 (relu's cache is its output, whose positive entries are the pass mask).
-Training runs in float32; gradient checks run the same code in float64.
+Every backward with tensors takes ``input_grad``: when False it forms no
+``dx`` and returns None in its place (the first layer's input gradient has
+no reader).  Training runs in float32; gradient checks run the same code
+in float64.
 ``mean_pool`` is the one mean pooling: avgpool2 layers run it on maps,
 and ``tiling`` on (H, W, C) frames and windows.
 """
@@ -90,20 +93,21 @@ def conv3x3_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
     return LayerIO(out, (x, w))
 
 
-def conv3x3_backward(cache: tuple, dy: np.ndarray):
+def conv3x3_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
     x, w = cache
     hh, ww = dy.shape[1:3]
     if dy.shape[3] != w.shape[3]:
         raise ShapeMismatchError("upstream gradient channel mismatch")
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if input_grad else None
     for di in range(3):
         for dj in range(3):
             win = (slice(None), slice(di, di + hh), slice(dj, dj + ww))
             dw[di, dj] = np.tensordot(xp[win], dy, axes=([0, 1, 2], [0, 1, 2]))
-            dxp[win] += dy @ w[di, dj].T
-    return dxp[:, 1:-1, 1:-1], dw
+            if input_grad:
+                dxp[win] += dy @ w[di, dj].T
+    return (dxp[:, 1:-1, 1:-1] if input_grad else None), dw
 
 
 def pointwise_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
@@ -115,13 +119,13 @@ def pointwise_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
     return LayerIO(x @ w, (x, w))
 
 
-def pointwise_backward(cache: tuple, dy: np.ndarray):
+def pointwise_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
     # dw and dx as one (rows, C) product each.  The forward keeps ``x @ w``: as one
     # product, a 224 px window's stem wakes a second BLAS thread (2x CPU per detect)
     x, w = cache
     rows = dy.reshape(-1, w.shape[1])
     dw = x.reshape(-1, w.shape[0]).T @ rows
-    dx = (rows @ w.T).reshape(x.shape)
+    dx = (rows @ w.T).reshape(x.shape) if input_grad else None
     return dx, dw
 
 
@@ -136,9 +140,9 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> LayerIO:
     return LayerIO(x @ w + b, (x, w))
 
 
-def dense_backward(cache: tuple, dy: np.ndarray):
+def dense_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
     x, w = cache
-    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
+    return (dy @ w.T if input_grad else None), x.T @ dy, dy.sum(axis=0)
 
 
 def relu_forward(x: np.ndarray) -> LayerIO:
@@ -233,11 +237,12 @@ def avgpool2_forward(x: np.ndarray) -> LayerIO:
 
 
 def avgpool2_backward(cache: tuple, dy: np.ndarray):
-    """``dy * 0.25`` broadcast into one array through its (B, H/2, 2, W/2, 2, C) view."""
+    """``dy * 0.25``, scaled at the pooled size, then repeated twice along
+    each spatial axis; both repeats write contiguous arrays."""
     (x_shape,) = cache
-    b, h, w, c = dy.shape
-    dx = np.empty(x_shape, dtype=dy.dtype)
-    dx.reshape(b, h, 2, w, 2, c)[...] = (dy * 0.25)[:, :, None, :, None, :]
+    dx = np.repeat(np.repeat(dy * 0.25, 2, axis=1), 2, axis=2)
+    if dx.shape != x_shape:
+        raise ShapeMismatchError(f"gradient {dy.shape} does not pool from {x_shape}")
     return dx
 
 
@@ -246,11 +251,11 @@ def gain_forward(x: np.ndarray, g: np.ndarray) -> LayerIO:
     return LayerIO(x * g[0], (x, g))
 
 
-def gain_backward(cache: tuple, dy: np.ndarray):
+def gain_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
+    # dg is one dot product: no full-size dy * x is made to be summed
     x, g = cache
-    dg = np.array([np.sum(dy * x)], dtype=g.dtype)
-    dx = dy * g[0]
-    return dx, dg
+    dg = np.array([np.vdot(dy, x)], dtype=g.dtype)
+    return (dy * g[0] if input_grad else None), dg
 
 
 # -- loss -------------------------------------------------------------------

@@ -49,7 +49,11 @@ from .tiling import render_overlay, score_grid, score_grid_json
 FINETUNE_LEARNING_RATE = 0.001
 VALIDATION_FRACTION = 0.2
 DECISION_THRESHOLD = 0.5
-EVAL_BATCH = 8  # samples per forward when evaluating
+# Samples per forward when evaluating.  32 measured slower: evaluating 128
+# patches right after a 10-epoch train took x1.38 (x1.35 on one BLAS thread)
+# the time at 8, median of 10 alternating pairs on a 2-vCPU Xeon
+# (BENCH_train_step.json, "eval_batch").
+EVAL_BATCH = 8
 MAX_BENCH_SIZE = 1 << 22
 NAIVE_BENCH_LIMIT = 1 << 12
 BENCH_RUNS = 5  # timed repetitions per size; the median is reported
@@ -136,14 +140,17 @@ def load_dataset(manifest, net: Network):
     if len(manifest) == 0:
         raise EmptyDatasetError("manifest has no entries")
     size = net.descriptor.input_size
-    images = np.empty((len(manifest), size, size, 3), dtype=net.dtype)
+    pixels = np.empty((len(manifest), size, size, 3), dtype=np.uint8)
     for i, path in enumerate(manifest.paths()):
         image = ppm_read(path)
-        if image.shape != images.shape[1:]:
+        if image.shape != pixels.shape[1:]:
             raise ShapeMismatchError(
                 f"{path}: {image.shape[1]}x{image.shape[0]} image, network input {size}x{size}"
             )
-        images[i] = image / 255.0  # in float64, then cast to the net's dtype
+        pixels[i] = image
+    images = np.empty(pixels.shape, dtype=net.dtype)
+    # one pass: each byte / 255 in float64, then cast to the net's dtype
+    np.divide(pixels, 255.0, out=images, dtype=np.float64)
     return images, manifest.labels()
 
 

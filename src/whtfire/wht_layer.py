@@ -70,14 +70,15 @@ def wht_layer_forward(x: np.ndarray, scale: np.ndarray,
     return LayerIO(ifwht(u), (t, mask, scale, lam))
 
 
-def wht_layer_backward(cache: tuple, dy: np.ndarray):
+def wht_layer_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
     """Straight-through backward: the pass mask is treated as constant.
 
     Returns (dx, dscale), and also a (1,) dlam in ``lam``'s dtype when the
-    forward pass had a threshold tensor.  dlam is the soft-threshold
-    surrogate: -sign(u) times the gradient reaching u, summed over the
-    pass region.  On the product path, dx = dy W (W is symmetric) and
-    dscale_k = (H M H)_kk / N with M = x^T dy summed over positions.
+    forward pass had a threshold tensor; dx is None unless ``input_grad``.
+    dlam is the soft-threshold surrogate: -sign(u) times the gradient
+    reaching u, summed over the pass region.  On the product path,
+    dx = dy W (W is symmetric) and dscale_k = (H M H)_kk / N with
+    M = x^T dy summed over positions.
     """
     if cache is None:
         raise CacheMissingError("wht layer backward needs the forward cache")
@@ -91,13 +92,13 @@ def wht_layer_backward(cache: tuple, dy: np.ndarray):
         m = x.reshape(-1, n).T @ dy.reshape(-1, n)
         h = _factor(n, w.dtype.type)
         dscale = np.sum((h @ m) * h, axis=1) * w.dtype.type(1.0 / n)
-        dx = (dy.reshape(-1, n) @ w).reshape(dy.shape)
+        dx = (dy.reshape(-1, n) @ w).reshape(dy.shape) if input_grad else None
         return dx, dscale.astype(scale.dtype, copy=False)
     t, mask, scale, lam = cache
     du = ifwht(dy)  # dL/dv, since the inverse transform is symmetric
     du *= mask
     dscale = np.sum(du * t, axis=tuple(range(du.ndim - 1))).astype(scale.dtype, copy=False)
-    dx = fwht(du * scale)
+    dx = fwht(du * scale) if input_grad else None
     if lam is None:
         return dx, dscale
     return dx, dscale, np.asarray([-np.sum(np.sign(t * scale) * du)], dtype=lam.dtype)

@@ -222,19 +222,23 @@ def mean_pool_strided(x, factor_y: int, factor_x: int) -> np.ndarray:
     return acc
 
 
-def avgpool2_backward_repeat(cache, dy) -> np.ndarray:
-    """avgpool2's adjoint as two ``np.repeat`` calls and a multiply."""
+def avgpool2_backward_broadcast(cache, dy) -> np.ndarray:
+    """avgpool2's adjoint: ``dy * 0.25`` broadcast into one array through
+    its (B, H/2, 2, W/2, 2, C) view."""
     (x_shape,) = cache
-    dx = np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) * dy.dtype.type(0.25)
-    return dx.astype(dy.dtype, copy=False).reshape(x_shape)
+    b, h, w, c = dy.shape
+    dx = np.empty(x_shape, dtype=dy.dtype)
+    dx.reshape(b, h, 2, w, 2, c)[...] = (dy * 0.25)[:, :, None, :, None, :]
+    return dx
 
 
 def network_backward_pending(net, caches, dlogits) -> dict:
     """Backpropagation through a map of pending gradients, one per layer.
 
     Every parameter gradient starts at zero and is added to; every
-    layer's input gradient is a fresh ``0 + dx`` sum, and an ``add_skip``
-    adds its gradient to its source layer's pending entry.
+    layer's input gradient, layer 0's too, is formed as a fresh ``0 + dx``
+    sum, and an ``add_skip`` adds its gradient to its source layer's
+    pending entry.
     """
     layers = net.descriptor.layers
     params = net.parameters

@@ -395,6 +395,22 @@ class TestOneGradientWalk:
             assert grads[name].dtype == g.dtype and grads[name].shape == g.shape, name
             assert np.array_equal(grads[name], g), name
 
+    def test_a_first_layer_without_tensors_is_not_run(self, monkeypatch):
+        layers = (arch.LayerDescriptor("relu", 3, 3),
+                  arch.LayerDescriptor("pointwise", 3, 4, name="pw"),
+                  arch.LayerDescriptor("gap", 4, 4),
+                  arch.LayerDescriptor("dense", 4, 2, name="head"))
+        desc = arch.ArchDescriptor("relu-first", layers, input_size=4)
+        net = arch.Network(desc, arch.init_parameters(desc, 1), 1)
+        logits, caches = arch.network_forward(net, np.random.default_rng(1).random((2, 4, 4, 3)))
+        _, dlogits = nn.softmax_cross_entropy(logits, [0, 1])
+        want = network_backward_pending(net, caches, dlogits)
+        monkeypatch.setattr(nn, "relu_backward", None)  # a call would raise
+        grads = arch.network_backward(net, caches, dlogits)
+        assert set(grads) == set(want) == {"pw.weight", "head.weight", "head.bias"}
+        for name, g in want.items():
+            assert np.array_equal(grads[name], g), name
+
 
 class TestBatchEquivalence:
     @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])

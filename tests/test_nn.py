@@ -7,7 +7,7 @@ import pytest
 from whtfire import nn
 from whtfire.dataio import ppm_read, ppm_write
 from whtfire.errors import BadLabelError, ShapeMismatchError
-from oracles import (avgpool2_backward_repeat, avgpool2_reshape_mean, conv3x3_whole_map,
+from oracles import (avgpool2_backward_broadcast, avgpool2_reshape_mean, conv3x3_whole_map,
                      gradient_check, mean_pool_strided)
 
 
@@ -162,12 +162,33 @@ class TestSimpleLayers:
         io = nn.avgpool2_forward(np.zeros(shape, dtype=dtype))
         dy = np.random.default_rng(13).standard_normal(io.output.shape).astype(dtype)
         dx = nn.avgpool2_backward(io.cache, dy)
-        assert dx.dtype == dtype
-        assert np.array_equal(dx, avgpool2_backward_repeat(io.cache, dy))
+        assert dx.dtype == dtype and dx.flags.c_contiguous
+        assert np.array_equal(dx, avgpool2_backward_broadcast(io.cache, dy))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [32, 16, 8])  # the toy net's maps at 32 px input
+    def test_gain_dg_matches_a_float64_sum(self, size, dtype):
+        # dg is one dot product, summed in another order than Σ dy·x, so it
+        # may differ in its last bits: within 8 eps of the dtype times Σ|dy·x|
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal((8, size, size, 8)).astype(dtype)
+        dy = rng.standard_normal(x.shape).astype(dtype)
+        g = np.array([1.3], dtype=dtype)
+        dx, dg = nn.gain_backward(nn.gain_forward(x, g).cache, dy)
+        terms = dy.astype(np.float64) * x
+        tolerance = 8 * np.finfo(dtype).eps * np.sum(np.abs(terms))
+        assert dg.dtype == dtype and dg.shape == (1,)
+        assert abs(float(dg[0]) - np.sum(terms)) <= tolerance
+        assert np.array_equal(dx, dy * g[0])
 
     def test_avgpool2_odd_extent_rejected(self):
         with pytest.raises(ShapeMismatchError):
             nn.avgpool2_forward(np.zeros((1, 3, 4, 1)))
+
+    def test_avgpool2_backward_rejects_a_gradient_of_another_shape(self):
+        io = nn.avgpool2_forward(np.zeros((1, 4, 4, 2)))
+        with pytest.raises(ShapeMismatchError):
+            nn.avgpool2_backward(io.cache, np.zeros((1, 2, 3, 2)))
 
     @pytest.mark.parametrize("layer", ["pointwise", "dense", "relu", "gap",
                                        "avgpool2", "gain"])
@@ -232,6 +253,26 @@ class TestSimpleLayers:
             ]
         for fun, point, analytic in checks:
             assert gradient_check(fun, point, analytic) <= 1e-6
+
+    @pytest.mark.parametrize("layer", ["pointwise", "conv3x3", "dense", "gain"])
+    def test_backward_without_input_grad_gives_the_same_tensor_grads(self, layer):
+        rng = np.random.default_rng(zlib.crc32(layer.encode()))
+        x = rng.standard_normal((2, 4, 4, 8) if layer != "dense" else (2, 8))
+        tensors = {
+            "pointwise": [rng.standard_normal((8, 4))],
+            "conv3x3": [rng.standard_normal((3, 3, 8, 4))],
+            "dense": [rng.standard_normal((8, 3)), rng.standard_normal(3)],
+            "gain": [np.array([1.3])],
+        }[layer]
+        io = getattr(nn, f"{layer}_forward")(x, *tensors)
+        backward = getattr(nn, f"{layer}_backward")
+        dy = rng.standard_normal(io.output.shape)
+        full = backward(io.cache, dy)
+        dx, *grads = backward(io.cache, dy, input_grad=False)
+        assert dx is None and full[0].shape == x.shape
+        assert len(grads) == len(full) - 1 == len(tensors)
+        for got, want in zip(grads, full[1:]):
+            assert np.array_equal(got, want)
 
     def test_linear_layer_gradient_is_exact(self):
         # dense layer is linear in x, so central differences are exact

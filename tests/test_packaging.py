@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import json
 import re
 import tomllib
 from pathlib import Path
@@ -102,3 +103,13 @@ def test_benchmark_entry_points(tmp_path):
     # the axis, so nothing may sit there: the transform runs on the last axis
     assert fwht.hadamard_matrix(3).dtype == np.int64
     assert list(inspect.signature(fwht.fwht).parameters) == ["x", "normalized"]
+
+
+def test_every_committed_benchmark_record_names_its_provenance():
+    # a truncated or hand-edited record fails here rather than being cited
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        missing = {"command", "method", "host", "parent_commit"} - set(record)
+        assert not missing, f"{path.name} lacks {sorted(missing)}"

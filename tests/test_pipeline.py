@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whtfire import arch, pipeline, wht_layer
+from whtfire import arch, nn, pipeline, wht_layer
 from whtfire.dataio import (
     Manifest,
     SynthConfig,
@@ -18,6 +18,7 @@ from whtfire.dataio import (
 from whtfire.errors import (
     EmptyDatasetError,
     LengthNotPowerOfTwoError,
+    ShapeMismatchError,
     SingleClassDatasetError,
     SizeTooLargeError,
     TrainingDivergedError,
@@ -128,6 +129,24 @@ class TestTrain:
         _, _, ck_b = pipeline.train(small_dataset, "wht", cfg, tmp_path / "b",
                                     threshold_trainable=threshold_trainable)
         assert ck_a.read_bytes() == ck_b.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    def test_training_forms_no_stem_input_gradient(self, small_dataset, tmp_path,
+                                                   monkeypatch, variant):
+        # the stem is layer 0: its backward gives only the weight's gradient
+        calls = []  # (input channels, dx formed) per pointwise backward
+        backward = nn.pointwise_backward
+
+        def recording(cache, dy, input_grad=True):
+            out = backward(cache, dy, input_grad=input_grad)
+            calls.append((cache[0].shape[-1], out[0] is not None))
+            return out
+
+        monkeypatch.setattr(nn, "pointwise_backward", recording)
+        pipeline.train(small_dataset, variant, TrainConfig(epochs=1, seed=4), tmp_path)
+        steps = len(calls) // 4
+        assert steps == 3  # 19 training patches in batches of 8
+        assert calls == [(8, True), (8, True), (8, True), (3, False)] * steps
 
     def test_run_record_contents(self, small_dataset, tmp_path):
         cfg = TrainConfig(epochs=3, learning_rate=0.01, seed=0)
@@ -392,13 +411,25 @@ class TestFramesStayBytes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_load_dataset_scales_as_before(self, tmp_path, dtype):
         frames = [_byte_frame(tmp_path / f"{i}.ppm", i, 32, 32) for i in range(3)]
-        manifest = Manifest([(f"{i}.ppm", i % 2) for i in range(3)], tmp_path)
+        every_byte = np.arange(32 * 32 * 3).reshape(32, 32, 3).astype(np.uint8)
+        ppm_write(every_byte, tmp_path / "3.ppm")  # each of the 256 values, 12 times
+        frames.append(every_byte)
+        manifest = Manifest([(f"{i}.ppm", i % 2) for i in range(4)], tmp_path)
         save_manifest(manifest, tmp_path / "manifest.csv")
         net = arch.build_toy_net("wht", 8, 32, dtype=dtype)
         images, labels = pipeline.load_dataset(tmp_path / "manifest.csv", net)
-        want = np.stack([(u.astype(np.float64) / 255.0).astype(dtype) for u in frames])
-        assert images.dtype == dtype and np.array_equal(images, want)
-        assert labels.tolist() == [0, 1, 0]
+        want = np.stack([(u / 255.0).astype(dtype) for u in frames])
+        assert images.dtype == dtype and images.tobytes() == want.tobytes()
+        assert labels.tolist() == [0, 1, 0, 1]
+
+    def test_load_dataset_rejects_a_wrong_size_image_before_converting(self, tmp_path,
+                                                                      monkeypatch):
+        _byte_frame(tmp_path / "0.ppm", 0, 32, 32)
+        _byte_frame(tmp_path / "1.ppm", 1, 32, 48)
+        manifest = Manifest([("0.ppm", 0), ("1.ppm", 1)], tmp_path)
+        monkeypatch.setattr(pipeline.np, "divide", None)  # a conversion would raise TypeError
+        with pytest.raises(ShapeMismatchError, match=r"1\.ppm: 48x32 image"):
+            pipeline.load_dataset(manifest, arch.build_toy_net("wht", 8, 32))
 
     # one 1080p detect, overlay and scores written; float64 frames peaked at 154 MiB
     @pytest.mark.parametrize("variant,block", [("wht", 32), ("conv-baseline", 224)])

@@ -252,6 +252,21 @@ class TestProductPath:
 
     @pytest.mark.parametrize("n", WIDTHS)
     @pytest.mark.parametrize("lam", [None, np.array([0.5])])
+    def test_no_input_grad_keeps_the_tensor_grads(self, n, lam):
+        # below the crossover without a threshold: the product path; else two transforms
+        rng = np.random.default_rng(n + 4)
+        x = rng.normal(size=(2, 3, 3, n))
+        io = wht_layer_forward(x, rng.normal(size=n), lam)
+        dy = rng.normal(size=x.shape)
+        full = wht_layer_backward(io.cache, dy)
+        dx, *grads = wht_layer_backward(io.cache, dy, input_grad=False)
+        assert dx is None and full[0].shape == x.shape
+        assert len(grads) == len(full) - 1 == (1 if lam is None else 2)
+        for got, want in zip(grads, full[1:]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lam", [None, np.array([0.5])])
     def test_cache_is_checked(self, n, lam):
         io = wht_layer_forward(np.ones((1, 2, 2, n)), np.ones(n), lam)
         with pytest.raises(ShapeMismatchError):
