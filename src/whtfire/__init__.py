@@ -7,8 +7,6 @@ from .arch import (
     build_toy_net,
     count_params,
     forward_classify,
-    resnet50_descriptor,
-    wht_resnet50_descriptor,
 )
 from .dataio import (
     Manifest,

@@ -1,11 +1,9 @@
 """Architecture descriptors, parameter counting, and runnable toy networks.
 
-Two kinds of descriptors live here: counting-only descriptors for the
-full-scale residual backbones (never instantiated; used to audit published
-parameter counts) and small runnable descriptors whose parameters are
-materialized as named numpy tensors.  The runnable toy networks come in a
-conv baseline and a spectral variant that differ in exactly one layer per
-residual block.
+A descriptor lists a network's layers; its parameters are materialized as
+named numpy tensors, and every layer kind it may name can run.  The toy
+networks come in a conv baseline and a spectral variant that differ in
+exactly one layer per residual block.
 """
 
 from __future__ import annotations
@@ -29,14 +27,6 @@ ARCH_NAME_TO_VARIANT = {"toy-conv": "conv-baseline", "toy-wht": "wht"}
 _VARIANT_TO_ARCH_NAME = {v: k for k, v in ARCH_NAME_TO_VARIANT.items()}
 TOY_VARIANTS = tuple(_VARIANT_TO_ARCH_NAME)
 
-# Published reference counts for the full-scale backbones (2-class heads).
-# Only the plain residual-50 count is an audit target; the spectral variant
-# is compared directionally: its exact layer replacement policy is not recoverable.
-REFERENCE_PARAM_COUNTS = {
-    "resnet50": 23_512_146,
-    "wht-resnet50-preset": 20_580_290,
-}
-
 
 @dataclass(frozen=True)
 class LayerDescriptor:
@@ -49,10 +39,8 @@ class LayerDescriptor:
 
     @functools.cached_property
     def _runnable(self) -> tuple[_Kind, tuple[str, ...]]:
-        """This layer's kind and tensor names, if it can run; kept on the layer."""
+        """This layer's kind and tensor names; kept on the layer."""
         kind = _kind(self)
-        if kind.forward is None and self.kind != "add_skip":
-            raise InvalidDescriptorError(f"layer kind {self.kind!r} cannot be instantiated")
         return kind, tuple(self.name + spec.suffix for spec in kind.params(self))
 
 
@@ -62,7 +50,6 @@ class ArchDescriptor:
     layers: tuple[LayerDescriptor, ...]
     input_size: int | None = None
     width: int | None = None
-    assumptions: tuple[str, ...] = ()
 
 
 @dataclass
@@ -106,10 +93,10 @@ class _Kind:
     ``backward(cache, dy, input_grad)`` returns ``(dx, *tensor grads)``: the
     cache holds whatever of the tensors the gradients need, and dx is None
     when ``input_grad`` is False (only kinds with tensors are asked that).
-    Kinds without passes are counted only (``add_skip`` is wiring in the
-    executor).  A ``local`` kind computes each output pixel from its own
-    input pixel (avgpool2: its aligned 2x2 cell), so a map of a whole frame
-    restricts exactly to aligned windows.
+    Only ``add_skip`` has no passes: it is wiring in the executor.  A
+    ``local`` kind computes each output pixel from its own input pixel
+    (avgpool2: its aligned 2x2 cell), so a map of a whole frame restricts
+    exactly to aligned windows.
     """
 
     params: Callable = _no_params
@@ -168,10 +155,6 @@ _KINDS = {
     "avgpool2": _ops(nn, "avgpool2", local=True),
     "gap": _ops(nn, "gap"),
     "dense": _ops(nn, "dense", _affine(bias=True)),
-    "conv7x7": _Kind(_affine(7, 7)),
-    "batchnorm": _Kind(lambda layer: (ParamSpec(".gamma", (layer.out_channels,), 1.0),
-                                      ParamSpec(".beta", (layer.out_channels,), 0.0))),
-    "maxpool": _Kind(),
 }
 
 
@@ -197,83 +180,6 @@ def param_table(arch: ArchDescriptor) -> list[tuple[str, str, int]]:
         if c:
             rows.append((layer.name or layer.kind, layer.kind, c))
     return rows
-
-
-# -- counting descriptors for the full-scale backbones ------------------------
-
-_RESNET50_ASSUMPTIONS = (
-    "bottleneck blocks [1x1, 3x3, 1x1] with expansion 4",
-    "stage depths [3, 4, 6, 3], widths [64, 128, 256, 512]",
-    "7x7 stem conv (3->64), bias-free convolutions throughout",
-    "batchnorm affine pairs (2 per channel) counted after every conv",
-    "1x1 projection shortcut on the first block of each stage",
-    "head: global average pool + dense 2048 -> num_classes with bias",
-)
-
-
-def resnet50_descriptor(num_classes: int = 2,
-                        spectral_stages: tuple[int, ...] = ()) -> ArchDescriptor:
-    """Counting descriptor for the 50-layer bottleneck residual network.
-
-    ``spectral_stages`` lists 1-based stage indices whose 3x3 convolutions
-    are replaced by channel-axis spectral layers of equal width.
-    """
-    layers = [
-        LayerDescriptor("conv7x7", 3, 64, name="stem.conv"),
-        LayerDescriptor("batchnorm", 64, 64, name="stem.bn"),
-        LayerDescriptor("maxpool", 64, 64, name="stem.pool"),
-    ]
-    in_ch = 64
-    for stage, (depth, mid) in enumerate(
-        zip((3, 4, 6, 3), (64, 128, 256, 512)), start=1
-    ):
-        out_ch = 4 * mid
-        for block in range(depth):
-            p = f"stage{stage}.block{block}"
-            layers.append(LayerDescriptor("pointwise", in_ch, mid, name=f"{p}.reduce"))
-            layers.append(LayerDescriptor("batchnorm", mid, mid, name=f"{p}.bn1"))
-            if stage in spectral_stages:
-                layers.append(
-                    LayerDescriptor("wht", mid, mid, name=f"{p}.wht")
-                )
-            else:
-                layers.append(
-                    LayerDescriptor("conv3x3", mid, mid, name=f"{p}.conv")
-                )
-            layers.append(LayerDescriptor("batchnorm", mid, mid, name=f"{p}.bn2"))
-            layers.append(LayerDescriptor("pointwise", mid, out_ch, name=f"{p}.expand"))
-            layers.append(LayerDescriptor("batchnorm", out_ch, out_ch, name=f"{p}.bn3"))
-            if block == 0:
-                layers.append(
-                    LayerDescriptor("pointwise", in_ch, out_ch, name=f"{p}.shortcut")
-                )
-                layers.append(
-                    LayerDescriptor("batchnorm", out_ch, out_ch, name=f"{p}.bn_sc")
-                )
-            in_ch = out_ch
-    layers.append(LayerDescriptor("gap", in_ch, in_ch, name="head.gap"))
-    layers.append(
-        LayerDescriptor("dense", in_ch, num_classes, name="head.fc")
-    )
-    if spectral_stages:
-        name = "wht-resnet50-preset"
-        assumptions = _RESNET50_ASSUMPTIONS + (
-            f"3x3 convolutions replaced by spectral layers in stages "
-            f"{sorted(spectral_stages)}",
-        )
-    else:
-        name = "resnet50"
-        assumptions = _RESNET50_ASSUMPTIONS
-    return ArchDescriptor(
-        name=name,
-        layers=tuple(layers),
-        assumptions=assumptions,
-    )
-
-
-def wht_resnet50_descriptor(num_classes: int = 2) -> ArchDescriptor:
-    """Preset: replace the 3x3 convolutions of stages 3-4 with spectral layers."""
-    return resnet50_descriptor(num_classes, spectral_stages=(3, 4))
 
 
 # -- runnable toy networks ----------------------------------------------------
@@ -330,7 +236,7 @@ def param_specs(arch: ArchDescriptor) -> dict[str, ParamSpec]:
     """Each named tensor's spec, in layer order, for an instantiable descriptor."""
     specs: dict[str, ParamSpec] = {}
     for layer in arch.layers:
-        kind, names = layer._runnable  # rejects counting-only kinds
+        kind, names = layer._runnable
         specs.update(zip(names, kind.params(layer)))
     return specs
 

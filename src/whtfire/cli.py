@@ -30,14 +30,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-# params --arch: each name's descriptor, from the --classes and --width options
-_DESCRIPTORS = {
-    "resnet50": lambda args: arch.resnet50_descriptor(args.classes),
-    "wht-resnet50-preset": lambda args: arch.wht_resnet50_descriptor(args.classes),
-} | {name: lambda args, variant=variant: arch.toy_descriptor(variant, width=args.width)
-     for name, variant in arch.ARCH_NAME_TO_VARIANT.items()}
-
-
 def _checked(convert, ok, what: str):
     """An argparse type: ``convert`` the text, then refuse a value not ``ok``."""
     def parse(text: str):
@@ -118,10 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_UNIT, default=pipeline.DECISION_THRESHOLD)
     p.add_argument("--draw-scores", action="store_true")
 
-    p = sub.add_parser("params", help="parameter-count table for an architecture")
+    p = sub.add_parser("params", help="parameter-count table for a toy architecture")
     p.set_defaults(run=_cmd_params)
-    p.add_argument("--arch", choices=_DESCRIPTORS, required=True)
-    p.add_argument("--classes", type=_POSITIVE, default=2)
+    p.add_argument("--arch", choices=arch.ARCH_NAME_TO_VARIANT, required=True)
     p.add_argument("--width", type=_WIDTH, default=8)
 
     p = sub.add_parser("bench", help="transform timing report")
@@ -221,20 +212,12 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    desc = _DESCRIPTORS[args.arch](args)
-    total = arch.count_params(desc)
-    for name, kind, count in arch.param_table(desc):
+    desc = arch.toy_descriptor(arch.ARCH_NAME_TO_VARIANT[args.arch], width=args.width)
+    rows = arch.param_table(desc)
+    for name, kind, count in rows:
         print(f"{name:<28} {kind:<10} {count:>12,}")
+    total = sum(count for _, _, count in rows)
     print(f"{'total':<28} {'':<10} {total:>12,}")
-    if desc.assumptions:
-        print("assumptions:")
-        for line in desc.assumptions:
-            print(f"  - {line}")
-    reference = arch.REFERENCE_PARAM_COUNTS.get(desc.name)
-    if reference and args.classes == 2:
-        delta = total - reference
-        print(f"reference count {reference:,} (delta {delta:+,}, "
-              f"{100.0 * delta / reference:+.4f}%)")
     return EXIT_OK
 
 

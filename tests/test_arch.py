@@ -24,37 +24,18 @@ class TestCountParams:
         trainable = arch.LayerDescriptor("wht", 64, 64, threshold_trainable=True)
         assert arch.count_params(arch.ArchDescriptor("one", (trainable,))) == 65
 
-    def test_resnet50_reference_count(self):
-        desc = arch.resnet50_descriptor(num_classes=2)
-        total = arch.count_params(desc)
-        reference = arch.REFERENCE_PARAM_COUNTS["resnet50"]
-        assert abs(total - reference) <= 0.002 * reference
-        assert desc.assumptions  # the assumption set ships with the descriptor
-
-    def test_resnet50_count_slope_per_class(self):
-        c2 = arch.count_params(arch.resnet50_descriptor(2))
-        c3 = arch.count_params(arch.resnet50_descriptor(3))
-        c10 = arch.count_params(arch.resnet50_descriptor(10))
-        assert c3 - c2 == 2048 + 1
-        assert c10 - c2 == 8 * (2048 + 1)
-
-    def test_spectral_preset_strictly_smaller(self):
-        full = arch.count_params(arch.resnet50_descriptor(2))
-        preset = arch.count_params(arch.wht_resnet50_descriptor(2))
-        assert preset < full
-
-    def test_replacing_any_conv_reduces_count(self):
-        for stages in ((1,), (2,), (3,), (4,), (1, 2, 3, 4)):
-            full = arch.count_params(arch.resnet50_descriptor(2))
-            swapped = arch.count_params(
-                arch.resnet50_descriptor(2, spectral_stages=stages)
-            )
-            assert swapped < full
-
     def test_unknown_kind_rejected(self):
-        bad = arch.ArchDescriptor("x", (arch.LayerDescriptor("wavelet", 4, 4),))
+        # refused by counting, instantiation and the executor alike
+        layers = (arch.LayerDescriptor("wavelet", 3, 3, name="x"),
+                  arch.LayerDescriptor("gap", 3, 3, name="gap"))
+        bad = arch.ArchDescriptor("x", layers, input_size=4)
         with pytest.raises(InvalidDescriptorError):
             arch.count_params(bad)
+        with pytest.raises(InvalidDescriptorError):
+            arch.param_specs(bad)
+        net = arch.Network(bad, {"w": np.zeros(1)}, seed=0)
+        with pytest.raises(InvalidDescriptorError):
+            arch.network_forward(net, np.zeros((1, 4, 4, 3)))
 
     def test_wht_kind_needs_square_power_of_two(self):
         bad = arch.ArchDescriptor("x", (arch.LayerDescriptor("wht", 4, 8),))
@@ -62,29 +43,13 @@ class TestCountParams:
             arch.count_params(bad)
 
     @pytest.mark.parametrize("desc, expected", [
-        (arch.resnet50_descriptor(2), 23_512_130),
-        (arch.wht_resnet50_descriptor(2), 12_898_370),
         (arch.toy_descriptor("conv-baseline", 8), 1_965),
         (arch.toy_descriptor("wht", 8), 261),
         (arch.toy_descriptor("wht", 8, threshold_trainable=True), 264),
-    ], ids=["resnet50", "wht-resnet50", "toy-conv", "toy-wht", "toy-wht-lambda"])
+    ], ids=["toy-conv", "toy-wht", "toy-wht-lambda"])
     def test_exact_counts(self, desc, expected):
         assert arch.count_params(desc) == expected
         assert sum(count for _, _, count in arch.param_table(desc)) == expected
-
-    def test_counting_only_kinds_do_not_run(self):
-        for kind, count in (("conv7x7", 441), ("batchnorm", 6), ("maxpool", 0)):
-            layers = (
-                arch.LayerDescriptor(kind, 3, 3, name="x"),
-                arch.LayerDescriptor("gap", 3, 3, name="gap"),
-            )
-            desc = arch.ArchDescriptor("x", layers, input_size=4)
-            assert arch.count_params(desc) == count
-            with pytest.raises(InvalidDescriptorError):
-                arch.param_specs(desc)
-            net = arch.Network(desc, {"w": np.zeros(1)}, seed=0)
-            with pytest.raises(InvalidDescriptorError):
-                arch.network_forward(net, np.zeros((1, 4, 4, 3)))
 
 
 class TestToyNets:

@@ -184,7 +184,6 @@ class TestExitCodes:
         (["synth", "--count", "0"], EXIT_USAGE, "--count"),
         (["synth", "--contrast", "2"], EXIT_USAGE, "--contrast"),
         (["synth", "--resolution", "4"], EXIT_USAGE, "--resolution"),
-        (["params", "--arch", "resnet50", "--classes", "-1"], EXIT_USAGE, "--classes"),
         (["bench", "--sizes", "8,x"], EXIT_USAGE, "--sizes"),
         (["transform", "--input", "words.txt"], EXIT_DATA, "line 3: 'three'"),
         (["transform", "--input", "binary.txt"], EXIT_DATA, "not UTF-8"),
@@ -210,7 +209,7 @@ class TestExitCodes:
             "lr-diverges", "input-size-mismatch", "mixed-sizes", "params-width",
             "seed-negative", "epochs-negative", "momentum-one", "batch-size-zero",
             "synth-count-zero", "synth-contrast-two", "synth-resolution-four",
-            "params-classes-negative", "bench-sizes-text",
+            "bench-sizes-text",
             "transform-text", "transform-binary", "detect-negative-lambda",
             "detect-nan-scale", "detect-empty-pixmap", "detect-short-header",
             "detect-stray-header-byte", "detect-byte-after-maxval",
@@ -397,7 +396,7 @@ class TestDetectErrors:
 
 
 class TestTrainingOptions:
-    # the option strings and defaults of train and finetune, as first released
+    # the option strings and defaults of train, finetune and params
     @pytest.mark.parametrize("argv, options, defaults", [
         (["train", "--manifest", "m"],
          "-h --help --manifest --variant --epochs --lr --momentum --batch-size --width "
@@ -406,6 +405,7 @@ class TestTrainingOptions:
         (["finetune", "--manifest", "m", "--source", "s"],
          "-h --help --source --manifest --epochs --lr --momentum --batch-size --freeze-stem",
          {"epochs": 25, "lr": 0.001, "momentum": 0.9, "batch_size": 8, "freeze_stem": False}),
+        (["params", "--arch", "toy-wht"], "-h --help --arch --width", {"width": 8}),
     ])
     def test_same_options_and_defaults(self, capsys, argv, options, defaults):
         with pytest.raises(SystemExit) as exc:
@@ -418,28 +418,40 @@ class TestTrainingOptions:
 
 
 class TestParams:
-    def test_resnet50_table(self, capsys):
-        assert main(["params", "--arch", "resnet50"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "23,512,146" in out  # reference count is reported
-        assert "assumptions:" in out
-        assert "total" in out
-
-    def test_preset_strictly_smaller(self, capsys):
-        main(["params", "--arch", "resnet50"])
-        full = capsys.readouterr().out
-        main(["params", "--arch", "wht-resnet50-preset"])
-        preset = capsys.readouterr().out
-        get_total = lambda text: int(
-            [l for l in text.splitlines() if l.startswith("total")][0]
-            .split()[-1].replace(",", "")
-        )
-        assert get_total(preset) < get_total(full)
+    # the width-8 tables, byte for byte
+    _TOY_WHT = (
+        "stem                         pointwise            24\n"
+        "block0.pw                    pointwise            64\n"
+        "wht0                         wht                   8\n"
+        "block0.gain                  gain                  1\n"
+        "block1.pw                    pointwise            64\n"
+        "wht1                         wht                   8\n"
+        "block1.gain                  gain                  1\n"
+        "block2.pw                    pointwise            64\n"
+        "wht2                         wht                   8\n"
+        "block2.gain                  gain                  1\n"
+        "head                         dense                18\n"
+        "total                                            261\n"
+    )
+    _TOY_CONV = (
+        "stem                         pointwise            24\n"
+        "block0.pw                    pointwise            64\n"
+        "block0.conv                  conv3x3             576\n"
+        "block0.gain                  gain                  1\n"
+        "block1.pw                    pointwise            64\n"
+        "block1.conv                  conv3x3             576\n"
+        "block1.gain                  gain                  1\n"
+        "block2.pw                    pointwise            64\n"
+        "block2.conv                  conv3x3             576\n"
+        "block2.gain                  gain                  1\n"
+        "head                         dense                18\n"
+        "total                                          1,965\n"
+    )
 
     def test_toy_arches(self, capsys):
-        main(["params", "--arch", "toy-wht", "--width", "16"])
-        out = capsys.readouterr().out
-        assert "wht" in out
+        for name, expected in (("toy-wht", self._TOY_WHT), ("toy-conv", self._TOY_CONV)):
+            assert main(["params", "--arch", name]) == EXIT_OK
+            assert capsys.readouterr().out == expected
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -37,6 +37,9 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
     pins = re.findall(r"numpy==([0-9.]+)\.\*", text)
     assert pins == numpy_floor and len(pins) == 1
     assert text.count(tier1) == 2 and text.index("numpy==") < text.rindex(tier1)
+    # and once in development mode, as a step of its own, not a comment
+    dev = "python -X dev -m pytest -q --continue-on-collection-errors"
+    assert len(re.findall(rf"^\s*- run: .*{re.escape(dev)}$", text, re.MULTILINE)) == 1
     # a hung thread pool ends the job, not the runner's 6-hour default
     assert re.search(r"^    timeout-minutes: [1-9][0-9]?$", text, re.MULTILINE)
 
