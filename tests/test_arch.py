@@ -37,6 +37,22 @@ class TestCountParams:
         with pytest.raises(InvalidDescriptorError):
             arch.network_forward(net, np.zeros((1, 4, 4, 3)))
 
+    def test_counting_only_kinds_do_not_run(self):
+        # the kinds that were once counted but never run are now unknown
+        for kind in ("conv7x7", "batchnorm", "maxpool"):
+            layers = (
+                arch.LayerDescriptor(kind, 3, 3, name="x"),
+                arch.LayerDescriptor("gap", 3, 3, name="gap"),
+            )
+            desc = arch.ArchDescriptor("x", layers, input_size=4)
+            with pytest.raises(InvalidDescriptorError):
+                arch.count_params(desc)
+            with pytest.raises(InvalidDescriptorError):
+                arch.param_specs(desc)
+            net = arch.Network(desc, {"w": np.zeros(1)}, seed=0)
+            with pytest.raises(InvalidDescriptorError):
+                arch.network_forward(net, np.zeros((1, 4, 4, 3)))
+
     def test_wht_kind_needs_square_power_of_two(self):
         bad = arch.ArchDescriptor("x", (arch.LayerDescriptor("wht", 4, 8),))
         with pytest.raises(InvalidDescriptorError):
