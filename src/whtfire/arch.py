@@ -3,7 +3,10 @@
 A descriptor lists a network's layers; its parameters are materialized as
 named numpy tensors, and every layer kind it may name can run.  The toy
 networks come in a conv baseline and a spectral variant that differ in
-exactly one layer per residual block.
+exactly one layer per residual block; their names (``ARCH_NAME_TO_VARIANT``)
+are read only here and by the command line.  Any other descriptor that
+passes ``check_descriptor`` runs as well, and is saved and loaded by its
+layer list.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class ArchDescriptor:
     name: str
     layers: tuple[LayerDescriptor, ...]
     input_size: int | None = None
-    width: int | None = None
 
 
 @dataclass
@@ -165,6 +167,64 @@ def _kind(layer: LayerDescriptor) -> _Kind:
     return kind
 
 
+def check_descriptor(desc: ArchDescriptor) -> None:
+    """Refuse a descriptor that would not run, or would run wrong; run on every
+    one ``checkpoint_load`` rebuilds.
+
+    Field types are exact (a bool is not an int).  Each layer takes the width
+    it is given, 3 at the input, and only pointwise, conv3x3 and dense change
+    it.  An ``add_skip`` reads an earlier output of its width, with no
+    ``avgpool2`` between.  Map kinds precede the one ``gap``, ``dense`` alone
+    follows it, and the last width is 2.  Tensor names are unique, and the
+    ``avgpool2`` layers halve ``input_size`` (a ``TOY_INPUT_SIZES``) to whole pixels.
+    """
+    def refuse(why: str):
+        raise InvalidDescriptorError(f"{desc.name}: {why}")
+
+    if type(desc.input_size) is not int or desc.input_size not in TOY_INPUT_SIZES:
+        refuse(f"input_size must be one of {TOY_INPUT_SIZES}, got {desc.input_size!r}")
+    widths: list[int] = []  # each layer's output width
+    tensor_names: set[str] = set()
+    width, gap = 3, False
+    for i, layer in enumerate(desc.layers):
+        if not (type(layer.kind) is type(layer.name) is str
+                and type(layer.in_channels) is type(layer.out_channels) is int
+                and type(layer.threshold_trainable) is bool
+                and (layer.skip_from is None or type(layer.skip_from) is int)):
+            refuse(f"layer {i} has a field of the wrong type: {layer}")
+        for name in layer._runnable[1]:  # an unknown kind raises here
+            if name in tensor_names:
+                refuse(f"layer {i} repeats the tensor name {name!r}")
+            tensor_names.add(name)
+        if layer.in_channels != width:
+            refuse(f"layer {i} takes {layer.in_channels} channels, is given {width}")
+        if layer.out_channels < 1 or (
+                layer.kind not in ("pointwise", "conv3x3", "dense")
+                and layer.out_channels != width):
+            refuse(f"layer {i} ({layer.kind}) cannot give {layer.out_channels} channels")
+        if layer.kind == "add_skip":
+            j = layer.skip_from
+            if j is None or not 0 <= j < i:
+                refuse(f"layer {i} adds layer {j}, which is not an earlier layer")
+            if widths[j] != width or any(
+                    earlier.kind == "avgpool2" for earlier in desc.layers[j + 1 : i]):
+                refuse(f"layer {i} adds layer {j}, whose output has another shape")
+        if layer.kind == "gap" and gap:
+            refuse(f"layer {i} is a second gap")
+        if gap != (layer.kind == "dense"):
+            refuse(f"layer {i} ({layer.kind}) is on the wrong side of gap")
+        gap = gap or layer.kind == "gap"
+        width = layer.out_channels
+        widths.append(width)
+    if not gap:
+        refuse("no gap layer")
+    if width != 2:
+        refuse(f"the last layer gives {width} channels, not 2 classes")
+    pools = sum(layer.kind == "avgpool2" for layer in desc.layers)
+    if desc.input_size % 2**pools:
+        refuse(f"{pools} avgpool2 layers do not halve {desc.input_size} px to whole extents")
+
+
 # -- parameter counting -----------------------------------------------------
 
 def count_params(arch: ArchDescriptor) -> int:
@@ -228,7 +288,6 @@ def toy_descriptor(variant: str, width: int = 8, input_size: int = 32,
         name=_VARIANT_TO_ARCH_NAME[variant],
         layers=tuple(layers),
         input_size=input_size,
-        width=width,
     )
 
 

@@ -7,8 +7,12 @@ turns ``synth_image``'s [0, 1] floats into one.  ``_check_frame`` is the one
 test of that form, shared by ``ppm_write`` and ``tiling``.
 
 A checkpoint holds what ``checkpoint_load`` needs to rebuild and check the
-network: its descriptor keys, its init seed and its tensors, plus whatever
-metadata the caller passes.  The settings of a run live in its ``run.json``.
+network: the descriptor's name (``arch``, free text), ``input_size`` and
+``layers`` (compact JSON, one object of ``LayerDescriptor``'s fields per
+layer), the init ``seed`` and the tensors, plus whatever metadata the
+caller passes.  So every descriptor that ``arch.check_descriptor`` passes
+is saved and loaded the same way.  The settings of a run live in its
+``run.json``.
 
 Every writer is deterministic and stamps no time: same inputs, same bytes.
 All of them write through ``_write_file``, which writes over the bytes a
@@ -28,18 +32,12 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .arch import (
-    ARCH_NAME_TO_VARIANT,
-    ArchDescriptor,
-    Network,
-    param_specs,
-    toy_descriptor,
-)
+from .arch import ArchDescriptor, LayerDescriptor, Network, check_descriptor, param_specs
 from .errors import (
     ArchMismatchError,
     BadMagicError,
@@ -53,7 +51,8 @@ from .errors import (
 )
 
 CHECKPOINT_MAGIC = b"WHTC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_LAYER_KEYS = frozenset(field.name for field in fields(LayerDescriptor))
 
 
 # -- P6 pixmap codec ----------------------------------------------------------
@@ -295,11 +294,9 @@ def synth_dataset(config: SynthConfig, out_dir) -> Manifest:
 def _descriptor_metadata(desc: ArchDescriptor) -> dict[str, str]:
     return {
         "arch": desc.name,
-        "width": str(desc.width),
         "input_size": str(desc.input_size),
-        "threshold_trainable": str(
-            int(any(l.kind == "wht" and l.threshold_trainable for l in desc.layers))
-        ),
+        "layers": json.dumps([asdict(layer) for layer in desc.layers],
+                             separators=(",", ":")),
     }
 
 
@@ -356,10 +353,14 @@ class _Reader:
             ) from exc
 
 
-def _meta_int(meta: dict[str, str], key: str, default: str | None = None) -> int:
-    value = meta.get(key, default)
-    if value is None:
+def _meta_text(meta: dict[str, str], key: str) -> str:
+    if key not in meta:
         raise ArchMismatchError(f"checkpoint metadata lacks {key!r}")
+    return meta[key]
+
+
+def _meta_int(meta: dict[str, str], key: str) -> int:
+    value = _meta_text(meta, key)
     try:
         return int(value)
     except ValueError:
@@ -368,24 +369,41 @@ def _meta_int(meta: dict[str, str], key: str, default: str | None = None) -> int
         ) from None
 
 
+def _no_repeated_keys(pairs: list) -> dict:
+    row = dict(pairs)
+    if len(row) != len(pairs):
+        raise ValueError("an object repeats a key")
+    return row
+
+
 def _rebuild_descriptor(meta: dict[str, str]) -> ArchDescriptor:
-    name = meta.get("arch", "")
-    variant = ARCH_NAME_TO_VARIANT.get(name)
-    if variant is None:
-        raise ArchMismatchError(f"unknown architecture {name!r} in checkpoint")
-    return toy_descriptor(
-        variant,
-        width=_meta_int(meta, "width"),
-        input_size=_meta_int(meta, "input_size"),
-        threshold_trainable=bool(_meta_int(meta, "threshold_trainable", "0")),
-    )
+    text = _meta_text(meta, "layers")
+    try:
+        rows = json.loads(text, object_pairs_hook=_no_repeated_keys)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ArchMismatchError(f"checkpoint metadata 'layers' does not parse: {exc}") from None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and row.keys() == _LAYER_KEYS for row in rows):
+        raise ArchMismatchError(
+            f"checkpoint metadata 'layers' is not a list of objects with the keys "
+            f"{sorted(_LAYER_KEYS)}"
+        )
+    desc = ArchDescriptor(_meta_text(meta, "arch"),
+                          tuple(LayerDescriptor(**row) for row in rows),
+                          _meta_int(meta, "input_size"))
+    check_descriptor(desc)
+    return desc
 
 
 def checkpoint_load(path) -> Network:
     """Restore the network a checkpoint holds.
 
-    Checks the magic, the version, the tensor names and shapes of the
-    architecture its metadata names, and that values are finite and λ >= 0.
+    Checks the magic and the version, and that no metadata key or tensor
+    name repeats and no byte follows the last tensor.  Rebuilds the
+    descriptor from the ``arch``, ``input_size`` and ``layers`` keys, and
+    refuses one that ``arch.check_descriptor`` refuses.  Then checks the
+    tensor names and shapes against the descriptor, and that the values
+    are finite and λ >= 0.
     """
     rd = _Reader(Path(path).read_bytes(), str(path))
     if rd.take(4) != CHECKPOINT_MAGIC:
@@ -398,14 +416,20 @@ def checkpoint_load(path) -> Network:
     meta: dict[str, str] = {}
     for _ in range(rd.u32()):
         key = rd.text()
+        if key in meta:
+            raise CorruptFileError(f"{path}: metadata key {key!r} repeats")
         meta[key] = rd.text()
     tensors: dict[str, tuple[tuple[int, ...], np.ndarray]] = {}  # (shape, flat values)
     for _ in range(rd.u32()):
         name = rd.text()
+        if name in tensors:
+            raise CorruptFileError(f"{path}: tensor name {name!r} repeats")
         rank = rd.u32()
         shape = struct.unpack(f"<{rank}I", rd.take(4 * rank))
         count = math.prod(shape)  # a Python int: a huge shape cannot wrap to 0
         tensors[name] = shape, np.frombuffer(rd.take(4 * count), dtype="<f4")
+    if rd.pos != len(rd.raw):
+        raise CorruptFileError(f"{path}: {len(rd.raw) - rd.pos} bytes follow the last tensor")
     desc = _rebuild_descriptor(meta)
     specs = param_specs(desc)
     if set(specs) != set(tensors):
@@ -430,4 +454,4 @@ def checkpoint_load(path) -> Network:
         if spec.lower is not None and np.any(t < spec.lower):
             raise CorruptFileError(f"{path}: threshold {name} is negative")
         params[name] = t
-    return Network(desc, params, seed=_meta_int(meta, "seed", "0"))
+    return Network(desc, params, seed=_meta_int(meta, "seed"))

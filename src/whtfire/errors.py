@@ -6,8 +6,10 @@ exception, a bug or a ``MemoryError``, after printing its traceback
 (``cli.main`` lets it propagate; ``cli.main_entry`` maps it).  A narrower
 error subclasses the broader one it refines, so one ``except`` catches
 both: ``OddDimensionsError``, raised by the one mean pooling that frames
-and ``avgpool2`` layers share, is a ``ShapeMismatchError``.  Only errors the package raises live here; one that
-only a test oracle raises lives with that oracle.
+and ``avgpool2`` layers share, is a ``ShapeMismatchError``.
+
+Only errors the package raises live here; one that only a test oracle
+raises lives with that oracle.
 """
 
 
@@ -94,7 +96,8 @@ class VersionMismatchError(WhtFireError, ValueError):
 
 
 class ArchMismatchError(WhtFireError, ValueError):
-    """Checkpoint architecture does not match the requested one."""
+    """Checkpoint metadata lacks or garbles the network, the tensor names
+    disagree with it, or it has no ``stem.weight`` to freeze."""
 
 
 class TensorShapeMismatchError(WhtFireError, ValueError):

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .arch import (
-    ARCH_NAME_TO_VARIANT,
     Network,
     build_toy_net,
     network_backward,
@@ -34,6 +33,7 @@ from .dataio import (
     synth_dataset,
 )
 from .errors import (
+    ArchMismatchError,
     EmptyDatasetError,
     LengthNotPowerOfTwoError,
     NonFiniteScoreError,
@@ -198,7 +198,7 @@ def evaluate(net_or_checkpoint, manifest):
 @dataclass
 class RunRecord:
     config: TrainConfig
-    variant: str
+    arch: str
     epochs: list[dict] = field(default_factory=list)
     final_checkpoint: str = ""
     transfer_source: str | None = None
@@ -211,7 +211,6 @@ class RunRecord:
 def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
                   frozen: frozenset[str] = frozenset(),
                   transfer_source: str | None = None):
-    variant = ARCH_NAME_TO_VARIANT[net.descriptor.name]
     images, labels = load_dataset(manifest, net)
     both = set(np.unique(labels))
     if both != {0, 1}:
@@ -228,7 +227,7 @@ def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
     bounded = [(net.parameters[name], spec.lower)
                for name, spec in param_specs(net.descriptor).items()
                if spec.lower is not None]
-    record = RunRecord(config, variant, transfer_source=transfer_source)
+    record = RunRecord(config, net.descriptor.name, transfer_source=transfer_source)
     for epoch in range(1, config.epochs + 1):
         order = train_idx[rng.permutation(len(train_idx))]
         losses = []
@@ -285,8 +284,12 @@ def train(manifest, variant: str, config: TrainConfig, out_dir, *,
 
 def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
              freeze_stem: bool = False):
-    """Continue training, on a new manifest, whichever network the checkpoint holds."""
+    """Continue training, on a new manifest, whichever network the checkpoint
+    holds; ``freeze_stem`` keeps its ``stem.weight``, which it must have."""
     net = checkpoint_load(source_checkpoint)
+    if freeze_stem and "stem.weight" not in net.parameters:
+        raise ArchMismatchError(
+            f"{source_checkpoint}: {net.descriptor.name} has no stem.weight to freeze")
     frozen = frozenset({"stem.weight"}) if freeze_stem else frozenset()
     return _run_training(net, manifest, config, Path(out_dir), frozen=frozen,
                          transfer_source=str(source_checkpoint))

@@ -1,6 +1,8 @@
 """Deliberately naive reference implementations that the tests judge against,
-and the one spy that more than one test file uses."""
+the one spy that more than one test file uses, and the hand-built arm that
+no library variant names."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +77,23 @@ def ifwht_separate_pass(y) -> np.ndarray:
 def unit_to_bytes(x) -> np.ndarray:
     """Values in [0, 1] as the bytes ``clip(rint(x * 255), 0, 255)``."""
     return np.clip(np.rint(np.asarray(x) * 255.0), 0, 255).astype(np.uint8)
+
+
+def identity_arm(width: int = 8, input_size: int = 32) -> arch.ArchDescriptor:
+    """The wht toy net with its ``wht`` layers dropped, named ``toy-identity``.
+
+    Each block is then pointwise, relu and gain: the ablation that shows what
+    the spectral layer adds.  Every ``skip_from`` is remapped to the new
+    index of the layer it reads.
+    """
+    toy = arch.toy_descriptor("wht", width, input_size)
+    kept = [i for i, layer in enumerate(toy.layers) if layer.kind != "wht"]
+    new_index = {old: new for new, old in enumerate(kept)}
+    layers = tuple(
+        dataclasses.replace(toy.layers[i], skip_from=new_index.get(toy.layers[i].skip_from))
+        for i in kept
+    )
+    return arch.ArchDescriptor("toy-identity", layers, input_size)
 
 
 def checkpoint_metadata(path) -> dict[str, str]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -13,10 +14,90 @@ from whtfire import arch, cli, dataio, pipeline
 from whtfire.cli import (EXIT_DATA, EXIT_DETECTED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                          _build_parser, main)
 from whtfire.dataio import ppm_write
-from whtfire.errors import ArchMismatchError
+from whtfire.errors import ArchMismatchError, CorruptFileError, WhtFireError
 from whtfire.fwht import fwht
 from whtfire.nn import TrainConfig
-from oracles import unit_to_bytes
+from oracles import identity_arm, unit_to_bytes
+
+
+def save_edited(monkeypatch, net, path, edit):
+    """``checkpoint_save`` with ``edit`` applied, in place, to the metadata
+    that describes ``net``."""
+    original = dataio._descriptor_metadata
+
+    def edited(desc):
+        meta = original(desc)
+        edit(meta)
+        return meta
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dataio, "_descriptor_metadata", edited)
+        dataio.checkpoint_save(net, {}, path)
+
+
+def _rows(edit):
+    """A metadata edit that runs ``edit`` on the decoded layer list."""
+    def apply(meta):
+        rows = json.loads(meta["layers"])
+        edit(rows)
+        meta["layers"] = json.dumps(rows)
+    return apply
+
+
+def _set(index, key, value):
+    return _rows(lambda rows: rows[index].update({key: value}))
+
+
+def _insert(index, kind, channels=8, name=""):
+    row = {"kind": kind, "in_channels": channels, "out_channels": channels,
+           "threshold_trainable": False, "skip_from": None, "name": name}
+    return _rows(lambda rows: rows.insert(index, row))
+
+
+def _drop_head(rows):
+    del rows[18:]
+
+
+def _four_more_pools(rows):
+    rows[18:18] = [dict(rows[6]) for _ in range(4)]
+
+
+# Malformed layer lists of the wht toy net, whose layers are: 0 stem; blocks
+# at 1-5, 7-11 and 13-17 (pw, relu, wht, gain, skip); pools at 6 and 12;
+# 18 gap; 19 the dense head.  Each edit and the message it must raise.
+LAYER_EDITS = {
+    "not-a-list": (lambda meta: meta.update(layers='{"kind": "gap"}'),
+                   "not a list of objects"),
+    "missing-key": (_rows(lambda rows: rows[0].pop("name")), "not a list of objects"),
+    "extra-key": (_set(0, "stride", 1), "not a list of objects"),
+    "repeated-key": (lambda meta: meta.update(layers=meta["layers"].replace(
+        '"kind":"relu"', '"kind":"relu","kind":"relu"', 1)), "repeats a key"),
+    "nested": (lambda meta: meta.update(layers="[" * 100_000), "does not parse"),
+    "channels-text": (_set(1, "in_channels", "8"), "wrong type"),
+    "channels-bool": (_set(0, "in_channels", True), "wrong type"),
+    "name-null": (_set(2, "name", None), "wrong type"),
+    "unknown-kind": (_set(2, "kind", "conv5x5"), "unknown layer kind 'conv5x5'"),
+    "skip-forward": (_set(5, "skip_from", 7), "adds layer 7, which is not an earlier"),
+    "skip-itself": (_set(5, "skip_from", 5), "adds layer 5, which is not an earlier"),
+    "skip-out-of-range": (_set(5, "skip_from", 99), "adds layer 99, which is not"),
+    "skip-negative": (_set(5, "skip_from", -1), "adds layer -1, which is not"),
+    "skip-true": (_set(5, "skip_from", True), "wrong type"),
+    "skip-missing": (_set(5, "skip_from", None), "adds layer None, which is not"),
+    "channel-mismatch": (_set(1, "in_channels", 16), "layer 1 takes 16 channels, is given 8"),
+    "relu-widens": (_set(2, "out_channels", 16), "(relu) cannot give 16 channels"),
+    "zero-channels": (_set(1, "out_channels", 0), "(pointwise) cannot give 0 channels"),
+    "skip-across-avgpool2": (_set(11, "skip_from", 5), "adds layer 5, whose output has"),
+    "no-gap": (_rows(_drop_head), "no gap layer"),
+    "two-gaps": (_insert(18, "gap"), "layer 19 is a second gap"),
+    "avgpool2-after-gap": (_insert(19, "avgpool2"), "(avgpool2) is on the wrong side of gap"),
+    "dense-before-gap": (_insert(18, "dense", name="mid"), "(dense) is on the wrong side"),
+    "head-width-3": (_set(19, "out_channels", 3), "gives 3 channels, not 2 classes"),
+    "duplicate-tensor-names": (_set(7, "name", "block0.pw"),
+                               "repeats the tensor name 'block0.pw.weight'"),
+    "input-size-48": (lambda meta: meta.update(input_size="48"),
+                      "input_size must be one of (32, 64, 224), got 48"),
+    "pools-past-one-pixel": (_rows(_four_more_pools), "6 avgpool2 layers do not halve 32 px"),
+}
 
 
 @pytest.fixture()
@@ -134,6 +215,19 @@ class TestTrainEvalDetect:
         ])
         assert rc == EXIT_OK
         assert (tmp_path / "ft" / "checkpoint.whtc").exists()
+
+    def test_freeze_stem_without_a_stem_is_data_error(self, dataset_dir, tmp_path, capsys):
+        desc = identity_arm()
+        desc = dataclasses.replace(desc, layers=(
+            dataclasses.replace(desc.layers[0], name="entry"), *desc.layers[1:]))
+        ckpt = tmp_path / "c.whtc"
+        dataio.checkpoint_save(arch.Network(desc, arch.init_parameters(desc, 0), 0), {}, ckpt)
+        argv = ["finetune", "--source", str(ckpt), "--manifest",
+                str(dataset_dir / "manifest.csv"), "--epochs", "1"]
+        assert main(["--out-dir", str(tmp_path / "frozen"), *argv, "--freeze-stem"]) == EXIT_DATA
+        assert "toy-identity has no stem.weight to freeze" in capsys.readouterr().err
+        assert not (tmp_path / "frozen").exists()  # refused before training
+        assert main(["--out-dir", str(tmp_path / "ft"), *argv]) == EXIT_OK
 
     def test_missing_checkpoint_is_data_error(self, dataset_dir, tmp_path, capsys):
         rc = main([
@@ -297,17 +391,26 @@ class TestExitCodes:
         manifest.write_text("\n".join(rows[:2] + rows[-2:]) + "\n")
         detect = ["detect", "--checkpoint", str(ckpt), "--image", str(frame)]
         evaluate = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]
-        # (file, command, cut stride, flips, bytes the cuts and flips reach): the
-        # pixmap's structure is its 13-byte header, so its cuts and flips stay near it
-        cases = [(ckpt, detect, 32, 100, None), (frame, detect, 1, 50, 16),
-                 (manifest, evaluate, 4, 50, None)]
+        raw = ckpt.read_bytes()
+        start = raw.index(b'[{"kind":')
+        layers = range(start, raw.index(b"]", raw.index(b'"name":"head"}', start)) + 1)
+        numbers = [at for at in layers if raw[at : at + 1].isdigit()]
+        # (file, command, cut stride, flips, the bytes they reach, flip masks up to):
+        # the pixmap's structure is its 13-byte header, so its cuts and flips stay
+        # near it.  The checkpoint's layer list gets flips of its own, most of which
+        # its text or JSON decoding refuses, so its digits get low-bit flips too:
+        # they turn one channel count or skip_from into another
+        cases = [(ckpt, detect, 32, 100, None, 256), (ckpt, detect, None, 100, layers, 256),
+                 (ckpt, detect, None, 100, numbers, 16),
+                 (frame, detect, 1, 50, range(16), 256),
+                 (manifest, evaluate, 4, 50, None, 256)]
         escapes = []
-        for path, argv, stride, flips, reach in cases:
+        for path, argv, stride, flips, reach, masks in cases:
             raw = path.read_bytes()
-            reach = reach or len(raw)
-            mutants = [(f"cut {n}", raw[:n]) for n in range(0, reach, stride)]
+            reach = reach or range(len(raw))
+            mutants = [(f"cut {n}", raw[:n]) for n in reach[::stride]] if stride else []
             for _ in range(flips):
-                at, mask = int(rng.integers(reach)), int(rng.integers(1, 256))
+                at, mask = reach[int(rng.integers(len(reach)))], int(rng.integers(1, masks))
                 flipped = bytearray(raw)
                 flipped[at] ^= mask
                 mutants.append((f"byte {at} ^ {mask}", bytes(flipped)))
@@ -344,33 +447,66 @@ class TestDetectErrors:
                      "--checkpoint", str(ckpt), "--image", str(frame), *extra])
 
     @pytest.mark.parametrize("meta", [
-        {"width": None},
+        {"layers": None},
         {"input_size": None},
-        {"width": "eight"},
-        {"threshold_trainable": "yes"},
+        {"layers": "eight"},
+        {"layers": "[8]"},
         {"seed": "1.5"},
-        {"arch": "toy-mlp"},
+        {"arch": None},
     ])
     def test_bad_checkpoint_metadata_is_data_error(self, tmp_path, frame, monkeypatch,
                                                    capsys, meta):
-        original = dataio._descriptor_metadata
-
-        def edited(desc):
-            out = original(desc)
+        def edit(out):
             for key, value in meta.items():
                 if value is None:
                     del out[key]
                 else:
                     out[key] = value
-            return out
 
-        monkeypatch.setattr(dataio, "_descriptor_metadata", edited)
         ckpt = tmp_path / "c.whtc"
-        dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32), {}, ckpt)
+        save_edited(monkeypatch, arch.build_toy_net("wht", 8, 32), ckpt, edit)
         with pytest.raises(ArchMismatchError):
             dataio.checkpoint_load(ckpt)
         assert self._detect(tmp_path, ckpt, frame) == EXIT_DATA
         assert next(iter(meta)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", LAYER_EDITS.values(), ids=LAYER_EDITS)
+    def test_a_malformed_layer_list_is_data_error(self, tmp_path, frame, monkeypatch,
+                                                  capsys, edit, message):
+        ckpt = tmp_path / "c.whtc"
+        save_edited(monkeypatch, arch.build_toy_net("wht", 8, 32), ckpt, edit)
+        with pytest.raises(WhtFireError, match=re.escape(message)):
+            dataio.checkpoint_load(ckpt)
+        assert self._detect(tmp_path, ckpt, frame) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert main(["--out-dir", str(tmp_path / "ev"), "eval", "--checkpoint", str(ckpt),
+                     "--manifest", str(tmp_path / "unread.csv")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "det").exists() and not (tmp_path / "ev").exists()
+
+    # each of these loaded before, the last copy read winning or the tail ignored
+    @pytest.mark.parametrize("extra, old, new, message", [
+        # "note" sorts before "seed", so a second seed key follows the first
+        ({}, b"\x04\x00\x00\x00note", b"\x04\x00\x00\x00seed",
+         "metadata key 'seed' repeats"),
+        # "head.biat" sorts after "head.bias", so a second head.bias follows the first
+        ({"head.biat": np.full(2, 7.0, np.float32)}, b"head.biat", b"head.bias",
+         "tensor name 'head.bias' repeats"),
+        ({}, b"", b"\x00\x00\x00\x00", "4 bytes follow the last tensor"),
+    ], ids=["repeated-metadata-key", "repeated-tensor-name", "trailing-bytes"])
+    def test_a_checkpoint_that_repeats_or_trails_is_corrupt(self, tmp_path, frame, capsys,
+                                                            extra, old, new, message):
+        net = arch.build_toy_net("wht", 8, 32, seed=3)
+        net.parameters.update(extra)
+        ckpt = tmp_path / "c.whtc"
+        dataio.checkpoint_save(net, {"note": "9"}, ckpt)
+        raw = ckpt.read_bytes()
+        assert raw.count(old) == 1 or not old
+        ckpt.write_bytes(raw.replace(old, new) if old else raw + new)
+        with pytest.raises(CorruptFileError, match=re.escape(message)):
+            dataio.checkpoint_load(ckpt)
+        assert self._detect(tmp_path, ckpt, frame) == EXIT_DATA
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["key", "value", "tensor"])
     def test_undecodable_text_is_data_error(self, tmp_path, frame, capsys, where):

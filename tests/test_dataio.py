@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from whtfire import arch, dataio
+from whtfire.cli import EXIT_DATA, main
 from whtfire.errors import (
     ArchMismatchError,
     BadMagicError,
@@ -357,15 +358,20 @@ class TestCheckpoint:
         with pytest.raises(BadMagicError):
             dataio.checkpoint_load(p)
 
-    def test_version_mismatch(self, tmp_path):
+    def test_version_mismatch(self, tmp_path, capsys):
         net = self._net()
         p = tmp_path / "c.whtc"
         dataio.checkpoint_save(net, {}, p)
         raw = bytearray(p.read_bytes())
-        raw[4] = 99  # bump the little-endian version field
-        p.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError):
-            dataio.checkpoint_load(p)
+        assert raw[4:8] == b"\x02\x00\x00\x00"
+        # 1 named one of two toy nets instead of listing the layers; no loader is kept
+        for version in (99, 1):
+            raw[4] = version  # the little-endian version field
+            p.write_bytes(bytes(raw))
+            with pytest.raises(VersionMismatchError, match=f"version {version}, expected 2"):
+                dataio.checkpoint_load(p)
+        assert main(["eval", "--checkpoint", str(p), "--manifest", "m.csv"]) == EXIT_DATA
+        assert "version 1, expected 2" in capsys.readouterr().err
 
     def test_truncated_checkpoint(self, tmp_path):
         net = self._net()

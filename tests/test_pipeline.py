@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whtfire import arch, nn, pipeline, wht_layer
+from whtfire import arch, nn, pipeline, tiling, wht_layer
 from whtfire.dataio import (
     Manifest,
     SynthConfig,
     checkpoint_load,
+    checkpoint_save,
     ppm_read,
     ppm_write,
     save_manifest,
@@ -24,8 +25,9 @@ from whtfire.errors import (
     TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
-from oracles import (checkpoint_metadata, fwht_remainder_last, ifwht_separate_pass,
-                     record_backward_flags, render_overlay_per_block, unit_to_bytes)
+from oracles import (checkpoint_metadata, extract_windows, fwht_remainder_last,
+                     identity_arm, ifwht_separate_pass, record_backward_flags,
+                     render_overlay_per_block, unit_to_bytes)
 
 # Published evaluation rows (percent) for metric cross-checks:
 # (model, transfer, accuracy, precision, recall, f1, parameter count).
@@ -155,6 +157,7 @@ class TestTrain:
         assert record.final_checkpoint == str(ckpt)
         assert record.transfer_source is None
         run_json = json.loads((tmp_path / "r" / "run.json").read_text())
+        assert run_json["arch"] == record.arch == "toy-wht"
         assert run_json["config"]["epochs"] == 3
         assert [e["epoch"] for e in run_json["epochs"]] == [1, 2, 3]
         assert record.early_stop_reason is None
@@ -265,9 +268,62 @@ class TestFinetune:
         cfg = TrainConfig(epochs=1, learning_rate=0.01, seed=0)
         _, _, src_ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "src")
         _, _, ft_ckpt = pipeline.finetune(src_ckpt, small_dataset, cfg, tmp_path / "ft")
-        keys = {"arch", "width", "input_size", "threshold_trainable", "seed"}
+        keys = {"arch", "input_size", "layers", "seed"}
         assert set(checkpoint_metadata(src_ckpt)) == keys
         assert set(checkpoint_metadata(ft_ckpt)) == keys
+
+
+class TestHandBuiltArm:
+    # the identity arm: no library variant names it, its checkpoint describes it
+    @pytest.fixture()
+    def arm(self, tmp_path):
+        desc = identity_arm()
+        net = arch.Network(desc, arch.init_parameters(desc, 5), 5)
+        rng = np.random.default_rng(6)  # a head off its init, so scores spread out
+        for name in ("head.weight", "head.bias"):
+            net.parameters[name][...] = rng.normal(0.0, 2.0, net.parameters[name].shape)
+        checkpoint_save(net, {}, tmp_path / "arm.whtc")
+        return net, tmp_path / "arm.whtc"
+
+    def test_checkpoint_roundtrip(self, arm):
+        net, ckpt = arm
+        assert [layer.kind for layer in net.descriptor.layers].count("wht") == 0
+        loaded = checkpoint_load(ckpt)
+        assert loaded.descriptor == net.descriptor and loaded.seed == 5
+        assert loaded.parameters.keys() == net.parameters.keys()
+        for name, value in net.parameters.items():
+            assert loaded.parameters[name].tobytes() == value.tobytes()
+
+    def test_finetune_records_its_name(self, arm, small_dataset, tmp_path):
+        net, ckpt = arm
+        record, tuned, out = pipeline.finetune(ckpt, small_dataset, TrainConfig(epochs=1),
+                                               tmp_path / "ft", freeze_stem=True)
+        run = json.loads((tmp_path / "ft" / "run.json").read_text())
+        assert run["arch"] == record.arch == "toy-identity"
+        assert checkpoint_load(out).descriptor == net.descriptor
+        assert np.array_equal(tuned.parameters["stem.weight"], net.parameters["stem.weight"])
+        assert not np.array_equal(tuned.parameters["head.weight"],
+                                  net.parameters["head.weight"])
+
+    def test_detect_shares_the_feature_map(self, arm, tmp_path, monkeypatch):
+        net, ckpt = arm
+        frame = tmp_path / "frame.ppm"
+        ppm_write(np.random.default_rng(7).integers(0, 256, (96, 128, 3), dtype=np.uint8),
+                  frame)
+        calls = []
+        forward = arch.network_forward
+        monkeypatch.setattr(arch, "network_forward",
+                            lambda *args, **kw: calls.append(1) or forward(*args, **kw))
+        grid, _ = pipeline.detect(ckpt, frame, out_overlay=tmp_path / "o.ppm",
+                                  out_json=tmp_path / "s.json")
+        assert calls == []  # no window ran on its own
+        monkeypatch.undo()
+        spec = tiling.GridSpec(96, 128, 32)
+        oracle = np.zeros((spec.rows - 1, spec.cols - 1))
+        for (r, c), window in extract_windows(ppm_read(frame) / 255.0, spec):
+            oracle[r, c] = arch.forward_classify(net, tiling.downsample_window(window))[1]
+        assert np.max(np.abs(grid.scores - oracle)) <= 1e-5  # the shared path's float32 bound
+        assert np.ptp(oracle) > 1e-3
 
 
 class TestTransferExperiment:
