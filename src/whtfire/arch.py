@@ -168,8 +168,9 @@ def _kind(layer: LayerDescriptor) -> _Kind:
 
 
 def check_descriptor(desc: ArchDescriptor) -> None:
-    """Refuse a descriptor that would not run, or would run wrong; run on every
-    one ``checkpoint_load`` rebuilds.
+    """Refuse a descriptor that would not run, or would run wrong; run by
+    ``toy_descriptor`` and ``checkpoint_save``, and on every descriptor
+    ``checkpoint_load`` rebuilds.
 
     Field types are exact (a bool is not an int).  Each layer takes the width
     it is given, 3 at the input, and only pointwise, conv3x3 and dense change
@@ -251,10 +252,6 @@ def toy_descriptor(variant: str, width: int = 8, input_size: int = 32,
         raise InvalidDescriptorError(f"unknown variant {variant!r}")
     if width < 8 or (width & (width - 1)):
         raise BadWidthError(f"width must be a power of two >= 8, got {width}")
-    if input_size not in TOY_INPUT_SIZES:
-        raise InvalidDescriptorError(
-            f"input_size must be one of {TOY_INPUT_SIZES}, got {input_size}"
-        )
     layers = [LayerDescriptor("pointwise", 3, width, name="stem")]
     for b in range(3):
         block_in = len(layers) - 1  # index of the layer producing this block's input
@@ -284,11 +281,13 @@ def toy_descriptor(variant: str, width: int = 8, input_size: int = 32,
             )
     layers.append(LayerDescriptor("gap", width, width, name="head.gap"))
     layers.append(LayerDescriptor("dense", width, 2, name="head"))
-    return ArchDescriptor(
+    desc = ArchDescriptor(
         name=_VARIANT_TO_ARCH_NAME[variant],
         layers=tuple(layers),
         input_size=input_size,
     )
+    check_descriptor(desc)
+    return desc
 
 
 def param_specs(arch: ArchDescriptor) -> dict[str, ParamSpec]:

@@ -6,13 +6,16 @@ A frame is an (H, W, 3) uint8 array on both sides of a pixmap file:
 turns ``synth_image``'s [0, 1] floats into one.  ``_check_frame`` is the one
 test of that form, shared by ``ppm_write`` and ``tiling``.
 
-A checkpoint holds what ``checkpoint_load`` needs to rebuild and check the
+A checkpoint is the magic ``WHTC``, the version (3) and the header's length
+as little-endian u32s, one UTF-8 JSON header object, then each tensor's
+little-endian float32 bytes in sorted name order, and nothing after.  The
+header holds what ``checkpoint_load`` needs to rebuild and check the
 network: the descriptor's name (``arch``, free text), ``input_size`` and
-``layers`` (compact JSON, one object of ``LayerDescriptor``'s fields per
-layer), the init ``seed`` and the tensors, plus whatever metadata the
-caller passes.  So every descriptor that ``arch.check_descriptor`` passes
-is saved and loaded the same way.  The settings of a run live in its
-``run.json``.
+``layers`` (one object of ``LayerDescriptor``'s fields per layer), the init
+``seed`` and ``tensors`` (each name's shape), plus whatever metadata the
+caller passes.  So every descriptor that ``arch.check_descriptor`` passes is
+saved and loaded the same way, and ``checkpoint_save`` refuses the others.
+The settings of a run live in its ``run.json``.
 
 Every writer is deterministic and stamps no time: same inputs, same bytes.
 All of them write through ``_write_file``, which writes over the bytes a
@@ -32,7 +35,7 @@ import math
 import os
 import stat
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +54,7 @@ from .errors import (
 )
 
 CHECKPOINT_MAGIC = b"WHTC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _LAYER_KEYS = frozenset(field.name for field in fields(LayerDescriptor))
 
 
@@ -291,162 +294,125 @@ def synth_dataset(config: SynthConfig, out_dir) -> Manifest:
 
 # -- checkpoints ----------------------------------------------------------------
 
-def _descriptor_metadata(desc: ArchDescriptor) -> dict[str, str]:
-    return {
-        "arch": desc.name,
-        "input_size": str(desc.input_size),
-        "layers": json.dumps([asdict(layer) for layer in desc.layers],
-                             separators=(",", ":")),
-    }
+def _header(net: Network, metadata: dict[str, str]) -> dict:
+    """The header object of ``net``'s checkpoint: ``metadata``, then the five
+    keys ``checkpoint_load`` reads, which no metadata key overrides."""
+    desc = net.descriptor
+    layers = [{key: getattr(layer, key) for key in _LAYER_KEYS} for layer in desc.layers]
+    return {**metadata, "arch": desc.name, "input_size": desc.input_size, "layers": layers,
+            "seed": net.seed,
+            "tensors": {name: list(t.shape) for name, t in net.parameters.items()}}
 
 
 def checkpoint_save(net: Network, metadata: dict[str, str], path) -> None:
-    """Serialize named float32 tensors plus string metadata; sorted, stable."""
-    meta = dict(metadata)
-    meta.update(_descriptor_metadata(net.descriptor))
-    meta.setdefault("seed", str(net.seed))
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    parts.append(struct.pack("<I", len(meta)))
-    for key in sorted(meta):
-        kb = key.encode(), str(meta[key]).encode()
-        parts.append(struct.pack("<I", len(kb[0])))
-        parts.append(kb[0])
-        parts.append(struct.pack("<I", len(kb[1])))
-        parts.append(kb[1])
-    tensors = net.parameters
-    parts.append(struct.pack("<I", len(tensors)))
-    for name in sorted(tensors):
-        t = np.ascontiguousarray(tensors[name], dtype=np.float32)
-        nb = name.encode()
-        parts.append(struct.pack("<I", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<I", t.ndim))
-        parts.append(struct.pack(f"<{t.ndim}I", *t.shape))
-        parts.append(t.tobytes())
+    """Write ``net`` as a version-3 checkpoint (see the module docstring).
+
+    A descriptor that ``arch.check_descriptor`` refuses, and so
+    ``checkpoint_load`` would refuse, raises before the file is opened.
+    """
+    check_descriptor(net.descriptor)
+    header = json.dumps(_header(net, metadata), sort_keys=True,
+                        separators=(",", ":")).encode()
+    parts = [CHECKPOINT_MAGIC, struct.pack("<2I", CHECKPOINT_VERSION, len(header)), header]
+    parts += (np.ascontiguousarray(net.parameters[name], dtype="<f4")
+              for name in sorted(net.parameters))
     _write_file(path, b"".join(parts))
-
-
-class _Reader:
-    def __init__(self, raw: bytes, label: str):
-        self.raw = raw
-        self.pos = 0
-        self.label = label
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise TruncatedFileError(f"{self.label}: ran out of bytes")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def text(self) -> str:
-        """A u32-length-prefixed UTF-8 string."""
-        raw = self.take(self.u32())
-        try:
-            return raw.decode()
-        except UnicodeDecodeError as exc:
-            raise CorruptFileError(
-                f"{self.label}: undecodable text at byte {self.pos - len(raw)}"
-            ) from exc
-
-
-def _meta_text(meta: dict[str, str], key: str) -> str:
-    if key not in meta:
-        raise ArchMismatchError(f"checkpoint metadata lacks {key!r}")
-    return meta[key]
-
-
-def _meta_int(meta: dict[str, str], key: str) -> int:
-    value = _meta_text(meta, key)
-    try:
-        return int(value)
-    except ValueError:
-        raise ArchMismatchError(
-            f"checkpoint metadata {key!r} is {value!r}, not an integer"
-        ) from None
 
 
 def _no_repeated_keys(pairs: list) -> dict:
     row = dict(pairs)
     if len(row) != len(pairs):
-        raise ValueError("an object repeats a key")
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"the key {next(k for k in keys if keys.count(k) > 1)!r} repeats")
     return row
 
 
-def _rebuild_descriptor(meta: dict[str, str]) -> ArchDescriptor:
-    text = _meta_text(meta, "layers")
-    try:
-        rows = json.loads(text, object_pairs_hook=_no_repeated_keys)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ArchMismatchError(f"checkpoint metadata 'layers' does not parse: {exc}") from None
-    if not isinstance(rows, list) or not all(
-            isinstance(row, dict) and row.keys() == _LAYER_KEYS for row in rows):
+def _field(header: dict, key: str, kind: type):
+    """``header[key]``, which must be of exactly the type ``kind`` (a bool is not an int)."""
+    value = header.get(key)
+    if type(value) is not kind:
         raise ArchMismatchError(
-            f"checkpoint metadata 'layers' is not a list of objects with the keys "
-            f"{sorted(_LAYER_KEYS)}"
+            f"checkpoint header {key!r} is {value!r:.40}, not of type {kind.__name__}"
         )
-    desc = ArchDescriptor(_meta_text(meta, "arch"),
-                          tuple(LayerDescriptor(**row) for row in rows),
-                          _meta_int(meta, "input_size"))
-    check_descriptor(desc)
-    return desc
+    return value
 
 
 def checkpoint_load(path) -> Network:
     """Restore the network a checkpoint holds.
 
-    Checks the magic and the version, and that no metadata key or tensor
-    name repeats and no byte follows the last tensor.  Rebuilds the
-    descriptor from the ``arch``, ``input_size`` and ``layers`` keys, and
-    refuses one that ``arch.check_descriptor`` refuses.  Then checks the
-    tensor names and shapes against the descriptor, and that the values
-    are finite and λ >= 0.
+    Checks the magic and the version, that the header is UTF-8 JSON that
+    repeats no key at any level, and that its ``arch``, ``input_size``,
+    ``seed``, ``layers`` and ``tensors`` have their JSON types.  Checks that
+    the payload holds exactly the bytes ``tensors`` declares.  Rebuilds the
+    descriptor and refuses one that ``arch.check_descriptor`` refuses.  Then
+    checks the tensor names and shapes against the descriptor, and that the
+    values are finite and λ >= 0.
     """
-    rd = _Reader(Path(path).read_bytes(), str(path))
-    if rd.take(4) != CHECKPOINT_MAGIC:
+    raw = Path(path).read_bytes()
+
+    def need(size: int) -> None:
+        if len(raw) < size:
+            raise TruncatedFileError(f"{path}: ran out of bytes ({len(raw)} of {size})")
+
+    need(4)
+    if raw[:4] != CHECKPOINT_MAGIC:
         raise BadMagicError(f"{path}: not a checkpoint file")
-    version = rd.u32()
+    need(8)
+    version = struct.unpack_from("<I", raw, 4)[0]
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: version {version}, expected {CHECKPOINT_VERSION}"
+        raise VersionMismatchError(f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
+    need(12)
+    at = 12 + struct.unpack_from("<I", raw, 8)[0]  # the payload's first byte
+    need(at)
+    try:
+        header = json.loads(raw[12:at].decode(), object_pairs_hook=_no_repeated_keys)
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{path}: undecodable text at byte {12 + exc.start}") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise CorruptFileError(f"{path}: the header does not parse: {exc}") from None
+    if type(header) is not dict:
+        raise CorruptFileError(f"{path}: the header is not a JSON object")
+    rows = header.get("layers")
+    if type(rows) is not list or not all(
+            type(row) is dict and row.keys() == _LAYER_KEYS for row in rows):
+        raise ArchMismatchError(
+            f"checkpoint header 'layers' is not a list of objects with the keys "
+            f"{sorted(_LAYER_KEYS)}"
         )
-    meta: dict[str, str] = {}
-    for _ in range(rd.u32()):
-        key = rd.text()
-        if key in meta:
-            raise CorruptFileError(f"{path}: metadata key {key!r} repeats")
-        meta[key] = rd.text()
-    tensors: dict[str, tuple[tuple[int, ...], np.ndarray]] = {}  # (shape, flat values)
-    for _ in range(rd.u32()):
-        name = rd.text()
-        if name in tensors:
-            raise CorruptFileError(f"{path}: tensor name {name!r} repeats")
-        rank = rd.u32()
-        shape = struct.unpack(f"<{rank}I", rd.take(4 * rank))
-        count = math.prod(shape)  # a Python int: a huge shape cannot wrap to 0
-        tensors[name] = shape, np.frombuffer(rd.take(4 * count), dtype="<f4")
-    if rd.pos != len(rd.raw):
-        raise CorruptFileError(f"{path}: {len(rd.raw) - rd.pos} bytes follow the last tensor")
-    desc = _rebuild_descriptor(meta)
+    desc = ArchDescriptor(_field(header, "arch", str),
+                          tuple(LayerDescriptor(**row) for row in rows),
+                          _field(header, "input_size", int))
+    seed = _field(header, "seed", int)
+    shapes = _field(header, "tensors", dict)
+    offsets = {}  # each tensor's first byte; the payload holds them in sorted name order
+    for name in sorted(shapes):
+        dims = shapes[name]
+        if type(dims) is not list or not all(type(d) is int and d >= 0 for d in dims):
+            raise ArchMismatchError(
+                f"checkpoint header 'tensors' gives {name} the shape {dims!r:.40}")
+        offsets[name] = at
+        at += 4 * math.prod(dims)  # a Python int: a huge shape cannot wrap to 0
+    need(at)
+    if len(raw) > at:
+        raise CorruptFileError(f"{path}: {len(raw) - at} bytes follow the last tensor")
+    check_descriptor(desc)
     specs = param_specs(desc)
-    if set(specs) != set(tensors):
-        missing = sorted(set(specs) - set(tensors))
-        extra = sorted(set(tensors) - set(specs))
+    if specs.keys() != shapes.keys():
+        missing = sorted(specs.keys() - shapes.keys())
+        extra = sorted(shapes.keys() - specs.keys())
         raise ArchMismatchError(
             f"{path}: tensor names disagree with architecture "
             f"(missing {missing}, extra {extra})"
         )
     params: dict[str, np.ndarray] = {}
     for name, spec in specs.items():
-        shape, values = tensors[name]
+        shape = tuple(shapes[name])
         if shape != spec.shape:
             raise TensorShapeMismatchError(
                 f"{path}: tensor {name} has shape {shape}, expected {spec.shape}"
             )
-        t = values.reshape(shape).astype(np.float32)  # after the check: numpy caps the rank
+        t = np.frombuffer(raw, "<f4", math.prod(shape), offsets[name])
+        t = t.reshape(shape).astype(np.float32)  # after the check: numpy caps the rank
         # training writes only finite values and keeps thresholds, the only
         # bounded tensors, at or above their bound of 0
         if not np.all(np.isfinite(t)):
@@ -454,4 +420,4 @@ def checkpoint_load(path) -> Network:
         if spec.lower is not None and np.any(t < spec.lower):
             raise CorruptFileError(f"{path}: threshold {name} is negative")
         params[name] = t
-    return Network(desc, params, seed=_meta_int(meta, "seed"))
+    return Network(desc, params, seed=seed)

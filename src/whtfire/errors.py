@@ -69,6 +69,10 @@ class BlockLargerThanImageError(WhtFireError, ValueError):
     """Block does not fit into the image even once."""
 
 
+class BadThresholdError(WhtFireError, ValueError):
+    """Decision threshold outside [0, 1], or NaN."""
+
+
 # -- data formats --------------------------------------------------------
 
 class BadMagicError(WhtFireError, ValueError):
@@ -96,8 +100,9 @@ class VersionMismatchError(WhtFireError, ValueError):
 
 
 class ArchMismatchError(WhtFireError, ValueError):
-    """Checkpoint metadata lacks or garbles the network, the tensor names
-    disagree with it, or it has no ``stem.weight`` to freeze."""
+    """A checkpoint header field is missing or of the wrong JSON type, the
+    tensor names disagree with the network, or it has no ``stem.weight`` to
+    freeze."""
 
 
 class TensorShapeMismatchError(WhtFireError, ValueError):

@@ -302,7 +302,8 @@ def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
     """Score a full frame block-by-block, then always write both the overlay
     and the scores JSON, creating their directories; returns (ScoreGrid, detected).
 
-    Nothing is written if scoring raises.  ``tiling.score_grid`` only scores.
+    Nothing is written if scoring raises, as it does for a threshold outside
+    [0, 1].  ``tiling.score_grid`` only scores.
     """
     net = _as_network(net_or_checkpoint)
     image = ppm_read(image_path)

@@ -53,7 +53,8 @@ import numpy as np
 
 from .arch import Network, feature_map, feature_stride, forward_classify, head_classify
 from .dataio import _check_frame
-from .errors import BlockLargerThanImageError, NonFiniteScoreError, ShapeMismatchError
+from .errors import (BadThresholdError, BlockLargerThanImageError, NonFiniteScoreError,
+                     ShapeMismatchError)
 from .nn import mean_pool
 
 GREEN = (0, 255, 0)
@@ -104,6 +105,8 @@ class ScoreGrid:
     threshold: float = 0.5
 
     def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:  # also refuses NaN
+            raise BadThresholdError(f"threshold {self.threshold} is not in [0, 1]")
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != self.spec.windows:
             raise ShapeMismatchError(

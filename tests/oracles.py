@@ -3,12 +3,13 @@ the one spy that more than one test file uses, and the hand-built arm that
 no library variant names."""
 
 import dataclasses
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from whtfire import arch
-from whtfire.dataio import _Reader
 from whtfire.errors import LengthNotPowerOfTwoError, ShapeMismatchError, WhtFireError
 from whtfire.fwht import hadamard_matrix
 from whtfire.tiling import _FONT, BORDER_PX, GREEN, RED
@@ -96,15 +97,24 @@ def identity_arm(width: int = 8, input_size: int = 32) -> arch.ArchDescriptor:
     return arch.ArchDescriptor("toy-identity", layers, input_size)
 
 
-def checkpoint_metadata(path) -> dict[str, str]:
-    """The key/value block of a checkpoint, skipping its magic and version."""
-    rd = _Reader(Path(path).read_bytes(), str(path))
-    rd.take(8)
-    meta = {}
-    for _ in range(rd.u32()):
-        key = rd.text()
-        meta[key] = rd.text()
-    return meta
+def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A checkpoint's header object and its tensors, read with no library code.
+
+    The file is the magic, the version and the header length as u32s, the
+    JSON header, then each tensor of the header's ``tensors`` as
+    little-endian float32, in sorted name order.
+    """
+    raw = Path(path).read_bytes()
+    (size,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + size])
+    tensors, at = {}, 12 + size
+    for name in sorted(header["tensors"]):
+        shape = tuple(header["tensors"][name])
+        count = int(np.prod(shape))
+        tensors[name] = np.frombuffer(raw, "<f4", count, at).reshape(shape)
+        at += 4 * count
+    assert at == len(raw)
+    return header, tensors
 
 
 def extract_windows(image: np.ndarray, spec):

@@ -21,27 +21,37 @@ from oracles import identity_arm, unit_to_bytes
 
 
 def save_edited(monkeypatch, net, path, edit):
-    """``checkpoint_save`` with ``edit`` applied, in place, to the metadata
-    that describes ``net``."""
-    original = dataio._descriptor_metadata
+    """``checkpoint_save`` of ``net`` with ``edit`` applied to its header.
 
-    def edited(desc):
-        meta = original(desc)
-        edit(meta)
-        return meta
+    A function edits the header object in place before it is written.  An
+    (old, new) byte pair replaces the first ``old`` in the written header's
+    JSON text, for what no object can hold (a repeated key, unbalanced
+    brackets), and the header length is rewritten to match.
+    """
+    if isinstance(edit, tuple):
+        dataio.checkpoint_save(net, {}, path)
+        raw = path.read_bytes()
+        (size,) = struct.unpack("<I", raw[8:12])
+        header = raw[12 : 12 + size]
+        assert edit[0] in header
+        header = header.replace(*edit, 1)
+        path.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + size :])
+        return
+    original = dataio._header
+
+    def edited(*args):
+        header = original(*args)
+        edit(header)
+        return header
 
     with monkeypatch.context() as patch:
-        patch.setattr(dataio, "_descriptor_metadata", edited)
+        patch.setattr(dataio, "_header", edited)
         dataio.checkpoint_save(net, {}, path)
 
 
 def _rows(edit):
-    """A metadata edit that runs ``edit`` on the decoded layer list."""
-    def apply(meta):
-        rows = json.loads(meta["layers"])
-        edit(rows)
-        meta["layers"] = json.dumps(rows)
-    return apply
+    """A header edit that runs ``edit`` on the layer list."""
+    return lambda header: edit(header["layers"])
 
 
 def _set(index, key, value):
@@ -66,13 +76,13 @@ def _four_more_pools(rows):
 # at 1-5, 7-11 and 13-17 (pw, relu, wht, gain, skip); pools at 6 and 12;
 # 18 gap; 19 the dense head.  Each edit and the message it must raise.
 LAYER_EDITS = {
-    "not-a-list": (lambda meta: meta.update(layers='{"kind": "gap"}'),
+    "not-a-list": (lambda header: header.update(layers={"kind": "gap"}),
                    "not a list of objects"),
     "missing-key": (_rows(lambda rows: rows[0].pop("name")), "not a list of objects"),
     "extra-key": (_set(0, "stride", 1), "not a list of objects"),
-    "repeated-key": (lambda meta: meta.update(layers=meta["layers"].replace(
-        '"kind":"relu"', '"kind":"relu","kind":"relu"', 1)), "repeats a key"),
-    "nested": (lambda meta: meta.update(layers="[" * 100_000), "does not parse"),
+    "repeated-key": ((b'"kind":"relu"', b'"kind":"relu","kind":"relu"'),
+                     "the key 'kind' repeats"),
+    "nested": ((b'"layers":[', b'"layers":' + b"[" * 100_000), "does not parse"),
     "channels-text": (_set(1, "in_channels", "8"), "wrong type"),
     "channels-bool": (_set(0, "in_channels", True), "wrong type"),
     "name-null": (_set(2, "name", None), "wrong type"),
@@ -94,7 +104,7 @@ LAYER_EDITS = {
     "head-width-3": (_set(19, "out_channels", 3), "gives 3 channels, not 2 classes"),
     "duplicate-tensor-names": (_set(7, "name", "block0.pw"),
                                "repeats the tensor name 'block0.pw.weight'"),
-    "input-size-48": (lambda meta: meta.update(input_size="48"),
+    "input-size-48": (lambda header: header.update(input_size=48),
                       "input_size must be one of (32, 64, 224), got 48"),
     "pools-past-one-pixel": (_rows(_four_more_pools), "6 avgpool2 layers do not halve 32 px"),
 }
@@ -310,8 +320,8 @@ class TestExitCodes:
             "detect-long-header-number", "detect-huge-shape", "detect-rank-65",
             "detect-huge-gain", "eval-binary-manifest", "eval-nul-manifest",
             "eval-huge-gain"])
-    def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, args, expected,
-                                  message):
+    def test_documented_exit_code(self, dataset_dir, tmp_path, capsys, monkeypatch, args,
+                                  expected, message):
         if args[0] == "finetune":
             dataio.checkpoint_save(arch.build_toy_net("wht", 8, 32), {}, tmp_path / "c.whtc")
             args = args + ["--source", str(tmp_path / "c.whtc"),
@@ -336,15 +346,12 @@ class TestExitCodes:
             if ckpt.name in self.TENSORS:
                 name, value = self.TENSORS[ckpt.name]
                 net.parameters[name][:] = value
-            dataio.checkpoint_save(net, {}, ckpt)
-            if ckpt.name in self.SHAPES:
+            if ckpt.name in self.SHAPES:  # the header declares the shape, the payload is (1,)
                 name, shape = self.SHAPES[ckpt.name]
-                field = struct.pack("<I", len(name)) + name.encode()
-                raw = ckpt.read_bytes()
-                stored = field + struct.pack("<2I", 1, 1)  # rank 1, shape (1,)
-                assert raw.count(stored) == 1
-                ckpt.write_bytes(raw.replace(
-                    stored, field + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)))
+                save_edited(monkeypatch, net, ckpt,
+                            lambda header: header["tensors"].update({name: list(shape)}))
+            else:
+                dataio.checkpoint_save(net, {}, ckpt)
         if args[0] == "detect":
             if image.name in self.INPUTS:
                 image.write_bytes(self.INPUTS[image.name])
@@ -392,8 +399,8 @@ class TestExitCodes:
         detect = ["detect", "--checkpoint", str(ckpt), "--image", str(frame)]
         evaluate = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]
         raw = ckpt.read_bytes()
-        start = raw.index(b'[{"kind":')
-        layers = range(start, raw.index(b"]", raw.index(b'"name":"head"}', start)) + 1)
+        start = raw.index(b'"layers":[') + len(b'"layers":')
+        layers = range(start, raw.index(b"]", raw.index(b'"name":"head",', start)) + 1)
         numbers = [at for at in layers if raw[at : at + 1].isdigit()]
         # (file, command, cut stride, flips, the bytes they reach, flip masks up to):
         # the pixmap's structure is its 13-byte header, so its cuts and flips stay
@@ -450,9 +457,15 @@ class TestDetectErrors:
         {"layers": None},
         {"input_size": None},
         {"layers": "eight"},
-        {"layers": "[8]"},
+        {"layers": [8]},
         {"seed": "1.5"},
         {"arch": None},
+        # an integer field holds a JSON integer, not text, a float or a bool
+        *({key: value} for key in ("input_size", "seed")
+          for value in ("32", " +3_2 ", 32.0, True)),
+        # each shape is a list of counts
+        {"tensors": None},
+        *({"tensors": {"stem.weight": dims}} for dims in ("8", [3.0, 8], [True, 8], [-3, 8])),
     ])
     def test_bad_checkpoint_metadata_is_data_error(self, tmp_path, frame, monkeypatch,
                                                    capsys, meta):
@@ -486,12 +499,9 @@ class TestDetectErrors:
 
     # each of these loaded before, the last copy read winning or the tail ignored
     @pytest.mark.parametrize("extra, old, new, message", [
-        # "note" sorts before "seed", so a second seed key follows the first
-        ({}, b"\x04\x00\x00\x00note", b"\x04\x00\x00\x00seed",
-         "metadata key 'seed' repeats"),
-        # "head.biat" sorts after "head.bias", so a second head.bias follows the first
-        ({"head.biat": np.full(2, 7.0, np.float32)}, b"head.biat", b"head.bias",
-         "tensor name 'head.bias' repeats"),
+        ({}, b'"note"', b'"seed"', "the key 'seed' repeats"),
+        ({"head.biat": np.full(2, 7.0, np.float32)}, b'"head.biat"', b'"head.bias"',
+         "the key 'head.bias' repeats"),
         ({}, b"", b"\x00\x00\x00\x00", "4 bytes follow the last tensor"),
     ], ids=["repeated-metadata-key", "repeated-tensor-name", "trailing-bytes"])
     def test_a_checkpoint_that_repeats_or_trails_is_corrupt(self, tmp_path, frame, capsys,

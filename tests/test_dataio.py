@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import os
 import stat
@@ -14,6 +15,7 @@ from whtfire.errors import (
     ArchMismatchError,
     BadMagicError,
     CorruptFileError,
+    InvalidDescriptorError,
     ManifestError,
     ShapeMismatchError,
     TensorShapeMismatchError,
@@ -21,7 +23,7 @@ from whtfire.errors import (
     UnsupportedMaxvalError,
     VersionMismatchError,
 )
-from oracles import unit_to_bytes
+from oracles import identity_arm, read_checkpoint, unit_to_bytes
 
 
 class TestPpmCodec:
@@ -352,6 +354,55 @@ class TestCheckpoint:
             arch.forward_classify(net, patch), arch.forward_classify(loaded, patch)
         )
 
+    # a hand-built arm, the thresholded wht net, conv at 224 px and a float64 net
+    ARMS = {
+        "wht": lambda: arch.build_toy_net("wht", 8, 32, seed=9),
+        "wht-lambda": lambda: arch.build_toy_net("wht", 16, 64, seed=9,
+                                                 threshold_trainable=True),
+        "conv-224": lambda: arch.build_toy_net("conv-baseline", 8, 224, seed=9),
+        "float64": lambda: arch.build_toy_net("wht", 8, 32, seed=9, dtype=np.float64),
+        "identity": lambda: arch.Network(identity_arm(), arch.init_parameters(
+            identity_arm(), 9), 9),
+    }
+
+    @pytest.mark.parametrize("make", ARMS.values(), ids=ARMS)
+    def test_every_arm_saves_loads_and_saves_the_same_bytes(self, tmp_path, make):
+        net = make()
+        rng = np.random.default_rng(4)  # values off their init, thresholds above 0
+        for t in net.parameters.values():
+            t[...] = np.abs(rng.normal(size=t.shape))
+        a, b = tmp_path / "a.whtc", tmp_path / "b.whtc"
+        dataio.checkpoint_save(net, {"epoch": "25"}, a)
+        loaded = dataio.checkpoint_load(a)
+        assert loaded.descriptor == net.descriptor and loaded.seed == 9
+        dataio.checkpoint_save(loaded, {"epoch": "25"}, b)
+        assert a.read_bytes() == b.read_bytes()
+        header, tensors = read_checkpoint(a)
+        assert header["epoch"] == "25"
+        assert header["tensors"] == {name: list(t.shape) for name, t in tensors.items()}
+        assert list(loaded.parameters) == list(net.parameters)
+        assert tensors.keys() == loaded.parameters.keys()
+        for name, t in loaded.parameters.items():
+            assert t.dtype == np.float32 and t.tobytes() == tensors[name].tobytes()
+            assert t.tobytes() == net.parameters[name].astype(np.float32).tobytes()
+
+    def test_metadata_cannot_override_the_network(self, tmp_path):
+        p = tmp_path / "c.whtc"
+        dataio.checkpoint_save(self._net(), {"seed": 1, "input_size": 64, "arch": "x",
+                                             "layers": [], "tensors": {}}, p)
+        loaded = dataio.checkpoint_load(p)
+        assert loaded.seed == 9 and loaded.descriptor == self._net().descriptor
+
+    def test_a_descriptor_load_refuses_is_not_saved(self, tmp_path):
+        desc = identity_arm()
+        head = dataclasses.replace(desc.layers[-1], out_channels=3)
+        desc = dataclasses.replace(desc, layers=(*desc.layers[:-1], head))
+        net = arch.Network(desc, arch.init_parameters(desc, 0), 0)
+        p = tmp_path / "c.whtc"
+        with pytest.raises(InvalidDescriptorError, match="gives 3 channels, not 2 classes"):
+            dataio.checkpoint_save(net, {}, p)
+        assert not p.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.whtc"
         p.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -363,15 +414,16 @@ class TestCheckpoint:
         p = tmp_path / "c.whtc"
         dataio.checkpoint_save(net, {}, p)
         raw = bytearray(p.read_bytes())
-        assert raw[4:8] == b"\x02\x00\x00\x00"
-        # 1 named one of two toy nets instead of listing the layers; no loader is kept
-        for version in (99, 1):
+        assert raw[4:8] == b"\x03\x00\x00\x00"
+        # 1 named one of two toy nets, 2 split its description over a key/value
+        # block, a layer list in JSON and a binary tensor table; no loader is kept
+        for version in (99, 2, 1):
             raw[4] = version  # the little-endian version field
             p.write_bytes(bytes(raw))
-            with pytest.raises(VersionMismatchError, match=f"version {version}, expected 2"):
+            with pytest.raises(VersionMismatchError, match=f"version {version}, expected 3"):
                 dataio.checkpoint_load(p)
         assert main(["eval", "--checkpoint", str(p), "--manifest", "m.csv"]) == EXIT_DATA
-        assert "version 1, expected 2" in capsys.readouterr().err
+        assert "version 1, expected 3" in capsys.readouterr().err
 
     def test_truncated_checkpoint(self, tmp_path):
         net = self._net()

@@ -17,6 +17,7 @@ from whtfire.dataio import (
     synth_dataset,
 )
 from whtfire.errors import (
+    BadThresholdError,
     EmptyDatasetError,
     LengthNotPowerOfTwoError,
     ShapeMismatchError,
@@ -25,8 +26,8 @@ from whtfire.errors import (
     TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
-from oracles import (checkpoint_metadata, extract_windows, fwht_remainder_last,
-                     identity_arm, ifwht_separate_pass, record_backward_flags,
+from oracles import (extract_windows, fwht_remainder_last, identity_arm,
+                     ifwht_separate_pass, read_checkpoint, record_backward_flags,
                      render_overlay_per_block, unit_to_bytes)
 
 # Published evaluation rows (percent) for metric cross-checks:
@@ -268,9 +269,9 @@ class TestFinetune:
         cfg = TrainConfig(epochs=1, learning_rate=0.01, seed=0)
         _, _, src_ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "src")
         _, _, ft_ckpt = pipeline.finetune(src_ckpt, small_dataset, cfg, tmp_path / "ft")
-        keys = {"arch", "input_size", "layers", "seed"}
-        assert set(checkpoint_metadata(src_ckpt)) == keys
-        assert set(checkpoint_metadata(ft_ckpt)) == keys
+        keys = {"arch", "input_size", "layers", "seed", "tensors"}
+        assert set(read_checkpoint(src_ckpt)[0]) == keys
+        assert set(read_checkpoint(ft_ckpt)[0]) == keys
 
 
 class TestHandBuiltArm:
@@ -422,6 +423,16 @@ class TestDetect:
                                          out_json=tmp_path / "s.json")
         assert (grid.scores < 1.0).all()
         assert detected is False
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_threshold_outside_unit_interval_writes_nothing(self, tmp_path, tau):
+        net = arch.build_toy_net("wht", 8, 32, seed=0)
+        _byte_frame(tmp_path / "f.ppm", 5, 96, 96)
+        out = tmp_path / "out"
+        with pytest.raises(BadThresholdError, match="not in \\[0, 1\\]"):
+            pipeline.detect(net, tmp_path / "f.ppm", tau,
+                            out_overlay=out / "o.ppm", out_json=out / "s.json")
+        assert not out.exists()
 
     def test_identical_runs_identical_artifacts(self, small_dataset, tmp_path):
         net, ckpt = self._trained(small_dataset, tmp_path)
