@@ -29,7 +29,6 @@ from .pipeline import (
     evaluate,
     finetune,
     train,
-    transfer_experiment,
 )
 from .tiling import (
     GridSpec,

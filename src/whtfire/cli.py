@@ -103,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
 
-    p = sub.add_parser("detect", help="block-grid detection over one image")
+    p = sub.add_parser("detect", help="block-grid detection over one image", description=(
+        "Block-grid detection over one image.  Old outputs are written over in place: a "
+        "reader of overlay.ppm mid-write can see two frames mixed under a valid header."))
     p.set_defaults(run=_cmd_detect)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)

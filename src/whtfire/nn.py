@@ -49,6 +49,9 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name, value in vars(self).items():  # JSON cannot hold numpy scalars
+            if isinstance(value, np.generic):
+                setattr(self, name, value.item())
 
 
 # -- convolutions ---------------------------------------------------------

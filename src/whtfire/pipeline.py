@@ -23,14 +23,12 @@ from .arch import (
 )
 from .dataio import (
     Manifest,
-    SynthConfig,
     _write_json,
     checkpoint_load,
     checkpoint_save,
     load_manifest,
     ppm_read,
     ppm_write,
-    synth_dataset,
 )
 from .errors import (
     ArchMismatchError,
@@ -303,7 +301,8 @@ def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
     and the scores JSON, creating their directories; returns (ScoreGrid, detected).
 
     Nothing is written if scoring raises, as it does for a threshold outside
-    [0, 1].  ``tiling.score_grid`` only scores.
+    [0, 1].  ``tiling.score_grid`` only scores.  Old outputs are written over
+    in place: a reader of the overlay mid-write can see two frames mixed.
     """
     net = _as_network(net_or_checkpoint)
     image = ppm_read(image_path)
@@ -312,62 +311,6 @@ def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
     ppm_write(render_overlay(image, grid, draw_scores), out_overlay)
     _write_json(score_grid_json(grid, str(image_path)), out_json)
     return grid, grid.any_detection
-
-
-# -- transfer experiment -----------------------------------------------------------
-
-def transfer_experiment(seed: int, workdir, *, variant: str = "wht",
-                        width: int = 8, input_size: int = 32, epochs: int = 25,
-                        source_count: int = 48, target_count: int = 12,
-                        eval_count: int = 40, source_contrast: float = 0.9,
-                        target_contrast: float = 0.25) -> dict:
-    """One seed of the source->target protocol.
-
-    A source model is trained on plentiful high-contrast synthetic data;
-    the target domain has few, low-contrast samples.  The scratch arm and
-    the fine-tuned arm get the same epoch budget on the target data and are
-    compared on a held-out target-domain evaluation set.
-    """
-    workdir = Path(workdir)
-    source_man = synth_dataset(
-        SynthConfig(seed=1000 + seed, count_per_class=source_count,
-                    resolution=input_size, smoke_contrast=source_contrast),
-        workdir / "source_data",
-    )
-    target_man = synth_dataset(
-        SynthConfig(seed=2000 + seed, count_per_class=target_count,
-                    resolution=input_size, smoke_contrast=target_contrast),
-        workdir / "target_data",
-    )
-    eval_man = synth_dataset(
-        SynthConfig(seed=3000 + seed, count_per_class=eval_count,
-                    resolution=input_size, smoke_contrast=target_contrast),
-        workdir / "eval_data",
-    )
-    _, _, source_ckpt = train(
-        source_man, variant,
-        TrainConfig(epochs=epochs, learning_rate=0.01, seed=seed),
-        workdir / "source_run", width=width, input_size=input_size,
-    )
-    _, scratch_net, _ = train(
-        target_man, variant,
-        TrainConfig(epochs=epochs, learning_rate=0.01, seed=seed),
-        workdir / "scratch_run", width=width, input_size=input_size,
-    )
-    _, tuned_net, _ = finetune(
-        source_ckpt, target_man,
-        TrainConfig(epochs=epochs, learning_rate=FINETUNE_LEARNING_RATE, seed=seed),
-        workdir / "finetune_run",
-    )
-    scratch_metrics, _ = evaluate(scratch_net, eval_man)
-    tuned_metrics, _ = evaluate(tuned_net, eval_man)
-    return {
-        "seed": seed,
-        "scratch": scratch_metrics.as_dict(),
-        "finetuned": tuned_metrics.as_dict(),
-        "scratch_f1": scratch_metrics.f1,
-        "finetuned_f1": tuned_metrics.f1,
-    }
 
 
 # -- benchmarking ------------------------------------------------------------------

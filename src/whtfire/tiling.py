@@ -45,6 +45,7 @@ in step.
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -105,8 +106,9 @@ class ScoreGrid:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:  # also refuses NaN
-            raise BadThresholdError(f"threshold {self.threshold} is not in [0, 1]")
+        if not (isinstance(self.threshold, numbers.Real) and 0 <= self.threshold <= 1):
+            raise BadThresholdError(f"threshold {self.threshold!r} is not in [0, 1]")  # NaN too
+        self.threshold = float(self.threshold)  # a numpy scalar is not JSON
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != self.spec.windows:
             raise ShapeMismatchError(

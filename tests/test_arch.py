@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -243,6 +244,15 @@ class TestFeatureMap:
         assert arch.feature_map(net, np.zeros((1, 16, 96, 3))).shape == (1, 4, 24, 8)
         with pytest.raises(ShapeMismatchError):
             arch.feature_map(net, np.zeros((1, 16, 96)))
+
+    def test_a_descriptor_without_gap_is_refused(self):
+        net = arch.build_toy_net("wht", 8, 32, seed=6)
+        desc = dataclasses.replace(net.descriptor, layers=net.descriptor.layers[:18])
+        headless = arch.Network(desc, net.parameters, net.seed)
+        with pytest.raises(InvalidDescriptorError, match="no gap layer"):
+            arch.feature_map(headless, np.zeros((1, 32, 32, 3)))
+        with pytest.raises(InvalidDescriptorError, match="no gap layer"):
+            arch.head_classify(headless, np.zeros((1, 8)))
 
     def test_feature_stride(self):
         assert arch.feature_stride(arch.toy_descriptor("wht")) == 4

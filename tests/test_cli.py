@@ -25,8 +25,9 @@ def save_edited(monkeypatch, net, path, edit):
 
     A function edits the header object in place before it is written.  An
     (old, new) byte pair replaces the first ``old`` in the written header's
-    JSON text, for what no object can hold (a repeated key, unbalanced
-    brackets), and the header length is rewritten to match.
+    JSON text, or all of it when ``old`` is empty, for what no object can
+    hold (a repeated key, unbalanced brackets, another JSON value), and the
+    header length is rewritten to match.
     """
     if isinstance(edit, tuple):
         dataio.checkpoint_save(net, {}, path)
@@ -34,7 +35,7 @@ def save_edited(monkeypatch, net, path, edit):
         (size,) = struct.unpack("<I", raw[8:12])
         header = raw[12 : 12 + size]
         assert edit[0] in header
-        header = header.replace(*edit, 1)
+        header = header.replace(*edit, 1) if edit[0] else edit[1]
         path.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + size :])
         return
     original = dataio._header
@@ -74,8 +75,12 @@ def _four_more_pools(rows):
 
 # Malformed layer lists of the wht toy net, whose layers are: 0 stem; blocks
 # at 1-5, 7-11 and 13-17 (pw, relu, wht, gain, skip); pools at 6 and 12;
-# 18 gap; 19 the dense head.  Each edit and the message it must raise.
+# 18 gap; 19 the dense head; and headers that hold no object to read them
+# from.  Each edit and the message it must raise.
 LAYER_EDITS = {
+    **{f"header-{name}": ((b"", text), "the header is not a JSON object")
+       for name, text in (("list", b"[]"), ("number", b"3"), ("null", b"null"),
+                          ("text", b'"x"'))},
     "not-a-list": (lambda header: header.update(layers={"kind": "gap"}),
                    "not a list of objects"),
     "missing-key": (_rows(lambda rows: rows[0].pop("name")), "not a list of objects"),
@@ -251,6 +256,45 @@ class TestTrainEvalDetect:
         bad.write_text("a.ppm,5\n")
         rc = main(["train", "--manifest", str(bad)])
         assert rc == EXIT_DATA
+
+
+class TestTransferProtocol:
+    """The paper's protocol as eight commands: a source net trained on
+    plentiful high-contrast images, fine-tuned on few low-contrast ones,
+    against the same net trained on those from scratch; both arms are
+    evaluated on held-out low-contrast images."""
+
+    @staticmethod
+    def _run(root: Path, seed: int = 3) -> None:
+        def whtfire(out, *argv, seed=seed):
+            assert main(["--seed", str(seed), "--out-dir", str(root / out), *argv]) == EXIT_OK
+
+        whtfire("source_data", "synth", "--count", "6", "--contrast", "0.9", seed=1000 + seed)
+        whtfire("target_data", "synth", "--count", "4", "--contrast", "0.25", seed=2000 + seed)
+        whtfire("eval_data", "synth", "--count", "4", "--contrast", "0.25", seed=3000 + seed)
+        target = str(root / "target_data" / "manifest.csv")
+        whtfire("source_run", "train", "--epochs", "2",
+                "--manifest", str(root / "source_data" / "manifest.csv"))
+        whtfire("scratch_run", "train", "--epochs", "2", "--manifest", target)
+        whtfire("finetune_run", "finetune", "--epochs", "2", "--manifest", target,
+                "--source", str(root / "source_run" / "checkpoint.whtc"))
+        for arm in ("scratch", "finetune"):
+            whtfire(f"{arm}_eval", "eval", "--manifest", str(root / "eval_data" / "manifest.csv"),
+                    "--checkpoint", str(root / f"{arm}_run" / "checkpoint.whtc"))
+
+    def test_the_commands_run_and_repeat(self, tmp_path):
+        for root in ("a", "b"):
+            self._run(tmp_path / root)
+        outputs = [f"{arm}_run/checkpoint.whtc" for arm in ("source", "scratch", "finetune")]
+        outputs += [f"{arm}_eval/metrics.json" for arm in ("scratch", "finetune")]
+        for name in outputs:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        for arm in ("scratch", "finetune"):
+            f1 = json.loads((tmp_path / "a" / f"{arm}_eval" / "metrics.json").read_text())[
+                "metrics"]["f1"]
+            assert np.isfinite(f1) and 0.0 <= f1 <= 1.0
+        run = json.loads((tmp_path / "a" / "finetune_run" / "run.json").read_text())
+        assert run["transfer_source"] == str(tmp_path / "a" / "source_run" / "checkpoint.whtc")
 
 
 class TestExitCodes:

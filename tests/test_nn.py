@@ -106,8 +106,19 @@ class TestConv3x3:
         assert err_w <= 1e-6 and err_x <= 1e-6
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            nn.conv3x3_forward(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 3, 2)))
+        for x_shape, w_shape in [
+            ((1, 4, 4, 2), (3, 3, 3, 2)),  # channels
+            ((4, 4, 2), (3, 3, 2, 2)),  # map rank
+            ((1, 4, 4, 2), (3, 3, 2)),  # kernel rank
+            ((1, 4, 4, 2), (5, 5, 2, 2)),  # not 3x3
+        ]:
+            with pytest.raises(ShapeMismatchError):
+                nn.conv3x3_forward(np.zeros(x_shape), np.zeros(w_shape))
+
+    def test_backward_rejects_a_gradient_of_other_channels(self):
+        io = nn.conv3x3_forward(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 2, 3)))
+        with pytest.raises(ShapeMismatchError, match="channel mismatch"):
+            nn.conv3x3_backward(io.cache, np.zeros((1, 4, 4, 2)))
 
 
 class TestSimpleLayers:
@@ -180,6 +191,10 @@ class TestSimpleLayers:
         assert dg.dtype == dtype and dg.shape == (1,)
         assert abs(float(dg[0]) - np.sum(terms)) <= tolerance
         assert np.array_equal(dx, dy * g[0])
+
+    def test_gap_rejects_a_vector(self):
+        with pytest.raises(ShapeMismatchError):
+            nn.gap_forward(np.zeros((2, 4)))
 
     def test_avgpool2_odd_extent_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -459,6 +474,12 @@ class TestTrainConfig:
             nn.TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             nn.TrainConfig(batch_size=0)
+
+    def test_numpy_scalars_become_python_numbers(self):
+        cfg = nn.TrainConfig(np.int64(3), np.float32(0.5), np.float16(0.25), np.int32(4),
+                             np.uint8(7))
+        assert [type(v) for v in vars(cfg).values()] == [int, float, float, int, int]
+        assert vars(cfg) == vars(nn.TrainConfig(3, 0.5, 0.25, 4, 7))
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_learning_rate_rejected(self, lr):

@@ -164,6 +164,21 @@ class TestTrain:
         assert record.early_stop_reason is None
         assert run_json["early_stop_reason"] is None
 
+    @pytest.mark.parametrize("setting", [
+        {"learning_rate": np.float32(0.015625)}, {"momentum": np.float16(0.5)},
+        {"epochs": np.int64(1)}, {"batch_size": np.int32(8)}, {"seed": np.int64(1)},
+    ], ids=lambda setting: next(iter(setting)))
+    def test_a_numpy_scalar_setting_writes_what_its_python_number_does(
+            self, small_dataset, tmp_path, setting):
+        written = []
+        # .item() is the same number; one directory, so run.json names one path
+        for given in (setting, {key: value.item() for key, value in setting.items()}):
+            pipeline.train(small_dataset, "wht", TrainConfig(**{"epochs": 1, "seed": 0, **given}),
+                           tmp_path)
+            written.append([(tmp_path / name).read_bytes()
+                            for name in ("checkpoint.whtc", "run.json")])
+        assert written[0] == written[1]
+
     def test_thresholds_stay_at_their_bound(self, small_dataset, tmp_path):
         # at seed 1 the steps push wht0's and wht2's thresholds below 0
         cfg = TrainConfig(epochs=2, seed=1)
@@ -327,17 +342,6 @@ class TestHandBuiltArm:
         assert np.ptp(oracle) > 1e-3
 
 
-class TestTransferExperiment:
-    def test_tiny_protocol_runs_and_repeats(self, tmp_path):
-        sizes = dict(epochs=2, source_count=6, target_count=4, eval_count=4)
-        first = pipeline.transfer_experiment(3, tmp_path / "a", **sizes)
-        for key in ("scratch_f1", "finetuned_f1"):
-            assert np.isfinite(first[key]) and 0.0 <= first[key] <= 1.0
-        run = json.loads((tmp_path / "a" / "finetune_run" / "run.json").read_text())
-        assert run["transfer_source"] == str(tmp_path / "a" / "source_run" / "checkpoint.whtc")
-        assert pipeline.transfer_experiment(3, tmp_path / "b", **sizes) == first
-
-
 class TestEvaluate:
     def test_always_negative_predictor(self, small_dataset):
         net = arch.build_toy_net("wht", 8, 32, seed=0)
@@ -424,7 +428,7 @@ class TestDetect:
         assert (grid.scores < 1.0).all()
         assert detected is False
 
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1, 1.5])
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1, 1.5, "0.5", 0.5j, None])
     def test_threshold_outside_unit_interval_writes_nothing(self, tmp_path, tau):
         net = arch.build_toy_net("wht", 8, 32, seed=0)
         _byte_frame(tmp_path / "f.ppm", 5, 96, 96)
@@ -433,6 +437,21 @@ class TestDetect:
             pipeline.detect(net, tmp_path / "f.ppm", tau,
                             out_overlay=out / "o.ppm", out_json=out / "s.json")
         assert not out.exists()
+
+    @pytest.mark.parametrize("numpy_tau, tau", [
+        (np.float32(0.5), 0.5), (np.float16(0.5), 0.5), (np.int64(1), 1), (np.int64(0), 0),
+    ], ids=repr)
+    def test_a_numpy_scalar_threshold_writes_what_its_python_number_does(
+            self, tmp_path, numpy_tau, tau):
+        net = arch.build_toy_net("wht", 8, 32, seed=0)
+        _byte_frame(tmp_path / "f.ppm", 5, 96, 96)
+        written = []
+        for threshold in (numpy_tau, tau):
+            grid, _ = pipeline.detect(net, tmp_path / "f.ppm", threshold,
+                                      out_overlay=tmp_path / "o.ppm", out_json=tmp_path / "s.json")
+            assert type(grid.threshold) is float
+            written.append([(tmp_path / name).read_bytes() for name in ("o.ppm", "s.json")])
+        assert written[0] == written[1]
 
     def test_identical_runs_identical_artifacts(self, small_dataset, tmp_path):
         net, ckpt = self._trained(small_dataset, tmp_path)
