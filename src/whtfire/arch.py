@@ -60,6 +60,10 @@ class Network:
     parameters: dict[str, np.ndarray]
     seed: int
 
+    def __post_init__(self):
+        if isinstance(self.seed, np.integer):  # JSON cannot hold a numpy scalar
+            self.seed = int(self.seed)
+
     @property
     def dtype(self):
         return next(iter(self.parameters.values())).dtype

@@ -109,6 +109,11 @@ class TensorShapeMismatchError(WhtFireError, ValueError):
     """Stored tensor shape disagrees with the architecture."""
 
 
+class BadMetadataError(WhtFireError, ValueError):
+    """Checkpoint metadata that JSON cannot hold: a numpy scalar, a NaN, a
+    key that is not a string, a value that refers to itself."""
+
+
 # -- pipeline -------------------------------------------------------------
 
 class SingleClassDatasetError(WhtFireError, ValueError):

@@ -11,11 +11,17 @@ Every backward with tensors takes ``input_grad``: when False it forms no
 no reader).  Training runs in float32; gradient checks run the same code
 in float64.
 ``mean_pool`` is the one mean pooling: avgpool2 layers run it on maps,
-and ``tiling`` on (H, W, C) frames and windows.
+and ``tiling`` on (H, W, C) frames and windows.  On floats it adds the
+row pairs, then each pixel's column pair as one stacked product with
+0.25s, so avgpool2 rounds as ``((x00 + x10) + (x01 + x11)) * 0.25``, and a
+NaN or infinity spoils every channel of its pooled pixel and nothing else.
+Bytes sum exactly in uint16 and pool into the float type ``dtype``:
+float64 by default, the net's dtype when ``tiling`` scores a frame.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -177,59 +183,87 @@ def gap_backward(cache: tuple, dy: np.ndarray):
 _BYTE_POOL_BAND = 32  # output rows per pass of mean_pool's byte path: ~0.5 MiB at 1080p
 
 
-def mean_pool(x: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:
+def mean_pool(x: np.ndarray, factor_y: int, factor_x: int,
+              dtype=np.float64) -> np.ndarray:
     """Integer-factor mean pooling of the two axes before the channel axis.
 
-    Works on (H, W, C) images and (B, H, W, C) maps alike.  The strided
-    slices are summed in row-major cell order, then divided once, which
-    for 2x2 rounds exactly as a reshape-mean does.  Floating inputs keep
-    their dtype; any other input pools to float64.
+    Works on (H, W, C) images and (B, H, W, C) maps alike.  Floating inputs
+    keep their dtype; any other input pools to ``dtype``, a float type
+    (default float64).
+
+    Floats add the ``factor_y`` row slabs first, each a contiguous run of
+    W*C values, then sum each output pixel's ``factor_x`` column groups as
+    one product with a stacked 0/1 identity matrix (``_column_sum``), and
+    scale once; a power-of-two cell count folds its exact 1/count into the
+    matrix.  So 2x2 rounds as ``((x00 + x10) + (x01 + x11)) * 0.25``; a
+    reshape-mean adds the four in another order and can differ in the last
+    bit.  The product stays stacked per output row, ``(..., H/fy, W/fx,
+    fx*C) @ P``, as ``pointwise_forward`` keeps ``x @ w``: as one 2-D
+    product, a 224 px window's pooling wakes a second BLAS thread while the
+    window threads already use both CPUs (``detect-conv-b224`` went 0.078 ->
+    0.127 s a frame, BENCH_detect_passes.json).  A NaN or infinity in a
+    cell makes every channel of its pooled pixel non-finite (0 * inf is
+    NaN), and no other pixel.
 
     Bytes pooled over at most 257 cells sum exactly in uint16 (255 * 257
     = 65,535): the ``factor_y`` row slabs are added whole, then the
     ``factor_x`` column groups one channel at a time, so every add runs
-    along a row rather than over C values.  The sums convert to float64
-    and divide once, which rounds as the float64 sums of the strided
-    slices do, so both paths give the same bits.  This runs on bands of
-    ``_BYTE_POOL_BAND`` output rows, so the uint16 sums stay small beside
-    the float64 result.
+    along a row rather than over C values.  The sums convert to ``dtype``
+    and divide once.  In float64 that rounds as exact float sums divided
+    once do, whatever their order; in float32 the 2x2 quotients s/4 are
+    exact, and divided by 255 they have the bits of the float64 result
+    converted.  This runs on bands of ``_BYTE_POOL_BAND`` output rows, so
+    the uint16 sums stay small beside the result.
     """
     h, w = x.shape[-3:-1]
     if h % factor_y or w % factor_x:
         raise OddDimensionsError(
             f"extents {h}x{w} not divisible by {factor_y}x{factor_x}"
         )
+    lead, c = x.shape[:-3], x.shape[-1]
+    slabs = x.reshape(*lead, h // factor_y, factor_y, w * c)
     if x.dtype == np.uint8 and factor_y * factor_x <= 257:
-        lead, c = x.shape[:-3], x.shape[-1]
-        slabs = x.reshape(*lead, h // factor_y, factor_y, w * c)
-        out = np.empty((*lead, h // factor_y, w // factor_x, c))
+        out = np.empty((*lead, h // factor_y, w // factor_x, c), dtype)
         for r in range(0, h // factor_y, _BYTE_POOL_BAND):
             part = slice(r, r + _BYTE_POOL_BAND)
             band = slabs[..., part, :, :]
             rows = np.empty(band.shape[:-2] + band.shape[-1:], np.uint16)
-            _add_u16([band[..., i, :] for i in range(factor_y)], rows)
+            _add_into([band[..., i, :] for i in range(factor_y)], rows)
             groups = rows.reshape(*rows.shape[:-1], w // factor_x, factor_x, c)
             sums = np.empty(groups.shape[:-2] + (c,), np.uint16)
             for k in range(c):
-                _add_u16([groups[..., j, k] for j in range(factor_x)], sums[..., k])
-            np.divide(sums, factor_y * factor_x, out=out[..., part, :, :], dtype=np.float64)
+                _add_into([groups[..., j, k] for j in range(factor_x)], sums[..., k])
+            np.divide(sums, factor_y * factor_x, out=out[..., part, :, :], dtype=dtype)
         return out
-    dtype = x.dtype if np.issubdtype(x.dtype, np.inexact) else np.float64
-    acc = x[..., ::factor_y, ::factor_x, :].astype(dtype)
-    for i in range(factor_y):
-        for j in range(factor_x):
-            if i or j:
-                acc += x[..., i::factor_y, j::factor_x, :]
-    acc /= factor_y * factor_x
-    return acc
+    dtype = x.dtype if np.issubdtype(x.dtype, np.inexact) else np.dtype(dtype)
+    rows = np.empty(slabs.shape[:-2] + slabs.shape[-1:], dtype)
+    _add_into([slabs[..., i, :] for i in range(factor_y)], rows)
+    count = factor_y * factor_x
+    exact = count & (count - 1) == 0  # 1/count is a power of two
+    pairs = _column_sum(c, factor_x, dtype, 1 / count if exact else 1)
+    out = rows.reshape(*rows.shape[:-1], w // factor_x, factor_x * c) @ pairs
+    if not exact:
+        out /= count
+    return out
 
 
-def _add_u16(parts: list, out: np.ndarray) -> None:
-    """Write the sum of the same-shape views ``parts``, in order, to the uint16 ``out``."""
+@functools.cache
+def _column_sum(c: int, factor_x: int, dtype: np.dtype, scale: float) -> np.ndarray:
+    """The read-only (factor_x * C, C) matrix of ``factor_x`` stacked C x C
+    identities times ``scale``: a row of ``factor_x`` pixels times it is
+    their channel-wise sum, scaled."""
+    matrix = np.tile(np.eye(c, dtype=dtype) * dtype.type(scale), (factor_x, 1))
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _add_into(parts: list, out: np.ndarray) -> None:
+    """Write the sum of the same-shape views ``parts``, in order, to ``out``,
+    adding in ``out``'s dtype."""
     if len(parts) == 1:
         out[...] = parts[0]
         return
-    np.add(parts[0], parts[1], out=out, dtype=np.uint16)
+    np.add(parts[0], parts[1], out=out, dtype=out.dtype)
     for part in parts[2:]:
         out += part
 

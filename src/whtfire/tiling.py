@@ -2,9 +2,10 @@
 
 A frame is the (H, W, 3) uint8 array of ``dataio`` (see its docstring),
 and stays bytes here: scoring pools the bytes (exact uint16 sums, see
-``nn.mean_pool``) and scales only the pooled, quarter-size array to [0, 1],
-and the overlay is drawn in byte colours on a copy of the frame.  Its
-borders are written as whole strips: the top and bottom ones as lines
+``nn.mean_pool``) straight into the net's dtype and scales only the pooled,
+quarter-size array to [0, 1], so a float32 net's frame is never held in
+float64, and the overlay is drawn in byte colours on a copy of the frame.
+Its borders are written as whole strips: the top and bottom ones as lines
 across a block row, the left and right ones from a materialised colour
 array, so each write copies contiguous runs rather than one pixel at a time.
 
@@ -129,10 +130,10 @@ class ScoreGrid:
         return bool(np.any(self.scores >= self.threshold))
 
 
-def downsample_window(window: np.ndarray) -> np.ndarray:
+def downsample_window(window: np.ndarray, dtype=np.float64) -> np.ndarray:
     """2x2 mean pooling (``nn.mean_pool``): a two-block-square window back
-    to block resolution."""
-    return mean_pool(window, 2, 2)
+    to block resolution; bytes pool into the float type ``dtype``."""
+    return mean_pool(window, 2, 2, dtype)
 
 
 def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> ScoreGrid:
@@ -140,8 +141,12 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     land at their anchor index.
 
     Blocks are the network's S x S input.  The R x C block area is pooled
-    once with ``downsample_window`` and divided by 255; window (r, c) is
-    the S x S slice of it at offset (r*S/2, c*S/2).  Each score equals
+    once with ``downsample_window`` into the net's dtype and divided by 255
+    in it; window (r, c) is the S x S slice of it at offset (r*S/2, c*S/2).
+    For a float32 net each pooled value has the bits of the float64 one
+    converted: the byte sum s <= 1020 gives the exact s/4, and
+    ``f32(f32(s/4) / 255)`` equals ``f32(s/4 / 255)`` for all 1,021 sums.
+    A ``fallback`` grid's block area pools in float64.  Each score equals
     ``forward_classify(net, downsample_window(window / 255))[1]`` up to
     float rounding.  Windows share the feature map (see the module docstring)
     when ``arch.feature_stride`` allows it and S/2 is a multiple of the
@@ -157,8 +162,11 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     spec = GridSpec(image.shape[0], image.shape[1], block)
     rows, cols = spec.rows, spec.cols
     area = image[: rows * block, : cols * block]
-    pooled = mean_pool(area, rows, cols) if spec.fallback else downsample_window(area)
-    pooled /= 255.0  # float64: bytes pool exactly, then scale once
+    if spec.fallback:
+        pooled = mean_pool(area, rows, cols)  # float64
+    else:
+        pooled = downsample_window(area, net.dtype)
+    pooled /= pooled.dtype.type(255)  # bytes pool exactly, then scale once
     half = block // 2  # one block, in pooled pixels
     stride = feature_stride(net.descriptor)
     if spec.fallback or stride is None or half % stride:

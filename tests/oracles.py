@@ -238,6 +238,16 @@ def avgpool2_reshape_mean(x) -> np.ndarray:
     return out.astype(x.dtype, copy=False)
 
 
+def avgpool2_rows_first(x) -> np.ndarray:
+    """2x2 mean pooling of a (B, H, W, C) float map as
+    ``((x00 + x10) + (x01 + x11)) * 0.25``, in ``x``'s dtype: each column's
+    two rows first, then the two columns, then the exact quarter."""
+    top, bottom = x[:, 0::2], x[:, 1::2]
+    left = top[:, :, 0::2] + bottom[:, :, 0::2]
+    right = top[:, :, 1::2] + bottom[:, :, 1::2]
+    return (left + right) * x.dtype.type(0.25)
+
+
 def mean_pool_strided(x, factor_y: int, factor_x: int) -> np.ndarray:
     """Mean pooling as float sums of the strided cell slices, in row-major
     cell order, divided once; non-float input pools to float64."""

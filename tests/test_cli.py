@@ -296,6 +296,16 @@ class TestTransferProtocol:
         run = json.loads((tmp_path / "a" / "finetune_run" / "run.json").read_text())
         assert run["transfer_source"] == str(tmp_path / "a" / "source_run" / "checkpoint.whtc")
 
+    def test_run_and_metrics_json_are_json_dumps_of_their_payload(self, tmp_path):
+        # dataio._write_json joins score grids itself; every other record
+        # must still read as json.dumps(payload, indent=2) writes it
+        self._run(tmp_path)
+        names = [f"{arm}_run/run.json" for arm in ("source", "scratch", "finetune")]
+        names += [f"{arm}_eval/metrics.json" for arm in ("scratch", "finetune")]
+        for name in names:
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+
 
 class TestExitCodes:
     # input files named by the transform, detect and eval cases

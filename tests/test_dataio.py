@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import json
 import os
 import stat
 import subprocess
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whtfire import arch, dataio
+from whtfire import arch, dataio, tiling
 from whtfire.cli import EXIT_DATA, main
 from whtfire.errors import (
     ArchMismatchError,
     BadMagicError,
+    BadMetadataError,
     CorruptFileError,
     InvalidDescriptorError,
     ManifestError,
@@ -218,6 +220,49 @@ class TestWriteFile:
             dataio._write_json({}, tmp_path)
 
 
+class TestWriteJson:
+    """``_write_json`` writes score grids itself and must give the bytes of
+    ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline."""
+
+    @staticmethod
+    def _check(payload, path):
+        dataio._write_json(payload, path)
+        want = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        assert path.read_bytes() == want.encode()
+
+    # 1e-06 and 5e-07 are written in exponent form; 5e-07 rounds to 0.0 at 6
+    # places, 5.1e-07 to 1e-06 and 0.9999996 to 1.0
+    EDGES = [0.0, 1.0, 1e-06, 5e-07, 5.1e-07, 0.9999996, 0.5, 1 / 3, 2 ** -20]
+
+    @pytest.mark.parametrize("rows, cols", [(33, 60), (6, 10), (2, 2), (1, 1)])
+    def test_score_grids_are_json_dumps(self, tmp_path, rows, cols):
+        spec = tiling.GridSpec(rows * 32, cols * 32, 32)
+        scores = np.random.default_rng(rows).random(spec.windows)
+        scores.flat[: len(self.EDGES)] = self.EDGES[: scores.size]
+        payload = tiling.score_grid_json(tiling.ScoreGrid(spec, scores), "frame.ppm")
+        assert spec.fallback == (min(rows, cols) == 1)
+        self._check(payload, tmp_path / "scores.json")
+
+    def test_edge_scores_round_as_json_writes_them(self, tmp_path):
+        spec = tiling.GridSpec(64, 32 * (len(self.EDGES) + 1), 32)
+        payload = tiling.score_grid_json(tiling.ScoreGrid(spec, [self.EDGES]), "f.ppm")
+        assert payload["scores"] == [[0.0, 1.0, 1e-06, 0.0, 1e-06, 1.0, 0.5, 0.333333, 1e-06]]
+        self._check(payload, tmp_path / "scores.json")
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], {"a": [[1.0], [2.5, -0.0]], "b": {"c": [[]], "d": [[1, 2.0]]}},
+        [[0.1, 0.2], [0.3]], {"x": [[1e308, 1e308]]}, {"x": [[True, 1.0]]}, {1: [[1.0]]},
+        {"a\nb": "c\nd", "t": (1.0, 2.0)}, [[[1.0]]], [[1.0], []], [[1.0], (2.0,)],
+    ])
+    def test_other_payloads_are_json_dumps(self, tmp_path, payload):
+        self._check(payload, tmp_path / "x.json")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_score_raises(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            dataio._write_json({"scores": [[0.5, 0.5], [bad, 0.5]]}, tmp_path / "s.json")
+
+
 class TestManifest:
     def test_parse_and_roundtrip(self, tmp_path):
         text = "# header comment\nimgs/a.ppm,0\n\nimgs/b.ppm,1\n"
@@ -401,6 +446,20 @@ class TestCheckpoint:
         p = tmp_path / "c.whtc"
         with pytest.raises(InvalidDescriptorError, match="gives 3 channels, not 2 classes"):
             dataio.checkpoint_save(net, {}, p)
+        assert not p.exists()
+
+    def test_a_numpy_seed_is_saved_as_its_python_int(self, tmp_path):
+        a, b = tmp_path / "a.whtc", tmp_path / "b.whtc"
+        dataio.checkpoint_save(arch.build_toy_net("wht", seed=np.int64(1)), {}, a)
+        dataio.checkpoint_save(arch.build_toy_net("wht", seed=1), {}, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("metadata", [{"note": np.float32(1.5)}, {"epoch": np.int64(25)},
+                                          {"loss": float("nan")}, {"note": b"x"}, {1: "x"}])
+    def test_metadata_json_cannot_hold_writes_nothing(self, tmp_path, metadata):
+        p = tmp_path / "c.whtc"
+        with pytest.raises(BadMetadataError, match="JSON cannot hold"):
+            dataio.checkpoint_save(self._net(), metadata, p)
         assert not p.exists()
 
     def test_bad_magic(self, tmp_path):

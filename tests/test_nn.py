@@ -7,8 +7,8 @@ import pytest
 from whtfire import nn
 from whtfire.dataio import ppm_read, ppm_write
 from whtfire.errors import BadLabelError, ShapeMismatchError
-from oracles import (avgpool2_backward_broadcast, avgpool2_reshape_mean, conv3x3_whole_map,
-                     gradient_check, mean_pool_strided)
+from oracles import (avgpool2_backward_broadcast, avgpool2_reshape_mean, avgpool2_rows_first,
+                     conv3x3_whole_map, gradient_check, mean_pool_strided)
 
 
 def conv3x3_direct(x, w):
@@ -161,11 +161,36 @@ class TestSimpleLayers:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(8, 32, 32, 8), (8, 32, 32, 64), (2, 64, 96, 8)])
     def test_avgpool2_is_bit_identical_to_reshape_mean(self, shape, dtype):
-        # the strided sums keep the reshape-mean's rounding, so outputs do not move
+        # the row sums, then the column pairs' product with 0.25s, round as
+        # ((x00 + x10) + (x01 + x11)) * 0.25; the reshape-mean adds in another
+        # order, so the next test bounds the distance to it
         x = np.random.default_rng(12).standard_normal(shape).astype(dtype)
         out = nn.avgpool2_forward(x).output
         assert out.dtype == dtype
-        assert np.array_equal(out, avgpool2_reshape_mean(x))
+        assert np.array_equal(out, avgpool2_rows_first(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 32, 32, 8), (8, 32, 32, 64), (2, 64, 96, 8)])
+    def test_avgpool2_is_within_3_eps_of_reshape_mean(self, shape, dtype):
+        # two orders of a 4-term float sum each lie within 3u of |x00| + ... + |x11|
+        # of the exact sum (u = eps / 2); a quarter of 6u of that is 3 eps times the
+        # cell's mean |x|
+        x = np.random.default_rng(12).standard_normal(shape).astype(dtype)
+        out = nn.avgpool2_forward(x).output
+        bound = 3 * np.finfo(dtype).eps * avgpool2_reshape_mean(np.abs(x).astype(np.float64))
+        assert np.all(np.abs(out - avgpool2_reshape_mean(x).astype(np.float64)) <= bound)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0 * inf in the column product
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_avgpool2_non_finite_cell_spoils_its_pixel_only(self, bad, dtype):
+        # the column product weighs every channel of the pixel by 0 or 0.25, and
+        # 0 * inf is NaN: all of that pixel's channels turn non-finite, nothing else
+        x = np.random.default_rng(14).standard_normal((2, 8, 8, 4)).astype(dtype)
+        x[1, 3, 4, 2] = bad
+        out = nn.avgpool2_forward(x).output
+        spoiled = ~np.isfinite(out)
+        assert spoiled[1, 1, 2].all() and spoiled.sum() == out.shape[-1]
 
     @pytest.mark.parametrize("shape", [(1, 2, 2, 1), (3, 8, 6, 5), (8, 32, 32, 8)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -345,6 +370,27 @@ class TestBytePool:
         area = frame[: 2 * 224, : 3 * 224]
         assert np.array_equal(nn.mean_pool(area, 2, 2), mean_pool_strided(area, 2, 2))
 
+    @staticmethod
+    def _every_sum() -> np.ndarray:
+        """A (2, 2042, 1) byte map whose 2x2 cells sum to 0, 1, ..., 1020."""
+        q, r = np.divmod(np.arange(1021), 4)
+        u = np.empty((2, 2 * 1021, 1), np.uint8)
+        for (i, j), extra in zip(np.ndindex(2, 2), (1, 2, 3, 4)):
+            u[i, j::2, 0] = q + (r >= extra)
+        return u
+
+    def test_float32_pool_has_the_bits_of_the_float64_one(self, tmp_path):
+        # score_grid pools a float32 net's frame into float32 and divides by
+        # 255 there: the bits of the float64 pool, divided, then converted
+        every_sum = self._every_sum()
+        assert np.array_equal(nn.mean_pool(every_sum, 2, 2).ravel() * 4, np.arange(1021))
+        frame = self._bytes((1056, 1920, 3), "random", "read-only", tmp_path)
+        for u in (every_sum, frame):
+            pooled = nn.mean_pool(u, 2, 2, np.float32)
+            pooled /= np.float32(255)
+            want = (nn.mean_pool(u, 2, 2) / 255.0).astype(np.float32)
+            assert pooled.dtype == np.float32 and pooled.tobytes() == want.tobytes()
+
     def test_1056p_frame_peak_memory(self, tmp_path):
         # the float64 result is 11.6 MiB and the banded uint16 sums add ~1 MiB;
         # whole-frame uint16 sums kept alive through the conversion read 20.3 MiB
@@ -356,6 +402,17 @@ class TestBytePool:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_1056p_frame_peak_memory_float32(self, tmp_path):
+        # the float32 result is 5.8 MiB, beside the same banded uint16 sums
+        frame = self._bytes((1056, 1920, 3), "random", "read-only", tmp_path)
+        tracemalloc.start()
+        try:
+            nn.mean_pool(frame, 2, 2, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestSoftmaxCrossEntropy:
