@@ -58,9 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
                "(a bug or out of memory; the traceback goes to stderr)",
     )
     parser.add_argument("--seed", type=_NON_NEGATIVE, default=0)
-    parser.add_argument("--precision", choices=("f32", "f64"), default="f32",
-                        help="train's arithmetic; finetune, eval and detect run "
-                             "the float32 tensors a checkpoint stores")
     parser.add_argument("--out-dir", default="out")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -168,10 +165,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    dtype = np.float64 if args.precision == "f64" else np.float32
     record, _, ckpt = pipeline.train(
         args.manifest, args.variant, _train_config(args), args.out_dir,
-        width=args.width, input_size=args.input_size, dtype=dtype,
+        width=args.width, input_size=args.input_size,
     )
     last = record.epochs[-1] if record.epochs else None
     if last:

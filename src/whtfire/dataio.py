@@ -17,6 +17,9 @@ caller passes.  So every descriptor that ``arch.check_descriptor`` passes is
 saved and loaded the same way, and ``checkpoint_save`` refuses the others.
 The settings of a run live in its ``run.json``.
 
+A JSON record (``scores.json``, ``run.json``, ``metrics.json``) is compact
+``json.dumps`` text and a newline; ``_write_json`` says why.
+
 Every writer is deterministic and stamps no time: same inputs, same bytes.
 All of them write through ``_write_file``, which writes over the bytes a
 path already holds instead of truncating it first: ``detect`` rewrites the
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import stat
 import struct
 from dataclasses import dataclass, fields
@@ -61,6 +65,11 @@ _LAYER_KEYS = frozenset(field.name for field in fields(LayerDescriptor))
 
 # -- P6 pixmap codec ----------------------------------------------------------
 
+# whitespace and comments (``#`` to the end of the line), then a header number;
+# it always matches, so an empty number marks the end of the file or a bad byte
+_HEADER_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\d*)")
+
+
 def ppm_read(path) -> np.ndarray:
     """Read a binary P6 pixmap (maxval 255) as its (H, W, 3) uint8 bytes.
 
@@ -73,25 +82,17 @@ def ppm_read(path) -> np.ndarray:
         raise BadMagicError(f"{path}: expected P6 magic, got {raw[:2]!r}")
     pos = 2
     fields = []
-    while len(fields) < 3:
-        if pos >= len(raw):
-            raise TruncatedFileError(f"{path}: header ended early")
-        ch = raw[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        elif ch.isdigit():
-            start = pos
-            while pos < len(raw) and raw[pos : pos + 1].isdigit():
-                pos += 1
-            try:
-                fields.append(int(raw[start:pos]))
-            except ValueError as exc:  # more digits than int() converts
-                raise CorruptFileError(f"{path}: header number: {exc}") from None
-        else:
-            raise BadMagicError(f"{path}: unexpected header byte {ch!r}")
+    for _ in range(3):
+        match = _HEADER_FIELD.match(raw, pos)
+        pos, digits = match.end(), match[1]
+        if not digits:
+            if pos == len(raw):
+                raise TruncatedFileError(f"{path}: header ended early")
+            raise BadMagicError(f"{path}: unexpected header byte {raw[pos : pos + 1]!r}")
+        try:
+            fields.append(int(digits))
+        except ValueError as exc:  # more digits than int() converts
+            raise CorruptFileError(f"{path}: header number: {exc}") from None
     width, height, maxval = fields
     sep = raw[pos : pos + 1]
     if sep and not sep.isspace():
@@ -151,40 +152,17 @@ def _write_file(path, *chunks) -> None:
 
 
 def _write_json(payload, path) -> None:
-    """Strict, indented JSON: the bytes of ``json.dumps(payload, indent=2,
-    allow_nan=False)`` and a newline, so a non-finite number raises instead
-    of writing NaN.
+    """Strict, compact JSON: ``json.dumps(payload, allow_nan=False)`` and a
+    newline, so a NaN or an infinity raises ``ValueError`` before the file
+    is opened instead of writing NaN.
 
-    Any ``indent`` runs ``json``'s pure-Python encoder value by value.  So
-    ``_json_text`` writes objects with string keys and lists of float lists
-    (score grids) itself, joining ``float.__repr__`` of each value, as
-    ``json`` does, with the same separators, and hands every other value to
-    ``json.dumps``.  A 1080p frame's 32 x 59 block-32 grid took 0.8-0.9 ms
-    this way against 1.4-1.8 ms through ``json.dumps`` (2-vCPU host, best
-    of 9 x 50 calls, three rounds).
+    Compact because any ``indent`` runs ``json``'s pure-Python encoder: a
+    1080p frame's 32 x 59 block-32 score grid took 0.59-0.61 ms and ~18.9 kB
+    compact, against 1.4-1.6 ms and ~30.5 kB with ``indent=2`` (2-vCPU
+    host, median of 9 x 50 calls).
     """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    _write_file(path, (_json_text(payload) + "\n").encode())
-
-
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)`` for a value nested
-    at ``indent``."""
-    inner = indent + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
-        items = (f"{inner}{json.dumps(key)}: {_json_text(v, inner)}" for key, v in value.items())
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    # a row holding a NaN or an infinity, or summing past the largest float,
-    # is left to json, which refuses the one and writes the other
-    if type(value) is list and value and all(
-            type(row) is list and row and all(type(v) is float for v in row)
-            and math.isfinite(sum(row)) for row in value):
-        cell = "\n" + inner + "  "
-        rows = (f"{inner}[{cell}{(',' + cell).join(map(float.__repr__, row))}\n{inner}]"
-                for row in value)
-        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
-    # JSON strings hold no raw newline, so every newline starts a line to indent
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
+    _write_file(path, (json.dumps(payload, allow_nan=False) + "\n").encode())
 
 
 # -- dataset manifests ----------------------------------------------------------

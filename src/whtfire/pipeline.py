@@ -272,11 +272,11 @@ def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
 
 
 def train(manifest, variant: str, config: TrainConfig, out_dir, *,
-          width: int = 8, input_size: int = 32, dtype=np.float32,
-          threshold_trainable: bool = False):
-    """Train a toy variant from scratch; returns (RunRecord, Network, path)."""
+          width: int = 8, input_size: int = 32, threshold_trainable: bool = False):
+    """Train a float32 toy variant from scratch, the dtype its checkpoint
+    stores; returns (RunRecord, Network, path)."""
     net = build_toy_net(variant, width, input_size, seed=config.seed,
-                        dtype=dtype, threshold_trainable=threshold_trainable)
+                        threshold_trainable=threshold_trainable)
     return _run_training(net, manifest, config, Path(out_dir))
 
 

@@ -235,12 +235,9 @@ _FONT = {
 
 
 @functools.cache
-def _glyph(ch: str, pixel: int) -> np.ndarray | None:
-    """The boolean (7 * pixel, 5 * pixel) stamp of ``ch``, or None if unknown."""
-    rows = _FONT.get(ch)
-    if rows is None:
-        return None
-    bits = np.array([[bit == "1" for bit in row] for row in rows])
+def _glyph(ch: str, pixel: int) -> np.ndarray:
+    """The boolean (7 * pixel, 5 * pixel) stamp of ``ch``, a digit or '.'."""
+    bits = np.array([[bit == "1" for bit in row] for row in _FONT[ch]])
     stamp = bits.repeat(pixel, axis=0).repeat(pixel, axis=1)
     stamp.flags.writeable = False
     return stamp
@@ -252,9 +249,8 @@ def _draw_text(canvas: np.ndarray, y: int, x: int, text: str,
     write per glyph, clipped to the canvas."""
     for ch in text:
         stamp = _glyph(ch, pixel)
-        if stamp is not None:
-            region = canvas[y : y + stamp.shape[0], x : x + stamp.shape[1]]
-            region[stamp[: region.shape[0], : region.shape[1]]] = color
+        region = canvas[y : y + stamp.shape[0], x : x + stamp.shape[1]]
+        region[stamp[: region.shape[0], : region.shape[1]]] = color
         x += 6 * pixel
 
 

@@ -16,7 +16,6 @@ from whtfire.cli import (EXIT_DATA, EXIT_DETECTED, EXIT_INTERNAL, EXIT_OK, EXIT_
 from whtfire.dataio import ppm_write
 from whtfire.errors import ArchMismatchError, CorruptFileError, WhtFireError
 from whtfire.fwht import fwht
-from whtfire.nn import TrainConfig
 from oracles import identity_arm, unit_to_bytes
 
 
@@ -206,18 +205,6 @@ class TestTrainEvalDetect:
         assert scores["grid"] == [3, 4]
         assert (tmp_path / "det2" / "overlay.ppm").exists()
 
-    def test_precision_f64_trains_in_float64(self, dataset_dir, tmp_path):
-        manifest = dataset_dir / "manifest.csv"
-        for precision in ("f32", "f64"):
-            assert main(["--seed", "3", "--precision", precision,
-                         "--out-dir", str(tmp_path / precision),
-                         "train", "--manifest", str(manifest), "--epochs", "2"]) == EXIT_OK
-        _, _, ckpt = pipeline.train(manifest, "wht", TrainConfig(epochs=2, seed=3),
-                                    tmp_path / "lib", dtype=np.float64)
-        f32, f64 = (tmp_path / p / "checkpoint.whtc" for p in ("f32", "f64"))
-        assert f64.read_bytes() == ckpt.read_bytes()
-        assert f64.read_bytes() != f32.read_bytes()
-
     def test_finetune_cycle(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.csv"
         src = tmp_path / "src"
@@ -297,14 +284,13 @@ class TestTransferProtocol:
         assert run["transfer_source"] == str(tmp_path / "a" / "source_run" / "checkpoint.whtc")
 
     def test_run_and_metrics_json_are_json_dumps_of_their_payload(self, tmp_path):
-        # dataio._write_json joins score grids itself; every other record
-        # must still read as json.dumps(payload, indent=2) writes it
+        # every record is compact json.dumps text and a newline
         self._run(tmp_path)
         names = [f"{arm}_run/run.json" for arm in ("source", "scratch", "finetune")]
         names += [f"{arm}_eval/metrics.json" for arm in ("scratch", "finetune")]
         for name in names:
             text = (tmp_path / name).read_text()
-            assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+            assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"
 
 
 class TestExitCodes:

@@ -88,9 +88,23 @@ class TestPpmCodec:
         img = dataio.ppm_read(p)
         assert img.shape == (1, 1, 3)
 
+    # six ASCII whitespace bytes separate header numbers, and a comment runs
+    # to the end of its line; a megabyte of comments must read without backtracking
+    @pytest.mark.parametrize("header", [
+        b"P6\x0b1\x0c1\r255\t", b"P6 #c\n1 #d\n1#e\n255\n", b"P6\n0001 01 0255\n",
+        b"P6\n" + (b"# " * 15 + b"#\n") * (1 << 15) + b"1 1\n255\n",
+    ], ids=["separators", "comments", "leading-zeros", "1MiB-of-comments"])
+    def test_header_whitespace_and_comments(self, tmp_path, header):
+        p = tmp_path / "h.ppm"
+        p.write_bytes(header + b"\x01\x02\x03")
+        assert dataio.ppm_read(p).tobytes() == b"\x01\x02\x03"
+
     @pytest.mark.parametrize("raw, message", [
         (b"P5\n1 1\n255\n\x00", "expected P6 magic"),
         (b"P6\n2 x 255\n", "unexpected header byte b'x'"),
+        (b"P6\n-1 1 255\n", "unexpected header byte b'-'"),
+        # only ASCII whitespace separates: not a Latin-1 no-break space
+        (b"P6\n1\xa01\n255\n\x01\x02\x03", r"unexpected header byte b'\\xa0'$"),
         # a comment or any other byte right after maxval is not pixel data
         (b"P6\n2 1\n255#c\n\x0a\x0a\x0a\x14\x1e\x28", "b'#' after maxval"),
         (b"P6\n1 1\n255X\x00\x00\x00", "b'X' after maxval"),
@@ -104,6 +118,9 @@ class TestPpmCodec:
     @pytest.mark.parametrize("raw, message", [
         (b"P6\n2 2\n255\n\x00\x00\x00", "expected 12 pixel bytes, found 3"),
         (b"P6\n2 2", "header ended early"),
+        (b"P6", "header ended early"),
+        (b"P6#x", "header ended early"),
+        (b"P6\n1 1\n# a comment that runs to the end of the file", "header ended early"),
     ])
     def test_truncated_payload(self, tmp_path, raw, message):
         p = tmp_path / "t.ppm"
@@ -166,7 +183,7 @@ class TestWriteFile:
         path = tmp_path / "scores.json"
         path.write_bytes(b"old")
         dataio._write_json({"a": [1, 2]}, path)
-        assert path.read_bytes() == b'{\n  "a": [\n    1,\n    2\n  ]\n}\n'
+        assert path.read_bytes() == b'{"a": [1, 2]}\n'
 
     def test_a_failed_write_leaves_only_what_it_wrote(self, tmp_path, monkeypatch):
         # the header and 150 pixel bytes land, then the disk fills: the old
@@ -221,13 +238,13 @@ class TestWriteFile:
 
 
 class TestWriteJson:
-    """``_write_json`` writes score grids itself and must give the bytes of
-    ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline."""
+    """``_write_json`` writes the bytes of compact ``json.dumps(payload,
+    allow_nan=False)`` and a newline."""
 
     @staticmethod
     def _check(payload, path):
         dataio._write_json(payload, path)
-        want = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        want = json.dumps(payload, allow_nan=False) + "\n"
         assert path.read_bytes() == want.encode()
 
     # 1e-06 and 5e-07 are written in exponent form; 5e-07 rounds to 0.0 at 6

@@ -78,6 +78,9 @@ def test_benchmark_entry_points(tmp_path):
     grid, detected = pipeline.detect(detector, frame, out_overlay=tmp_path / "overlay.ppm",
                                      out_json=tmp_path / "scores.json")
     assert grid.scores.shape == (2, 3) and not grid.fallback and isinstance(detected, bool)
+    # its detect check parses scores.json: the layout is free, the content is not
+    written = json.loads((tmp_path / "scores.json").read_text())
+    assert written == tiling.score_grid_json(grid, str(frame))
     # perfbench's window_oracle scales the frame's bytes, then pools
     patch = tiling.downsample_window(dataio.ppm_read(frame)[:64, :64] / 255.0)
     probs = arch.forward_classify(dataio.checkpoint_load(detector), patch)

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -369,6 +370,14 @@ class TestScoreGridThreads:
         monkeypatch.setattr(tiling, "forward_classify", recording)
         tiling.score_grid(net, frame)
         assert threading.get_ident() in threads and 2 <= len(threads) <= workers
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        # where os has no sched_getaffinity (macOS, Windows) the CPU count
+        # stands in, and one worker when even that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert tiling._usable_cpus() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert tiling._usable_cpus() == 1
 
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
         net, frame = self._setup(monkeypatch, 2)
