@@ -27,7 +27,7 @@ from .pipeline import (
     compute_metrics,
     detect,
     evaluate,
-    finetune,
+    fit,
     train,
 )
 from .tiling import (

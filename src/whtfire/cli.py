@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arch, pipeline
-from .dataio import SynthConfig, _write_json, synth_dataset
+from .dataio import SynthConfig, _write_json, checkpoint_load, synth_dataset
 from .errors import CorruptFileError, WhtFireError
 from .fwht import fwht, ifwht
 from .nn import TrainConfig
@@ -165,10 +165,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    record, _, ckpt = pipeline.train(
-        args.manifest, args.variant, _train_config(args), args.out_dir,
-        width=args.width, input_size=args.input_size,
-    )
+    net = arch.build_toy_net(args.variant, args.width, args.input_size, seed=args.seed)
+    record, _, ckpt = pipeline.fit(net, args.manifest, _train_config(args), args.out_dir)
     last = record.epochs[-1] if record.epochs else None
     if last:
         print(f"epoch {last['epoch']}: loss {last['train_loss']:.4f} "
@@ -178,9 +176,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    _, _, ckpt = pipeline.finetune(
-        args.source, args.manifest, _train_config(args), args.out_dir,
-        freeze_stem=args.freeze_stem,
+    _, _, ckpt = pipeline.fit(
+        checkpoint_load(args.source), args.manifest, _train_config(args), args.out_dir,
+        frozen={"stem.weight"} if args.freeze_stem else frozenset(), source=args.source,
     )
     print(f"checkpoint: {ckpt}")
     return EXIT_OK

@@ -80,6 +80,8 @@ def ppm_read(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:2] != b"P6":
         raise BadMagicError(f"{path}: expected P6 magic, got {raw[:2]!r}")
+    if raw[2:3] not in (b"", b"#") and not raw[2:3].isspace():  # a comment is whitespace
+        raise BadMagicError(f"{path}: no whitespace after P6 magic, got {raw[2:3]!r}")
     pos = 2
     fields = []
     for _ in range(3):

@@ -101,8 +101,8 @@ class VersionMismatchError(WhtFireError, ValueError):
 
 class ArchMismatchError(WhtFireError, ValueError):
     """A checkpoint header field is missing or of the wrong JSON type, the
-    tensor names disagree with the network, or it has no ``stem.weight`` to
-    freeze."""
+    tensor names disagree with the network, or the network has no tensor
+    named to freeze."""
 
 
 class TensorShapeMismatchError(WhtFireError, ValueError):

@@ -45,6 +45,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # JSON cannot hold numpy scalars
+            if isinstance(value, np.generic):
+                setattr(self, name, value.item())
+        for name in ("epochs", "batch_size", "seed"):
+            if type(value := getattr(self, name)) is not int:  # nor a bool
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -55,9 +61,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        for name, value in vars(self).items():  # JSON cannot hold numpy scalars
-            if isinstance(value, np.generic):
-                setattr(self, name, value.item())
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- convolutions ---------------------------------------------------------

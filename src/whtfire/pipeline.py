@@ -1,8 +1,10 @@
-"""Training, fine-tuning, evaluation, full-image detection, and benchmarks.
+"""Training, evaluation, full-image detection, and benchmarks.
 
-Every run is deterministic given its seed: the train/validation split, the
-per-epoch shuffles, and the batch order all come from one seeded generator,
-so identical invocations produce byte-identical checkpoints and records.
+``fit`` is the one trainer: scratch and fine-tuning runs differ only in the
+net it trains in place, a seeded init or a loaded checkpoint.  Every run is
+deterministic given its seed: the train/validation split, the per-epoch
+shuffles, and the batch order all come from one seeded generator, so
+identical invocations produce byte-identical checkpoints and records.
 """
 
 from __future__ import annotations
@@ -206,9 +208,17 @@ class RunRecord:
         return asdict(self)
 
 
-def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
-                  frozen: frozenset[str] = frozenset(),
-                  transfer_source: str | None = None):
+def fit(net: Network, manifest, config: TrainConfig, out_dir, *,
+        frozen=frozenset(), source=None):
+    """Train ``net`` in place on ``manifest``; returns (RunRecord, net, path).
+
+    ``frozen`` names tensors of ``net`` never updated, checked before the
+    manifest is read or ``out_dir`` made.  ``source``, the checkpoint a
+    fine-tuned net was loaded from, is ``run.json``'s ``transfer_source``.
+    """
+    if missing := set(frozen) - net.parameters.keys():
+        raise ArchMismatchError(
+            f"{net.descriptor.name} has no {', '.join(sorted(missing))} to freeze")
     images, labels = load_dataset(manifest, net)
     both = set(np.unique(labels))
     if both != {0, 1}:
@@ -225,7 +235,8 @@ def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
     bounded = [(net.parameters[name], spec.lower)
                for name, spec in param_specs(net.descriptor).items()
                if spec.lower is not None]
-    record = RunRecord(config, net.descriptor.name, transfer_source=transfer_source)
+    record = RunRecord(config, net.descriptor.name,
+                       transfer_source=None if source is None else str(source))
     for epoch in range(1, config.epochs + 1):
         order = train_idx[rng.permutation(len(train_idx))]
         losses = []
@@ -272,25 +283,10 @@ def _run_training(net: Network, manifest, config: TrainConfig, out_dir: Path,
 
 
 def train(manifest, variant: str, config: TrainConfig, out_dir, *,
-          width: int = 8, input_size: int = 32, threshold_trainable: bool = False):
-    """Train a float32 toy variant from scratch, the dtype its checkpoint
-    stores; returns (RunRecord, Network, path)."""
-    net = build_toy_net(variant, width, input_size, seed=config.seed,
-                        threshold_trainable=threshold_trainable)
-    return _run_training(net, manifest, config, Path(out_dir))
-
-
-def finetune(source_checkpoint, manifest, config: TrainConfig, out_dir, *,
-             freeze_stem: bool = False):
-    """Continue training, on a new manifest, whichever network the checkpoint
-    holds; ``freeze_stem`` keeps its ``stem.weight``, which it must have."""
-    net = checkpoint_load(source_checkpoint)
-    if freeze_stem and "stem.weight" not in net.parameters:
-        raise ArchMismatchError(
-            f"{source_checkpoint}: {net.descriptor.name} has no stem.weight to freeze")
-    frozen = frozenset({"stem.weight"}) if freeze_stem else frozenset()
-    return _run_training(net, manifest, config, Path(out_dir), frozen=frozen,
-                         transfer_source=str(source_checkpoint))
+          width: int = 8, input_size: int = 32):
+    """``fit`` a float32 toy variant from scratch; the benchmark calls this form."""
+    return fit(build_toy_net(variant, width, input_size, seed=config.seed),
+               manifest, config, out_dir)
 
 
 # -- detection -----------------------------------------------------------------

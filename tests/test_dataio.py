@@ -91,9 +91,11 @@ class TestPpmCodec:
     # six ASCII whitespace bytes separate header numbers, and a comment runs
     # to the end of its line; a megabyte of comments must read without backtracking
     @pytest.mark.parametrize("header", [
-        b"P6\x0b1\x0c1\r255\t", b"P6 #c\n1 #d\n1#e\n255\n", b"P6\n0001 01 0255\n",
+        b"P6\x0b1\x0c1\r255\t", b"P6 #c\n1 #d\n1#e\n255\n", b"P6#c\n1 1 255\n",
+        b"P6\n0001 01 0255\n",
         b"P6\n" + (b"# " * 15 + b"#\n") * (1 << 15) + b"1 1\n255\n",
-    ], ids=["separators", "comments", "leading-zeros", "1MiB-of-comments"])
+    ], ids=["separators", "comments", "comment-after-magic", "leading-zeros",
+            "1MiB-of-comments"])
     def test_header_whitespace_and_comments(self, tmp_path, header):
         p = tmp_path / "h.ppm"
         p.write_bytes(header + b"\x01\x02\x03")
@@ -101,6 +103,9 @@ class TestPpmCodec:
 
     @pytest.mark.parametrize("raw, message", [
         (b"P5\n1 1\n255\n\x00", "expected P6 magic"),
+        # the magic ends at whitespace or a comment: P61 is not P6 then 1
+        (b"P61 1 255\n\x01\x02\x03", "no whitespace after P6 magic, got b'1'$"),
+        (b"P60001 1 255\n\x01\x02\x03", "no whitespace after P6 magic, got b'0'$"),
         (b"P6\n2 x 255\n", "unexpected header byte b'x'"),
         (b"P6\n-1 1 255\n", "unexpected header byte b'-'"),
         # only ASCII whitespace separates: not a Latin-1 no-break space

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import zlib
 
@@ -537,6 +538,22 @@ class TestTrainConfig:
                              np.uint8(7))
         assert [type(v) for v in vars(cfg).values()] == [int, float, float, int, int]
         assert vars(cfg) == vars(nn.TrainConfig(3, 0.5, 0.25, 4, 7))
+
+    # a float or bool count would reach range() or run.json; a negative seed, default_rng
+    @pytest.mark.parametrize("setting, message", [
+        ({"epochs": 1.5}, "epochs must be an int, got 1.5"),
+        ({"epochs": True}, "epochs must be an int, got True"),
+        ({"epochs": np.bool_(True)}, "epochs must be an int, got True"),
+        ({"batch_size": 2.5}, "batch_size must be an int, got 2.5"),
+        ({"batch_size": "8"}, "batch_size must be an int, got '8'"),
+        ({"seed": False}, "seed must be an int, got False"),
+        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": np.int64(-1)}, "seed must be >= 0, got -1"),
+    ])
+    def test_counts_and_seed_must_be_ints(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nn.TrainConfig(**setting)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_learning_rate_rejected(self, lr):

@@ -68,6 +68,9 @@ def test_benchmark_entry_points(tmp_path):
     metrics, cm = pipeline.evaluate(ckpt, manifest)
     assert cm.total == 8 and 0.0 <= metrics.f1 <= 1.0 and 0.0 <= metrics.accuracy <= 1.0
     assert dataio.checkpoint_load(ckpt).descriptor.name == "toy-wht"
+    # train exists only for perfbench: it is fit of a toy net, in exactly this form
+    assert list(inspect.signature(pipeline.train).parameters) == [
+        "manifest", "variant", "config", "out_dir", "width", "input_size"]
 
     detector = tmp_path / "detector.whtc"
     dataio.checkpoint_save(arch.build_toy_net("conv-baseline", 8, 32, seed=1),

@@ -17,6 +17,7 @@ from whtfire.dataio import (
     synth_dataset,
 )
 from whtfire.errors import (
+    ArchMismatchError,
     BadThresholdError,
     EmptyDatasetError,
     LengthNotPowerOfTwoError,
@@ -125,12 +126,15 @@ class TestTrain:
         # at N = 8 the transform is one factor, so factor order and where
         # the inverse scales by 1/N change no bit of a trained net
         cfg = TrainConfig(epochs=2, seed=4)
-        _, _, ck_a = pipeline.train(small_dataset, "wht", cfg, tmp_path / "a",
-                                    threshold_trainable=threshold_trainable)
+
+        def fit(out):
+            net = arch.build_toy_net("wht", seed=4, threshold_trainable=threshold_trainable)
+            return pipeline.fit(net, small_dataset, cfg, out)[2]
+
+        ck_a = fit(tmp_path / "a")
         monkeypatch.setattr(wht_layer, "fwht", fwht_remainder_last)
         monkeypatch.setattr(wht_layer, "ifwht", ifwht_separate_pass)
-        _, _, ck_b = pipeline.train(small_dataset, "wht", cfg, tmp_path / "b",
-                                    threshold_trainable=threshold_trainable)
+        ck_b = fit(tmp_path / "b")
         assert ck_a.read_bytes() == ck_b.read_bytes()
 
     @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
@@ -182,8 +186,8 @@ class TestTrain:
     def test_thresholds_stay_at_their_bound(self, small_dataset, tmp_path):
         # at seed 1 the steps push wht0's and wht2's thresholds below 0
         cfg = TrainConfig(epochs=2, seed=1)
-        _, net, ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "r",
-                                      threshold_trainable=True)
+        net = arch.build_toy_net("wht", seed=1, threshold_trainable=True)
+        _, _, ckpt = pipeline.fit(net, small_dataset, cfg, tmp_path / "r")
         lams = [net.parameters[f"wht{b}.lambda"][0] for b in range(3)]
         assert min(lams) == 0.0 < max(lams)
         checkpoint_load(ckpt)  # which rejects a negative threshold
@@ -244,7 +248,8 @@ class TestFinetune:
             small_dataset, "wht", cfg, tmp_path / "src"
         )
         zero = TrainConfig(epochs=0, learning_rate=0.001, seed=1)
-        _, tuned, _ = pipeline.finetune(src_ckpt, small_dataset, zero, tmp_path / "ft")
+        _, tuned, _ = pipeline.fit(checkpoint_load(src_ckpt), small_dataset, zero,
+                                   tmp_path / "ft", source=src_ckpt)
         for name in src_net.parameters:
             assert np.array_equal(tuned.parameters[name], src_net.parameters[name])
 
@@ -254,9 +259,8 @@ class TestFinetune:
             small_dataset, "wht", cfg, tmp_path / "src"
         )
         ft = TrainConfig(epochs=2, learning_rate=0.01, seed=2)
-        _, tuned, _ = pipeline.finetune(
-            src_ckpt, small_dataset, ft, tmp_path / "ft", freeze_stem=True
-        )
+        _, tuned, _ = pipeline.fit(checkpoint_load(src_ckpt), small_dataset, ft,
+                                   tmp_path / "ft", frozen={"stem.weight"}, source=src_ckpt)
         assert np.array_equal(tuned.parameters["stem.weight"],
                               src_net.parameters["stem.weight"])
         assert not np.array_equal(tuned.parameters["head.weight"],
@@ -265,28 +269,70 @@ class TestFinetune:
     def test_records_transfer_source(self, small_dataset, tmp_path):
         cfg = TrainConfig(epochs=1, learning_rate=0.01, seed=0)
         _, _, src_ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "src")
-        record, _, _ = pipeline.finetune(src_ckpt, small_dataset, cfg, tmp_path / "ft")
+        record, _, _ = pipeline.fit(checkpoint_load(src_ckpt), small_dataset, cfg,
+                                    tmp_path / "ft", source=src_ckpt)
         assert record.transfer_source == str(src_ckpt)
 
     def test_source_path_spelling_keeps_checkpoint_bytes(self, small_dataset, tmp_path,
                                                          monkeypatch):
         cfg = TrainConfig(epochs=1, learning_rate=0.01, seed=1)
         _, _, src_ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "src")
-        _, _, by_abs = pipeline.finetune(src_ckpt.resolve(), small_dataset, cfg,
-                                         tmp_path / "abs")
+
+        def finetune(source, out):
+            return pipeline.fit(checkpoint_load(source), small_dataset, cfg, out,
+                                source=source)[2]
+
+        by_abs = finetune(src_ckpt.resolve(), tmp_path / "abs")
         monkeypatch.chdir(tmp_path)
-        _, _, by_rel = pipeline.finetune(Path("src", "checkpoint.whtc"), small_dataset,
-                                         cfg, tmp_path / "rel")
+        by_rel = finetune(Path("src", "checkpoint.whtc"), tmp_path / "rel")
         assert by_abs.read_bytes() == by_rel.read_bytes()
 
     def test_checkpoints_hold_only_what_load_reads(self, small_dataset, tmp_path):
         # the run's settings, the source path among them, are in run.json
         cfg = TrainConfig(epochs=1, learning_rate=0.01, seed=0)
         _, _, src_ckpt = pipeline.train(small_dataset, "wht", cfg, tmp_path / "src")
-        _, _, ft_ckpt = pipeline.finetune(src_ckpt, small_dataset, cfg, tmp_path / "ft")
+        _, _, ft_ckpt = pipeline.fit(checkpoint_load(src_ckpt), small_dataset, cfg,
+                                     tmp_path / "ft", source=src_ckpt)
         keys = {"arch", "input_size", "layers", "seed", "tensors"}
         assert set(read_checkpoint(src_ckpt)[0]) == keys
         assert set(read_checkpoint(ft_ckpt)[0]) == keys
+
+
+class TestFit:
+    def test_a_seeded_arm_trains_as_its_saved_init_does(self, small_dataset, tmp_path):
+        # scratch and fine-tuning are one loop: only run.json's source differs
+        desc = identity_arm()
+        cfg = TrainConfig(epochs=3, learning_rate=0.01, seed=4)
+        init = tmp_path / "init.whtc"
+        checkpoint_save(arch.Network(desc, arch.init_parameters(desc, 4), 4), {}, init)
+        _, _, scratch = pipeline.fit(arch.Network(desc, arch.init_parameters(desc, 4), 4),
+                                     small_dataset, cfg, tmp_path / "scratch")
+        _, _, tuned = pipeline.fit(checkpoint_load(init), small_dataset, cfg, tmp_path / "ft",
+                                   source=init)
+        assert scratch.read_bytes() == tuned.read_bytes()
+        runs = [json.loads((tmp_path / out / "run.json").read_text()) for out in ("scratch", "ft")]
+        assert runs[0]["epochs"] == runs[1]["epochs"]
+        assert runs[0]["transfer_source"] is None
+        assert runs[1]["transfer_source"] == str(init)
+
+    def test_an_unknown_frozen_name_is_refused_before_any_work(self, tmp_path):
+        # the manifest does not exist: the names are checked before it is read
+        with pytest.raises(ArchMismatchError, match="^toy-wht has no alpha, nope to freeze$"):
+            pipeline.fit(arch.build_toy_net("wht"), tmp_path / "absent.csv", TrainConfig(),
+                         tmp_path / "r", frozen={"nope", "stem.weight", "alpha"})
+        assert not (tmp_path / "r").exists()
+
+    def test_the_callers_net_is_trained_in_place(self, small_dataset, tmp_path):
+        net = arch.build_toy_net("wht", seed=2)
+        arrays = dict(net.parameters)
+        before = {name: value.copy() for name, value in arrays.items()}
+        _, trained, ckpt = pipeline.fit(net, small_dataset, TrainConfig(epochs=1, seed=2),
+                                        tmp_path)
+        assert trained is net
+        assert all(net.parameters[name] is value for name, value in arrays.items())
+        assert not np.array_equal(net.parameters["head.weight"], before["head.weight"])
+        for name, value in checkpoint_load(ckpt).parameters.items():
+            assert value.tobytes() == net.parameters[name].tobytes()
 
 
 class TestHandBuiltArm:
@@ -312,8 +358,9 @@ class TestHandBuiltArm:
 
     def test_finetune_records_its_name(self, arm, small_dataset, tmp_path):
         net, ckpt = arm
-        record, tuned, out = pipeline.finetune(ckpt, small_dataset, TrainConfig(epochs=1),
-                                               tmp_path / "ft", freeze_stem=True)
+        record, tuned, out = pipeline.fit(checkpoint_load(ckpt), small_dataset,
+                                          TrainConfig(epochs=1), tmp_path / "ft",
+                                          frozen={"stem.weight"}, source=ckpt)
         run = json.loads((tmp_path / "ft" / "run.json").read_text())
         assert run["arch"] == record.arch == "toy-identity"
         assert checkpoint_load(out).descriptor == net.descriptor
