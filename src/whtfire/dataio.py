@@ -57,6 +57,7 @@ from .errors import (
     UnsupportedMaxvalError,
     VersionMismatchError,
 )
+from .nn import _check_field_types
 
 CHECKPOINT_MAGIC = b"WHTC"
 CHECKPOINT_VERSION = 3
@@ -233,6 +234,9 @@ class SynthConfig:
     smoke_contrast: float = 0.8
 
     def __post_init__(self):
+        _check_field_types(self, ("seed", "count_per_class", "resolution"), ("smoke_contrast",))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.count_per_class < 1:
             raise ValueError("count_per_class must be >= 1")
         if not 0.0 <= self.smoke_contrast <= 1.0:

@@ -11,12 +11,13 @@ Every backward with tensors takes ``input_grad``: when False it forms no
 no reader).  Training runs in float32; gradient checks run the same code
 in float64.
 ``mean_pool`` is the one mean pooling: avgpool2 layers run it on maps,
-and ``tiling`` on (H, W, C) frames and windows.  On floats it adds the
-row pairs, then each pixel's column pair as one stacked product with
-0.25s, so avgpool2 rounds as ``((x00 + x10) + (x01 + x11)) * 0.25``, and a
-NaN or infinity spoils every channel of its pooled pixel and nothing else.
-Bytes sum exactly in uint16 and pool into the float type ``dtype``:
-float64 by default, the net's dtype when ``tiling`` scores a frame.
+and ``tiling`` on (H, W, C) frames and windows.  One banded loop serves
+floats and bytes: it adds the row pairs, then each pixel's column pair as
+one stacked product with 0.25s, so avgpool2 rounds as
+``((x00 + x10) + (x01 + x11)) * 0.25``, and a NaN or infinity spoils every
+channel of its pooled pixel and nothing else.  Bytes add their rows
+exactly in uint16 and pool into the float type ``dtype``: float64 by
+default, the net's dtype when ``tiling`` scores a frame.
 """
 
 from __future__ import annotations
@@ -45,12 +46,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in vars(self).items():  # JSON cannot hold numpy scalars
-            if isinstance(value, np.generic):
-                setattr(self, name, value.item())
-        for name in ("epochs", "batch_size", "seed"):
-            if type(value := getattr(self, name)) is not int:  # nor a bool
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _check_field_types(self, ("epochs", "batch_size", "seed"), ("learning_rate", "momentum"))
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -63,6 +59,20 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def _check_field_types(config, ints: tuple, reals: tuple) -> None:
+    """Turn a config's numpy scalar fields into Python numbers (JSON cannot
+    hold numpy scalars), then refuse, with a ``ValueError`` naming the
+    field, any of ``ints`` that is not an int and any of ``reals`` that is
+    neither an int nor a float.  A bool is neither."""
+    for name, value in vars(config).items():
+        if isinstance(value, np.generic):
+            setattr(config, name, value.item())
+    for names, types, kind in ((ints, (int,), "an int"), (reals, (int, float), "a real number")):
+        for name in names:
+            if type(value := getattr(config, name)) not in types:
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 # -- convolutions ---------------------------------------------------------
@@ -185,7 +195,7 @@ def gap_backward(cache: tuple, dy: np.ndarray):
     return dx.astype(dy.dtype, copy=True)
 
 
-_BYTE_POOL_BAND = 32  # output rows per pass of mean_pool's byte path: ~0.5 MiB at 1080p
+_POOL_BAND = 32  # output rows per pass of mean_pool: a 1080p band's row sums are 0.35 MiB
 
 
 def mean_pool(x: np.ndarray, factor_y: int, factor_x: int,
@@ -196,29 +206,24 @@ def mean_pool(x: np.ndarray, factor_y: int, factor_x: int,
     keep their dtype; any other input pools to ``dtype``, a float type
     (default float64).
 
-    Floats add the ``factor_y`` row slabs first, each a contiguous run of
-    W*C values, then sum each output pixel's ``factor_x`` column groups as
-    one product with a stacked 0/1 identity matrix (``_column_sum``), and
-    scale once; a power-of-two cell count folds its exact 1/count into the
-    matrix.  So 2x2 rounds as ``((x00 + x10) + (x01 + x11)) * 0.25``; a
-    reshape-mean adds the four in another order and can differ in the last
-    bit.  The product stays stacked per output row, ``(..., H/fy, W/fx,
-    fx*C) @ P``, as ``pointwise_forward`` keeps ``x @ w``: as one 2-D
-    product, a 224 px window's pooling wakes a second BLAS thread while the
-    window threads already use both CPUs (``detect-conv-b224`` went 0.078 ->
-    0.127 s a frame, BENCH_detect_passes.json).  A NaN or infinity in a
-    cell makes every channel of its pooled pixel non-finite (0 * inf is
-    NaN), and no other pixel.
-
-    Bytes pooled over at most 257 cells sum exactly in uint16 (255 * 257
-    = 65,535): the ``factor_y`` row slabs are added whole, then the
-    ``factor_x`` column groups one channel at a time, so every add runs
-    along a row rather than over C values.  The sums convert to ``dtype``
-    and divide once.  In float64 that rounds as exact float sums divided
-    once do, whatever their order; in float32 the 2x2 quotients s/4 are
-    exact, and divided by 255 they have the bits of the float64 result
-    converted.  This runs on bands of ``_BYTE_POOL_BAND`` output rows, so
-    the uint16 sums stay small beside the result.
+    One loop serves every input, in bands of ``_POOL_BAND`` output rows.
+    Each band adds its ``factor_y`` row slabs, each a contiguous run of W*C
+    values, then sums each output pixel's ``factor_x`` column groups as one
+    product with a stacked 0/1 identity matrix (``_column_sum``); a
+    power-of-two cell count folds its exact 1/count into the matrix, any
+    other divides once at the end.  So 2x2 rounds as ``((x00 + x10) +
+    (x01 + x11)) * 0.25``; a reshape-mean adds the four in another order
+    and can differ in the last bit.  Bytes over at most 257 cells add their
+    rows in uint16, exactly (255 * 257 = 65,535), and integer sums that
+    small stay exact through the product: the mean is rounded once.
+    The product stays stacked per output row, ``(..., rows, W/fx, fx*C) @
+    P``, as ``pointwise_forward`` keeps ``x @ w``: as one 2-D product, a
+    224 px window's pooling wakes a second BLAS thread while the window
+    threads already use both CPUs (``detect-conv-b224`` went 0.078 -> 0.127
+    s a frame, BENCH_detect_passes.json).  Stacked, each row gets the same
+    call whatever the band.  A NaN or infinity in a cell makes every
+    channel of its pooled pixel non-finite (0 * inf is NaN), and no other
+    pixel.
     """
     h, w = x.shape[-3:-1]
     if h % factor_y or w % factor_x:
@@ -226,27 +231,20 @@ def mean_pool(x: np.ndarray, factor_y: int, factor_x: int,
             f"extents {h}x{w} not divisible by {factor_y}x{factor_x}"
         )
     lead, c = x.shape[:-3], x.shape[-1]
-    slabs = x.reshape(*lead, h // factor_y, factor_y, w * c)
-    if x.dtype == np.uint8 and factor_y * factor_x <= 257:
-        out = np.empty((*lead, h // factor_y, w // factor_x, c), dtype)
-        for r in range(0, h // factor_y, _BYTE_POOL_BAND):
-            part = slice(r, r + _BYTE_POOL_BAND)
-            band = slabs[..., part, :, :]
-            rows = np.empty(band.shape[:-2] + band.shape[-1:], np.uint16)
-            _add_into([band[..., i, :] for i in range(factor_y)], rows)
-            groups = rows.reshape(*rows.shape[:-1], w // factor_x, factor_x, c)
-            sums = np.empty(groups.shape[:-2] + (c,), np.uint16)
-            for k in range(c):
-                _add_into([groups[..., j, k] for j in range(factor_x)], sums[..., k])
-            np.divide(sums, factor_y * factor_x, out=out[..., part, :, :], dtype=dtype)
-        return out
-    dtype = x.dtype if np.issubdtype(x.dtype, np.inexact) else np.dtype(dtype)
-    rows = np.empty(slabs.shape[:-2] + slabs.shape[-1:], dtype)
-    _add_into([slabs[..., i, :] for i in range(factor_y)], rows)
     count = factor_y * factor_x
+    dtype = x.dtype if np.issubdtype(x.dtype, np.inexact) else np.dtype(dtype)
+    acc = np.uint16 if x.dtype == np.uint8 and count <= 257 else dtype
     exact = count & (count - 1) == 0  # 1/count is a power of two
     pairs = _column_sum(c, factor_x, dtype, 1 / count if exact else 1)
-    out = rows.reshape(*rows.shape[:-1], w // factor_x, factor_x * c) @ pairs
+    slabs = x.reshape(*lead, h // factor_y, factor_y, w * c)
+    out = np.empty((*lead, h // factor_y, w // factor_x, c), dtype)
+    for r in range(0, h // factor_y, _POOL_BAND):
+        band = slabs[..., r : r + _POOL_BAND, :, :]
+        rows = np.empty(band.shape[:-2] + band.shape[-1:], acc)
+        _add_into([band[..., i, :] for i in range(factor_y)], rows)
+        shape = (*rows.shape[:-1], w // factor_x, factor_x * c)
+        np.matmul(rows.astype(dtype, copy=False).reshape(shape), pairs,
+                  out=out[..., r : r + _POOL_BAND, :, :])
     if not exact:
         out /= count
     return out

@@ -1,8 +1,8 @@
 """Block grid over high-resolution frames and 2x2-block window scoring.
 
 A frame is the (H, W, 3) uint8 array of ``dataio`` (see its docstring),
-and stays bytes here: scoring pools the bytes (exact uint16 sums, see
-``nn.mean_pool``) straight into the net's dtype and scales only the pooled,
+and stays bytes here: scoring pools the bytes (``nn.mean_pool``'s one loop,
+exact uint16 row sums) straight into the net's dtype and scales only the pooled,
 quarter-size array to [0, 1], so a float32 net's frame is never held in
 float64, and the overlay is drawn in byte colours on a copy of the frame.
 Its borders are written as whole strips: the top and bottom ones as lines
@@ -107,7 +107,8 @@ class ScoreGrid:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not (isinstance(self.threshold, numbers.Real) and 0 <= self.threshold <= 1):
+        if not (isinstance(self.threshold, numbers.Real) and not isinstance(self.threshold, bool)
+                and 0 <= self.threshold <= 1):
             raise BadThresholdError(f"threshold {self.threshold!r} is not in [0, 1]")  # NaN too
         self.threshold = float(self.threshold)  # a numpy scalar is not JSON
         self.scores = np.asarray(self.scores, dtype=np.float64)

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -388,6 +389,34 @@ class TestSynthDataset:
             dataio.SynthConfig(smoke_contrast=1.5)
         with pytest.raises(ValueError, match="resolution"):
             dataio.SynthConfig(resolution=4)
+
+    # refused at construction, before synth_dataset makes out_dir; a bool count
+    # would write one image per class
+    @pytest.mark.parametrize("setting, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": np.int64(-1)}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"count_per_class": 2.5}, "count_per_class must be an int, got 2.5"),
+        ({"count_per_class": True}, "count_per_class must be an int, got True"),
+        ({"resolution": 32.0}, "resolution must be an int, got 32.0"),
+        ({"resolution": "32"}, "resolution must be an int, got '32'"),
+        ({"smoke_contrast": True}, "smoke_contrast must be a real number, got True"),
+        ({"smoke_contrast": np.bool_(False)}, "smoke_contrast must be a real number, got False"),
+        ({"smoke_contrast": "0.5"}, "smoke_contrast must be a real number, got '0.5'"),
+    ])
+    def test_fields_must_be_numbers_of_their_type(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataio.SynthConfig(**setting)
+
+    def test_numpy_scalars_write_the_bytes_of_python_numbers(self, tmp_path):
+        cfg = dataio.SynthConfig(np.int64(3), np.int32(2), np.uint8(16), np.float32(0.5))
+        assert [type(v) for v in vars(cfg).values()] == [int, int, int, float]
+        written = []
+        for config, out in ((cfg, "a"), (dataio.SynthConfig(3, 2, 16, 0.5), "b")):
+            man = dataio.synth_dataset(config, tmp_path / out)
+            written.append([(tmp_path / out / rel).read_bytes() for rel, _ in man.entries])
+        assert written[0] == written[1]
 
 
 class TestCheckpoint:

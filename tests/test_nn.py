@@ -160,7 +160,8 @@ class TestSimpleLayers:
         assert np.allclose(nn.avgpool2_forward(x).output, 0.5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(8, 32, 32, 8), (8, 32, 32, 64), (2, 64, 96, 8)])
+    @pytest.mark.parametrize("shape", [(8, 32, 32, 8), (8, 32, 32, 64), (2, 64, 96, 8),
+                                       (1, 224, 224, 8), (2, 66, 6, 3)])
     def test_avgpool2_is_bit_identical_to_reshape_mean(self, shape, dtype):
         # the row sums, then the column pairs' product with 0.25s, round as
         # ((x00 + x10) + (x01 + x11)) * 0.25; the reshape-mean adds in another
@@ -171,7 +172,8 @@ class TestSimpleLayers:
         assert np.array_equal(out, avgpool2_rows_first(x))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(8, 32, 32, 8), (8, 32, 32, 64), (2, 64, 96, 8)])
+    @pytest.mark.parametrize("shape", [(8, 32, 32, 8), (8, 32, 32, 64), (2, 64, 96, 8),
+                                       (1, 224, 224, 8), (2, 66, 6, 3)])
     def test_avgpool2_is_within_3_eps_of_reshape_mean(self, shape, dtype):
         # two orders of a 4-term float sum each lie within 3u of |x00| + ... + |x11|
         # of the exact sum (u = eps / 2); a quarter of 6u of that is 3 eps times the
@@ -186,12 +188,15 @@ class TestSimpleLayers:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_avgpool2_non_finite_cell_spoils_its_pixel_only(self, bad, dtype):
         # the column product weighs every channel of the pixel by 0 or 0.25, and
-        # 0 * inf is NaN: all of that pixel's channels turn non-finite, nothing else
-        x = np.random.default_rng(14).standard_normal((2, 8, 8, 4)).astype(dtype)
+        # 0 * inf is NaN: all of that pixel's channels turn non-finite, nothing else;
+        # input row 64 is the first row of mean_pool's second band
+        x = np.random.default_rng(14).standard_normal((2, 72, 8, 4)).astype(dtype)
         x[1, 3, 4, 2] = bad
+        x[0, 64, 7, 1] = bad
         out = nn.avgpool2_forward(x).output
         spoiled = ~np.isfinite(out)
-        assert spoiled[1, 1, 2].all() and spoiled.sum() == out.shape[-1]
+        assert spoiled[1, 1, 2].all() and spoiled[0, 32, 3].all()
+        assert spoiled.sum() == 2 * out.shape[-1]
 
     @pytest.mark.parametrize("shape", [(1, 2, 2, 1), (3, 8, 6, 5), (8, 32, 32, 8)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -331,8 +336,8 @@ class TestSimpleLayers:
 
 
 class TestBytePool:
-    """``mean_pool`` on uint8 input sums in uint16 up to 257 cells; the
-    strided float64 sums are the oracle, bit for bit."""
+    """``mean_pool`` on uint8 input adds its rows in uint16 up to 257 cells;
+    the strided float sums are the oracle, bit for bit."""
 
     @staticmethod
     def _bytes(shape, fill, layout, tmp_path):
@@ -365,6 +370,18 @@ class TestBytePool:
             assert out.dtype == np.float64
             assert np.array_equal(out, mean_pool_strided(u, fy, fx))
 
+    @pytest.mark.parametrize("fill", ["random", "255"])
+    @pytest.mark.parametrize("factors", [(3, 5), (1, 7), (5, 1), (1, 257)])
+    def test_float32_pool_of_an_odd_count_divides_once(self, tmp_path, factors, fill):
+        # the strided integer sums, converted to float32 and divided once there;
+        # 70 output rows span three bands
+        fy, fx = factors
+        u = self._bytes((70 * fy, 3 * fx, 3), fill, "cropped", tmp_path)
+        sums = sum(u[i::fy, j::fx].astype(np.int64) for i in range(fy) for j in range(fx))
+        want = sums.astype(np.float32) / np.float32(fy * fx)
+        out = nn.mean_pool(u, fy, fx, np.float32)
+        assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
+
     def test_block_224_grid_area(self, tmp_path):
         # score_grid pools a read-only frame's R x C block area, cropped in both axes
         frame = self._bytes((2 * 224 + 9, 3 * 224 + 31, 3), "random", "read-only", tmp_path)
@@ -393,8 +410,9 @@ class TestBytePool:
             assert pooled.dtype == np.float32 and pooled.tobytes() == want.tobytes()
 
     def test_1056p_frame_peak_memory(self, tmp_path):
-        # the float64 result is 11.6 MiB and the banded uint16 sums add ~1 MiB;
-        # whole-frame uint16 sums kept alive through the conversion read 20.3 MiB
+        # the float64 result is 11.6 MiB; one band's uint16 row sums and their
+        # float64 copy add ~1.8 MiB; whole-frame uint16 sums kept alive through
+        # the conversion read 20.3 MiB
         frame = self._bytes((1056, 1920, 3), "random", "read-only", tmp_path)
         tracemalloc.start()
         try:
@@ -405,7 +423,8 @@ class TestBytePool:
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_1056p_frame_peak_memory_float32(self, tmp_path):
-        # the float32 result is 5.8 MiB, beside the same banded uint16 sums
+        # the float32 result is 5.8 MiB, beside one band's uint16 row sums and
+        # their float32 copy
         frame = self._bytes((1056, 1920, 3), "random", "read-only", tmp_path)
         tracemalloc.start()
         try:
@@ -552,6 +571,18 @@ class TestTrainConfig:
         ({"seed": np.int64(-1)}, "seed must be >= 0, got -1"),
     ])
     def test_counts_and_seed_must_be_ints(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nn.TrainConfig(**setting)
+
+    # a bool would reach run.json as true/false; a string, math.isfinite's TypeError
+    @pytest.mark.parametrize("setting, message", [
+        ({"learning_rate": True}, "learning_rate must be a real number, got True"),
+        ({"learning_rate": np.bool_(True)}, "learning_rate must be a real number, got True"),
+        ({"learning_rate": "0.1"}, "learning_rate must be a real number, got '0.1'"),
+        ({"momentum": False}, "momentum must be a real number, got False"),
+        ({"momentum": None}, "momentum must be a real number, got None"),
+    ])
+    def test_rates_must_be_real_numbers(self, setting, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             nn.TrainConfig(**setting)
 

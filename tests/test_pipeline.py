@@ -475,7 +475,8 @@ class TestDetect:
         assert (grid.scores < 1.0).all()
         assert detected is False
 
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1, 1.5, "0.5", 0.5j, None])
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1, 1.5, "0.5", 0.5j, None,
+                                     True, False, np.True_])
     def test_threshold_outside_unit_interval_writes_nothing(self, tmp_path, tau):
         net = arch.build_toy_net("wht", 8, 32, seed=0)
         _byte_frame(tmp_path / "f.ppm", 5, 96, 96)
