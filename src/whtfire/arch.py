@@ -20,9 +20,11 @@ import numpy as np
 
 from . import nn, wht_layer
 from .errors import (
+    ArchMismatchError,
     BadWidthError,
     InvalidDescriptorError,
     ShapeMismatchError,
+    TensorShapeMismatchError,
 )
 
 TOY_INPUT_SIZES = (32, 64, 224)
@@ -173,8 +175,8 @@ def _kind(layer: LayerDescriptor) -> _Kind:
 
 def check_descriptor(desc: ArchDescriptor) -> None:
     """Refuse a descriptor that would not run, or would run wrong; run by
-    ``toy_descriptor`` and ``checkpoint_save``, and on every descriptor
-    ``checkpoint_load`` rebuilds.
+    ``toy_descriptor`` and ``check_tensors``: so by ``checkpoint_save``, by
+    ``pipeline.fit`` and on every descriptor ``checkpoint_load`` rebuilds.
 
     Field types are exact (a bool is not an int).  Each layer takes the width
     it is given, 3 at the input, and only pointwise, conv3x3 and dense change
@@ -301,6 +303,29 @@ def param_specs(arch: ArchDescriptor) -> dict[str, ParamSpec]:
         kind, names = layer._runnable
         specs.update(zip(names, kind.params(layer)))
     return specs
+
+
+def check_network(net: Network) -> None:
+    """Refuse a network whose checkpoint ``checkpoint_load`` would refuse:
+    ``check_tensors`` of its descriptor and its tensors' shapes."""
+    check_tensors(net.descriptor, {name: np.shape(t) for name, t in net.parameters.items()},
+                  net.descriptor.name)
+
+
+def check_tensors(desc: ArchDescriptor, shapes: dict, where: str) -> None:
+    """Refuse ``desc`` if ``check_descriptor`` does, then tensor names or
+    shapes (``shapes``: each name's dimensions) other than ``param_specs``'s;
+    ``where`` begins each message."""
+    check_descriptor(desc)
+    specs = param_specs(desc)
+    if specs.keys() != shapes.keys():
+        raise ArchMismatchError(
+            f"{where}: tensor names disagree with architecture (missing "
+            f"{sorted(specs.keys() - shapes.keys())}, extra {sorted(shapes.keys() - specs.keys())})")
+    for name, spec in specs.items():
+        if tuple(shapes[name]) != spec.shape:
+            raise TensorShapeMismatchError(
+                f"{where}: tensor {name} has shape {tuple(shapes[name])}, expected {spec.shape}")
 
 
 def init_parameters(arch: ArchDescriptor, seed: int,

@@ -209,11 +209,9 @@ def _cmd_detect(args) -> int:
 
 def _cmd_params(args) -> int:
     desc = arch.toy_descriptor(arch.ARCH_NAME_TO_VARIANT[args.arch], width=args.width)
-    rows = arch.param_table(desc)
-    for name, kind, count in rows:
+    for name, kind, count in arch.param_table(desc):
         print(f"{name:<28} {kind:<10} {count:>12,}")
-    total = sum(count for _, _, count in rows)
-    print(f"{'total':<28} {'':<10} {total:>12,}")
+    print(f"{'total':<28} {'':<10} {arch.count_params(desc):>12,}")
     return EXIT_OK
 
 

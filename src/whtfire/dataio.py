@@ -13,7 +13,7 @@ header holds what ``checkpoint_load`` needs to rebuild and check the
 network: the descriptor's name (``arch``, free text), ``input_size`` and
 ``layers`` (one object of ``LayerDescriptor``'s fields per layer), the init
 ``seed`` and ``tensors`` (each name's shape), plus whatever metadata the
-caller passes.  So every descriptor that ``arch.check_descriptor`` passes is
+caller passes.  So every network that ``arch.check_network`` passes is
 saved and loaded the same way, and ``checkpoint_save`` refuses the others.
 The settings of a run live in its ``run.json``.
 
@@ -44,7 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import ArchDescriptor, LayerDescriptor, Network, check_descriptor, param_specs
+from .arch import (ArchDescriptor, LayerDescriptor, Network, check_network, check_tensors,
+                   param_specs)
 from .errors import (
     ArchMismatchError,
     BadMagicError,
@@ -52,7 +53,6 @@ from .errors import (
     CorruptFileError,
     ManifestError,
     ShapeMismatchError,
-    TensorShapeMismatchError,
     TruncatedFileError,
     UnsupportedMaxvalError,
     VersionMismatchError,
@@ -323,11 +323,11 @@ def _header(net: Network, metadata: dict[str, str]) -> dict:
 def checkpoint_save(net: Network, metadata: dict[str, str], path) -> None:
     """Write ``net`` as a version-3 checkpoint (see the module docstring).
 
-    A descriptor that ``arch.check_descriptor`` refuses, and so
-    ``checkpoint_load`` would refuse, raises before the file is opened, and
-    so does metadata that JSON cannot hold (``BadMetadataError``).
+    A network that ``arch.check_network`` refuses, and so ``checkpoint_load``
+    would refuse, raises before the file is opened, and so does metadata
+    that JSON cannot hold (``BadMetadataError``).
     """
-    check_descriptor(net.descriptor)
+    check_network(net)
     try:
         header = json.dumps(_header(net, metadata), sort_keys=True,
                             separators=(",", ":"), allow_nan=False).encode()
@@ -364,9 +364,9 @@ def checkpoint_load(path) -> Network:
     repeats no key at any level, and that its ``arch``, ``input_size``,
     ``seed``, ``layers`` and ``tensors`` have their JSON types.  Checks that
     the payload holds exactly the bytes ``tensors`` declares.  Rebuilds the
-    descriptor and refuses one that ``arch.check_descriptor`` refuses.  Then
-    checks the tensor names and shapes against the descriptor, and that the
-    values are finite and λ >= 0.
+    descriptor and refuses it, or the tensor names and shapes, as
+    ``arch.check_tensors`` does.  Then checks that the values are finite and
+    λ >= 0.
     """
     raw = Path(path).read_bytes()
 
@@ -415,24 +415,11 @@ def checkpoint_load(path) -> Network:
     need(at)
     if len(raw) > at:
         raise CorruptFileError(f"{path}: {len(raw) - at} bytes follow the last tensor")
-    check_descriptor(desc)
-    specs = param_specs(desc)
-    if specs.keys() != shapes.keys():
-        missing = sorted(specs.keys() - shapes.keys())
-        extra = sorted(shapes.keys() - specs.keys())
-        raise ArchMismatchError(
-            f"{path}: tensor names disagree with architecture "
-            f"(missing {missing}, extra {extra})"
-        )
+    check_tensors(desc, shapes, str(path))
     params: dict[str, np.ndarray] = {}
-    for name, spec in specs.items():
-        shape = tuple(shapes[name])
-        if shape != spec.shape:
-            raise TensorShapeMismatchError(
-                f"{path}: tensor {name} has shape {shape}, expected {spec.shape}"
-            )
-        t = np.frombuffer(raw, "<f4", math.prod(shape), offsets[name])
-        t = t.reshape(shape).astype(np.float32)  # after the check: numpy caps the rank
+    for name, spec in param_specs(desc).items():
+        t = np.frombuffer(raw, "<f4", math.prod(spec.shape), offsets[name])
+        t = t.reshape(spec.shape).astype(np.float32)  # after the check: numpy caps the rank
         # training writes only finite values and keeps thresholds, the only
         # bounded tensors, at or above their bound of 0
         if not np.all(np.isfinite(t)):

@@ -10,7 +10,8 @@ identical invocations produce byte-identical checkpoints and records.
 from __future__ import annotations
 
 import math
-import time
+import statistics
+import timeit
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 from .arch import (
     Network,
     build_toy_net,
+    check_network,
     network_backward,
     network_forward,
     param_specs,
@@ -212,10 +214,12 @@ def fit(net: Network, manifest, config: TrainConfig, out_dir, *,
         frozen=frozenset(), source=None):
     """Train ``net`` in place on ``manifest``; returns (RunRecord, net, path).
 
-    ``frozen`` names tensors of ``net`` never updated, checked before the
+    A net whose checkpoint would not load (``arch.check_network``) and
+    ``frozen``, names of its tensors never updated, are refused before the
     manifest is read or ``out_dir`` made.  ``source``, the checkpoint a
     fine-tuned net was loaded from, is ``run.json``'s ``transfer_source``.
     """
+    check_network(net)
     if missing := set(frozen) - net.parameters.keys():
         raise ArchMismatchError(
             f"{net.descriptor.name} has no {', '.join(sorted(missing))} to freeze")
@@ -268,13 +272,11 @@ def fit(net: Network, manifest, config: TrainConfig, out_dir, *,
             record.early_stop_reason = (
                 f"{bad} of {len(probs)} validation probabilities non-finite in epoch {epoch}")
         if record.early_stop_reason is not None:
-            break
-    if record.early_stop_reason is not None:
-        _write_json(record.as_dict(), out_dir / "run.json")
-        raise TrainingDivergedError(
-            f"training diverged ({record.early_stop_reason}); no checkpoint written, "
-            f"see {out_dir / 'run.json'}"
-        )
+            _write_json(record.as_dict(), out_dir / "run.json")
+            raise TrainingDivergedError(
+                f"training diverged ({record.early_stop_reason}); no checkpoint written, "
+                f"see {out_dir / 'run.json'}"
+            )
     ckpt_path = out_dir / "checkpoint.whtc"
     checkpoint_save(net, {}, ckpt_path)  # the run's settings are in run.json
     record.final_checkpoint = str(ckpt_path)
@@ -312,19 +314,13 @@ def detect(net_or_checkpoint, image_path, threshold: float = DECISION_THRESHOLD,
 # -- benchmarking ------------------------------------------------------------------
 
 def _median_seconds(fun) -> float:
-    fun()  # warm up caches before measuring
-    t0 = time.perf_counter()
-    fun()
-    est = max(time.perf_counter() - t0, 1e-7)
-    reps = max(1, int(BENCH_RUN_SECONDS / est))
-    samples = []
-    for _ in range(BENCH_RUNS):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            fun()
-        samples.append((time.perf_counter() - t0) / reps)
-    samples.sort()
-    return samples[len(samples) // 2]
+    """Median seconds per call of ``fun`` over ``BENCH_RUNS`` repetitions of
+    ``timeit``, each looping it for about ``BENCH_RUN_SECONDS``; ``timeit``
+    switches the garbage collector off while it times."""
+    timer = timeit.Timer(fun)
+    timer.timeit(1)  # warm up caches before measuring
+    reps = max(1, int(BENCH_RUN_SECONDS / max(timer.timeit(1), 1e-7)))
+    return statistics.median(timer.repeat(BENCH_RUNS, reps)) / reps
 
 
 def bench(sizes=None, seed: int = 0) -> dict:

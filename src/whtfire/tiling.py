@@ -26,21 +26,22 @@ also share all per-pixel work: the feature map is computed once per block
 row, as a (1, H, W, C) batch, each window's ``gap`` is a sum of four block
 sums of it, and the dense head classifies all windows as one (B, C) batch.
 Otherwise (conv3x3, whose zero padding differs at window edges) each slice
-runs through ``forward_classify`` alone, as a batch of one, and the slices
-are spread over min(usable CPUs, windows) threads: a conv window's time is
-mostly matrix products, which release the interpreter lock, so windows
-overlap.  The shared path's block rows stay on the calling thread: their
-many short numpy passes hold the lock, and threading them measured slower.
+runs through ``forward_classify`` alone, as a batch of one, on a pool of
+w = min(usable CPUs, windows) threads while the calling thread waits (on
+the calling thread when w < 2): a conv window's time is mostly matrix
+products, which release the interpreter lock, so windows overlap.  The
+shared path's block rows stay on the calling thread: their many short
+numpy passes hold the lock, and threading them measured slower.
 Both run the executor without backward caches (``arch._run_layers``), so a
 row or a window holds only the current layer's input and output, its
 working arrays, and each residual block's input until its ``add_skip``:
 measured with tracemalloc, a block-32 wht row (1, 16, 944, 3) peaks at
 ~3.0 of its first-stage (1, 16, 944, 8) float32 maps, and a 224 px conv
 window at ~3.3 of its (1, 224, 224, 8) ones (~5.1 MiB; conv3x3 pads and
-multiplies one band of rows at a time).  Each thread beyond the first
-holds one more window's working set, so scoring memory grows with the
-usable CPUs, up to the window count; larger conv batches would raise it
-in step.
+multiplies one band of rows at a time).  Each pool thread holds one
+window's working set, which glibc's per-thread malloc arenas keep between
+frames, so scoring memory grows with the usable CPUs, up to the window
+count; larger conv batches would raise it in step.
 """
 
 from __future__ import annotations
@@ -152,11 +153,11 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     float rounding.  Windows share the feature map (see the module docstring)
     when ``arch.feature_stride`` allows it and S/2 is a multiple of the
     stride, all on the calling thread.  Otherwise each slice is classified
-    on its own, and the slices are spread over min(usable CPUs, windows)
-    threads (``_classify_each``); the scores are the bits one thread gives,
-    and each thread beyond the first holds one more window's working set
-    (~5 MiB at 224 px).  The one window of a ``fallback`` grid, the block
-    area pooled to one S x S patch, is classified on the calling thread.
+    on its own, by a pool of min(usable CPUs, windows) threads while the
+    calling thread waits, serially below 2 (``_classify_each``); the scores
+    are the bits one thread gives, and each pool thread holds one window's
+    working set (~5 MiB at 224 px).  A ``fallback`` grid's one window, its
+    block area pooled to one S x S patch, is scored on the calling thread.
     """
     _check_frame(image)
     block = net.descriptor.input_size
@@ -197,26 +198,17 @@ def _usable_cpus() -> int:
 def _classify_each(net: Network, patches: list[np.ndarray]) -> list[float]:
     """``forward_classify(net, patch)[1]`` for each patch, in order.
 
-    The patches are split over min(usable CPUs, patches) threads: with w of
-    them, this thread scores patches 0, w, 2w, ... and a pool of w - 1
-    threads, made and joined within the call, scores the other strides.
-    Each score lands at its patch's index, and a worker's exception is
-    raised here when its result is read.
+    With w = min(usable CPUs, patches) of at least 2, a pool of w threads,
+    made and joined within the call, scores the patches while this thread
+    waits; ``Executor.map`` keeps their order and raises a worker's
+    exception here.  Below 2, this thread scores them and starts none.
     """
     workers = min(_usable_cpus(), len(patches))
-    scores = [0.0] * len(patches)
-
-    def score_stride(start: int) -> None:
-        for i in range(start, len(patches), workers):
-            scores[i] = forward_classify(net, patches[i])[1]
-
-    # a pool starts a thread only on submit, so one worker starts none
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        futures = [pool.submit(score_stride, start) for start in range(1, workers)]
-        score_stride(0)
-        for future in futures:
-            future.result()
-    return scores
+    if workers < 2:
+        return [forward_classify(net, patch)[1] for patch in patches]
+    # a lambda looks forward_classify up per call, so a tracer's rebinding reaches it
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda patch: forward_classify(net, patch)[1], patches))
 
 
 # 5x7 bitmap glyphs for burned-in probabilities.

@@ -117,6 +117,20 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, tensors
 
 
+def write_checkpoint(net, path, metadata=()) -> None:
+    """Write ``net`` in the layout ``read_checkpoint`` reads, with no check of
+    its tensors: the files ``checkpoint_save`` refuses, for the loader to refuse."""
+    desc = net.descriptor
+    header = json.dumps({
+        **dict(metadata), "arch": desc.name, "input_size": desc.input_size,
+        "layers": [dataclasses.asdict(layer) for layer in desc.layers], "seed": net.seed,
+        "tensors": {name: list(t.shape) for name, t in net.parameters.items()},
+    }).encode()
+    tensors = [np.asarray(net.parameters[name], "<f4").tobytes() for name in sorted(net.parameters)]
+    Path(path).write_bytes(b"".join([b"WHTC", struct.pack("<2I", 3, len(header)), header,
+                                     *tensors]))
+
+
 def extract_windows(image: np.ndarray, spec):
     """All ((r, c), window) pairs; window (r, c) covers blocks (r..r+1, c..c+1)."""
     rows, cols = spec.rows, spec.cols

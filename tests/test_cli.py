@@ -16,7 +16,7 @@ from whtfire.cli import (EXIT_DATA, EXIT_DETECTED, EXIT_INTERNAL, EXIT_OK, EXIT_
 from whtfire.dataio import ppm_write
 from whtfire.errors import ArchMismatchError, CorruptFileError, WhtFireError
 from whtfire.fwht import fwht
-from oracles import identity_arm, unit_to_bytes
+from oracles import identity_arm, unit_to_bytes, write_checkpoint
 
 
 def save_edited(monkeypatch, net, path, edit):
@@ -549,7 +549,7 @@ class TestDetectErrors:
         net = arch.build_toy_net("wht", 8, 32, seed=3)
         net.parameters.update(extra)
         ckpt = tmp_path / "c.whtc"
-        dataio.checkpoint_save(net, {"note": "9"}, ckpt)
+        write_checkpoint(net, ckpt, {"note": "9"})
         raw = ckpt.read_bytes()
         assert raw.count(old) == 1 or not old
         ckpt.write_bytes(raw.replace(old, new) if old else raw + new)

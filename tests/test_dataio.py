@@ -26,7 +26,7 @@ from whtfire.errors import (
     UnsupportedMaxvalError,
     VersionMismatchError,
 )
-from oracles import identity_arm, read_checkpoint, unit_to_bytes
+from oracles import identity_arm, read_checkpoint, unit_to_bytes, write_checkpoint
 
 
 class TestPpmCodec:
@@ -499,6 +499,20 @@ class TestCheckpoint:
             dataio.checkpoint_save(net, {}, p)
         assert not p.exists()
 
+    @pytest.mark.parametrize("change, error", [
+        ({"wht1.scale": None}, ArchMismatchError),  # None drops the tensor
+        ({"extra": np.ones(2, np.float32)}, ArchMismatchError),
+        ({"wht1.scale": np.ones(9, np.float32)}, TensorShapeMismatchError),
+        ({"head.bias": np.ones((1, 2), np.float32)}, TensorShapeMismatchError),
+    ])
+    def test_tensors_load_refuses_are_not_saved(self, tmp_path, change, error):
+        net = arch.build_toy_net("wht")
+        params = {k: v for k, v in {**net.parameters, **change}.items() if v is not None}
+        p = tmp_path / "c.whtc"
+        with pytest.raises(error, match="^toy-wht: tensor"):
+            dataio.checkpoint_save(arch.Network(net.descriptor, params, 0), {}, p)
+        assert not p.exists()
+
     def test_a_numpy_seed_is_saved_as_its_python_int(self, tmp_path):
         a, b = tmp_path / "a.whtc", tmp_path / "b.whtc"
         dataio.checkpoint_save(arch.build_toy_net("wht", seed=np.int64(1)), {}, a)
@@ -547,7 +561,7 @@ class TestCheckpoint:
         net = self._net()
         net.parameters["head.bias"] = np.zeros(3, dtype=np.float32)  # sabotage
         p = tmp_path / "c.whtc"
-        dataio.checkpoint_save(net, {}, p)
+        write_checkpoint(net, p)
         with pytest.raises(TensorShapeMismatchError):
             dataio.checkpoint_load(p)
 
@@ -560,7 +574,7 @@ class TestCheckpoint:
         net = self._net()
         sabotage(net.parameters)
         p = tmp_path / "c.whtc"
-        dataio.checkpoint_save(net, {}, p)
+        write_checkpoint(net, p)
         with pytest.raises(ArchMismatchError, match=message):
             dataio.checkpoint_load(p)
 

@@ -42,6 +42,10 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
     assert len(re.findall(rf"^\s*- run: .*{re.escape(dev)}$", text, re.MULTILINE)) == 1
     # a hung thread pool ends the job, not the runner's 6-hour default
     assert re.search(r"^    timeout-minutes: [1-9][0-9]?$", text, re.MULTILINE)
+    # the installed console script runs, as a step after the install
+    smoke = re.search(r'^\s*- run: whtfire --help && '
+                      r'whtfire --out-dir "\$RUNNER_TEMP/smoke" synth --count 1$', text, re.MULTILINE)
+    assert smoke and text.index("- run: pip install -e .") < smoke.start()
 
 
 def test_console_script_resolves_to_a_callable():

@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -20,10 +24,12 @@ from whtfire.errors import (
     ArchMismatchError,
     BadThresholdError,
     EmptyDatasetError,
+    InvalidDescriptorError,
     LengthNotPowerOfTwoError,
     ShapeMismatchError,
     SingleClassDatasetError,
     SizeTooLargeError,
+    TensorShapeMismatchError,
     TrainingDivergedError,
 )
 from whtfire.nn import TrainConfig
@@ -321,6 +327,46 @@ class TestFit:
             pipeline.fit(arch.build_toy_net("wht"), tmp_path / "absent.csv", TrainConfig(),
                          tmp_path / "r", frozen={"nope", "stem.weight", "alpha"})
         assert not (tmp_path / "r").exists()
+
+    def test_a_net_its_checkpoint_could_not_hold_is_refused_before_any_work(self, tmp_path):
+        # each would train, then fail to save (or save what checkpoint_load refuses)
+        wht = arch.build_toy_net("wht")
+        head = dataclasses.replace(wht.descriptor.layers[-1], out_channels=3)
+        three = dataclasses.replace(wht.descriptor, layers=(*wht.descriptor.layers[:-1], head))
+        short = {k: v for k, v in wht.parameters.items() if k != "wht1.scale"}
+        wide = {**wht.parameters, "wht1.scale": np.ones(9, np.float32)}
+        for net, error, message in [
+                (arch.Network(three, arch.init_parameters(three, 0), 0),
+                 InvalidDescriptorError, "gives 3 channels, not 2 classes"),
+                (arch.Network(wht.descriptor, short, 0), ArchMismatchError,
+                 r"^toy-wht: tensor names disagree with architecture \(missing \['wht1.scale'\], "
+                 r"extra \[\]\)$"),
+                (arch.Network(wht.descriptor, wide, 0), TensorShapeMismatchError,
+                 r"^toy-wht: tensor wht1.scale has shape \(9,\), expected \(8,\)$")]:
+            with pytest.raises(error, match=message):
+                pipeline.fit(net, tmp_path / "absent.csv", TrainConfig(epochs=5), tmp_path / "r")
+            assert not (tmp_path / "r").exists()
+
+    def test_same_seed_checkpoints_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count once, as numpy loads, so each count needs a process
+        script = ("import sys\nfrom pathlib import Path\n"
+                  "from whtfire import arch, dataio, nn, pipeline\n"
+                  "out = Path(sys.argv[1])\n"
+                  "ds = dataio.synth_dataset(dataio.SynthConfig(seed=5, count_per_class=4), out / 'ds')\n"
+                  "for variant in arch.TOY_VARIANTS:\n"
+                  "    pipeline.fit(arch.build_toy_net(variant, 64, 32, seed=5), ds,\n"
+                  "                 nn.TrainConfig(epochs=1, seed=5), out / variant)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        children = [subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / threads)], stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+        stderrs = [child.communicate(timeout=60)[1] for child in children]
+        for child, stderr in zip(children, stderrs):
+            assert child.returncode == 0, stderr.decode(errors="replace")
+        for variant in arch.TOY_VARIANTS:
+            one, two = (tmp_path / threads / variant / "checkpoint.whtc" for threads in "12")
+            assert one.read_bytes() == two.read_bytes()
 
     def test_the_callers_net_is_trained_in_place(self, small_dataset, tmp_path):
         net = arch.build_toy_net("wht", seed=2)
