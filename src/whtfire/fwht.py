@@ -15,6 +15,20 @@ every transform with N >= 16 ends in a full ``(rows, 16) @ H_16``.  The
 inverse's 1/N is folded into that last factor's matrix, which makes no
 pass of its own and no bit of difference, since N is a power of two.
 Only the normalized scale takes one final pass over the output.
+
+Each pass is scheduled by its span, the k * q contiguous values that one
+``H_k @ (..., k, q)`` mixes: N for the first pass, and each later span is
+the one before divided by its factor.  A pass whose span exceeds
+``_CHUNK`` values runs over the whole array; only rows longer than 2^15
+make such passes, one at N = 2^16 and two from 2^17 to 2^20.  The remaining
+passes run chunk by chunk: each step takes ``_CHUNK // span`` rows of the
+first remaining span through every remaining factor and writes the last
+product into the one output array, so a chunk stays in cache from its
+first remaining pass to its last.  An input of at most ``_CHUNK`` values
+is one chunk, and a lone pass (N <= 16) keeps nothing in cache, so both
+run every pass over the whole array.  A chunk makes the same products on
+the same values as a pass over the whole array, so no bit depends on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -33,6 +47,13 @@ MAX_MATRIX_ORDER = 12
 # at 182, 187, 189 and 196 MiB with orders 4, 5, 6 and 7, and order 4 was
 # also the fastest (op_p50_s 0.049 s against 0.053, 0.053 and 0.068 s).
 _FACTOR_ORDER = 4
+
+# Values in a chunk of rows that runs through its passes while it stays in
+# cache: 2^15, 256 KiB of float64.  One fwht + ifwht over the transform-long
+# arrays (2-vCPU host, float64, medians of 6 rotated in-process rounds) took
+# 40.7, 38.3, 36.1, 45.4 and 48.8 ms at 2^13 .. 2^17 values, and 48.9 ms with
+# every pass over the whole array (BENCH_transform_chunk.json).
+_CHUNK = 1 << 15
 
 # No compiled kernel exists; perfbench/run.py records this in its provenance.
 _HAVE_NUMBA = False
@@ -86,9 +107,11 @@ def _require_power_of_two(n: int) -> None:
 def _transform(x, inverse: bool) -> np.ndarray:
     """H_N along the last axis, divided by N when ``inverse``; always a new array.
 
-    Viewing the axis as (k, q), each leading H_k acts as ``H_k @ (k, q)`` on
-    every row at once, and the last factor as ``(rows, k) @ H_k``, or
-    ``@ (H_k / N)`` for the inverse.
+    Viewing a span as (k, q), each leading H_k acts as ``H_k @ (k, q)`` on
+    every group at once, and the last factor as ``(rows, k) @ H_k``, or
+    ``@ (H_k / N)`` for the inverse.  Spans above ``_CHUNK`` make passes
+    over the whole array; the rest run ``_CHUNK // span`` rows at a time,
+    unless the input is one chunk or N <= 16 (the module docstring).
     """
     arr = np.asarray(x)
     if arr.ndim == 0 or arr.dtype.kind not in "biuf":
@@ -104,13 +127,30 @@ def _transform(x, inverse: bool) -> np.ndarray:
         return y.copy()
     shape = y.shape
     k = 1 << ((n.bit_length() - 2) % _FACTOR_ORDER + 1)  # 2^(m % 4), or 16 if 4 | m
-    q = n // k
-    while q > 1:
-        y = _factor(k, dtype) @ y.reshape(-1, k, q)
+    k_last = n if k == n else 1 << _FACTOR_ORDER  # N <= 16 is one factor
+    last = _factor(k_last, dtype, n) if inverse else _factor(k_last, dtype)
+    span, stop = n, (k_last if y.size <= _CHUNK else _CHUNK)
+    while span > stop:
+        y = _factor(k, dtype) @ y.reshape(-1, k, span // k)
+        span //= k
         k = 1 << _FACTOR_ORDER
-        q //= k
-    h = _factor(k, dtype, n) if inverse else _factor(k, dtype)
-    return (y.reshape(-1, k) @ h).reshape(shape)
+    if span == k_last:
+        # one chunk, or N <= 16: a lone pass chunked could leave a one-row
+        # tail chunk, which numpy sends to gemv, and gemv rounds unlike gemm
+        return (y.reshape(-1, k_last) @ last).reshape(shape)
+    y = y.reshape(-1, span)
+    # chunks write over the whole-array passes' own output, never over the input
+    out = y if span < n else np.empty((len(y), n), dtype)
+    step = _CHUNK // span
+    for start in range(0, len(y), step):
+        rows = slice(start, start + step)
+        c, k_c, q = y[rows], k, span // k
+        while q > 1:
+            c = _factor(k_c, dtype) @ c.reshape(-1, k_c, q)
+            k_c = 1 << _FACTOR_ORDER
+            q //= k_c
+        np.matmul(c.reshape(-1, k_last), last, out=out[rows].reshape(-1, k_last))
+    return out.reshape(shape)
 
 
 def fwht(x: np.ndarray, normalized: bool = False) -> np.ndarray:

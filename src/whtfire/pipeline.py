@@ -241,42 +241,45 @@ def fit(net: Network, manifest, config: TrainConfig, out_dir, *,
                if spec.lower is not None]
     record = RunRecord(config, net.descriptor.name,
                        transfer_source=None if source is None else str(source))
-    for epoch in range(1, config.epochs + 1):
-        order = train_idx[rng.permutation(len(train_idx))]
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            logits, caches = network_forward(net, images[batch])
-            batch_losses, dlogits = softmax_cross_entropy(logits, labels[batch])
-            # network_backward sums over the batch; 1/B makes it the mean loss's grads
-            dlogits *= net.dtype.type(1.0 / len(batch))
-            opt.step(net.parameters, network_backward(net, caches, dlogits))
-            for value, lower in bounded:
-                np.maximum(value, lower, out=value)
-            losses.append(batch_losses)
-        probs = _fire_probabilities(net, images[val_idx])
-        bad = int(np.sum(~np.isfinite(probs)))
-        # both classes make N >= 2, so n_val < N and every epoch has a batch
-        train_loss = float(np.mean(np.concatenate(losses)))
-        loss_diverged = not math.isfinite(train_loss)
-        record.epochs.append({
-            "epoch": epoch,
-            "train_loss": None if loss_diverged else train_loss,
-            # a finite loss can still leave an overflowed network behind
-            "val": None if bad else compute_metrics(
-                confusion_from_scores(labels[val_idx], probs)).as_dict(),
-        })
-        if loss_diverged:
-            record.early_stop_reason = f"mean training loss {train_loss} in epoch {epoch}"
-        elif bad:
-            record.early_stop_reason = (
-                f"{bad} of {len(probs)} validation probabilities non-finite in epoch {epoch}")
-        if record.early_stop_reason is not None:
-            _write_json(record.as_dict(), out_dir / "run.json")
-            raise TrainingDivergedError(
-                f"training diverged ({record.early_stop_reason}); no checkpoint written, "
-                f"see {out_dir / 'run.json'}"
-            )
+    # a diverging run overflows on its way to NaN; the loss and the validation
+    # probabilities below detect that, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = train_idx[rng.permutation(len(train_idx))]
+            losses = []
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                logits, caches = network_forward(net, images[batch])
+                batch_losses, dlogits = softmax_cross_entropy(logits, labels[batch])
+                # network_backward sums over the batch; 1/B makes it the mean loss's grads
+                dlogits *= net.dtype.type(1.0 / len(batch))
+                opt.step(net.parameters, network_backward(net, caches, dlogits))
+                for value, lower in bounded:
+                    np.maximum(value, lower, out=value)
+                losses.append(batch_losses)
+            probs = _fire_probabilities(net, images[val_idx])
+            bad = int(np.sum(~np.isfinite(probs)))
+            # both classes make N >= 2, so n_val < N and every epoch has a batch
+            train_loss = float(np.mean(np.concatenate(losses)))
+            loss_diverged = not math.isfinite(train_loss)
+            record.epochs.append({
+                "epoch": epoch,
+                "train_loss": None if loss_diverged else train_loss,
+                # a finite loss can still leave an overflowed network behind
+                "val": None if bad else compute_metrics(
+                    confusion_from_scores(labels[val_idx], probs)).as_dict(),
+            })
+            if loss_diverged:
+                record.early_stop_reason = f"mean training loss {train_loss} in epoch {epoch}"
+            elif bad:
+                record.early_stop_reason = (
+                    f"{bad} of {len(probs)} validation probabilities non-finite in epoch {epoch}")
+            if record.early_stop_reason is not None:
+                _write_json(record.as_dict(), out_dir / "run.json")
+                raise TrainingDivergedError(
+                    f"training diverged ({record.early_stop_reason}); no checkpoint written, "
+                    f"see {out_dir / 'run.json'}"
+                )
     ckpt_path = out_dir / "checkpoint.whtc"
     checkpoint_save(net, {}, ckpt_path)  # the run's settings are in run.json
     record.final_checkpoint = str(ckpt_path)

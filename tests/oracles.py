@@ -11,7 +11,7 @@ import numpy as np
 
 from whtfire import arch
 from whtfire.errors import LengthNotPowerOfTwoError, ShapeMismatchError, WhtFireError
-from whtfire.fwht import hadamard_matrix
+from whtfire.fwht import _FACTOR_ORDER, _factor, hadamard_matrix
 from whtfire.tiling import _FONT, BORDER_PX, GREEN, RED
 
 
@@ -73,6 +73,29 @@ def ifwht_separate_pass(y) -> np.ndarray:
     out = fwht_remainder_last(y)
     out *= out.dtype.type(1.0 / out.shape[-1])
     return out
+
+
+def transform_whole_passes(x, inverse: bool) -> np.ndarray:
+    """``fwht``'s factor plan with every pass over the whole array at once.
+
+    The same products on the same values as the chunked passes, so
+    ``fwht`` and ``ifwht`` must match this bit for bit at any chunk size.
+    """
+    y = np.asarray(x)
+    n = y.shape[-1]
+    dtype = np.float32 if y.dtype == np.float32 else np.float64
+    y = y.astype(dtype, copy=False)
+    if n == 1:
+        return y.copy()
+    shape = y.shape
+    k = 1 << ((n.bit_length() - 2) % _FACTOR_ORDER + 1)  # 2^(m % 4), or 16 if 4 | m
+    q = n // k
+    while q > 1:
+        y = _factor(k, dtype) @ y.reshape(-1, k, q)
+        k = 1 << _FACTOR_ORDER
+        q //= k
+    h = _factor(k, dtype, n) if inverse else _factor(k, dtype)
+    return (y.reshape(-1, k) @ h).reshape(shape)
 
 
 def unit_to_bytes(x) -> np.ndarray:

@@ -309,8 +309,9 @@ class TestExitCodes:
     # of a rank numpy cannot hold
     SHAPES = {"huge-shape.whtc": ("block0.gain", (1 << 21, 1 << 21, 1 << 22)),
               "rank-65.whtc": ("block0.gain", (1,) * 65)}
+    # only the huge-gain forward may warn; filterwarnings = error checks every other case
+    OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows
     @pytest.mark.parametrize("args, expected, message", [
         (["train", "--width", "12"], EXIT_USAGE, "--width"),
         (["train", "--width", "eight"], EXIT_USAGE, "--width"),
@@ -343,12 +344,12 @@ class TestExitCodes:
         (["detect", "--checkpoint", "huge-shape.whtc"], EXIT_DATA, "ran out of bytes"),
         (["detect", "--checkpoint", "rank-65.whtc"], EXIT_DATA,
          "tensor block0.gain has shape (1, 1, 1,"),
-        (["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
-         "gives 2 of 2 windows a non-finite score"),
+        pytest.param(["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
+                     "gives 2 of 2 windows a non-finite score", marks=OVERFLOWS),
         (["eval", "--manifest", "binary.csv"], EXIT_DATA, "not UTF-8"),
         (["eval", "--manifest", "nul.csv"], EXIT_DATA, "1: NUL byte in path"),
-        (["eval", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
-         "gives 20 of 20 samples a non-finite fire probability"),
+        pytest.param(["eval", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
+                     "gives 20 of 20 samples a non-finite fire probability", marks=OVERFLOWS),
     ], ids=["width", "width-text", "input-size", "lr-nan", "finetune-lr-nan",
             "lr-diverges", "input-size-mismatch", "mixed-sizes", "params-width",
             "seed-negative", "epochs-negative", "momentum-one", "batch-size-zero",
@@ -679,6 +680,21 @@ class TestEntryPoint:
         )
         assert done.returncode == EXIT_DETECTED, done.stderr
         assert "detected=True" in done.stdout
+
+    def test_a_diverged_run_prints_only_its_error(self, dataset_dir, tmp_path):
+        # in a process of its own, numpy's warnings would print to stderr as they do for a user
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "whtfire.cli", "--out-dir", str(tmp_path / "r"), "train",
+             "--manifest", str(dataset_dir / "manifest.csv"), "--lr", "1e30", "--epochs", "2"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_DATA
+        run = tmp_path / "r" / "run.json"
+        reason = json.loads(run.read_text())["early_stop_reason"]
+        assert done.stderr == (
+            f"error: training diverged ({reason}); no checkpoint written, see {run}\n")
 
     def test_a_crash_exits_internal_with_its_traceback(self):
         # Python's own status for an uncaught exception, 1, is detect's "fire detected"

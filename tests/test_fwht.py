@@ -1,10 +1,13 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from whtfire.errors import LengthNotPowerOfTwoError, OrderTooLargeError, TransformInputError
 from whtfire.fwht import fwht, hadamard_matrix, ifwht
 from oracles import (LengthMismatchError, dyadic_convolve_bruteforce, fwht_remainder_last,
-                     ifwht_separate_pass)
+                     ifwht_separate_pass, transform_whole_passes)
 
 
 def _hadamard_rows(xs: np.ndarray, m: int) -> np.ndarray:
@@ -181,6 +184,43 @@ class TestFwht:
             else:
                 tol = 8 * np.finfo(dtype).eps * np.max(np.abs(ref))
                 assert np.max(np.abs(got - ref)) <= tol, m
+
+
+@pytest.mark.parametrize("chunk", [None, 64], ids=["module-chunk", "chunk-64"])
+def test_chunked_passes_give_the_whole_array_bits(monkeypatch, chunk):
+    # a 64-value chunk makes small inputs end in partial chunks and split
+    # their passes between whole-array and chunked ones;
+    # "import whtfire.fwht" would bind the function the package re-exports
+    if chunk is not None:
+        monkeypatch.setattr(importlib.import_module("whtfire.fwht"), "_CHUNK", chunk)
+    rng = np.random.default_rng(41)
+    shapes = [(rows, 1 << m) for m in range(14) for rows in (1, 3, 513)]
+    shapes += [(1 << m,) for m in range(14, 18)]
+    for shape in shapes:
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=shape).astype(dtype)
+            for transform, inverse in ((fwht, False), (ifwht, True)):
+                got, want = transform(x), transform_whole_passes(x, inverse)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (
+                    shape, dtype, transform.__name__)
+
+
+@pytest.mark.parametrize("shape, copies, slack", [
+    ((256, 4096), 1.25, 0), ((16384, 64), 1.25, 0),
+    ((1 << 18,), 2.0, 1 << 20), ((1 << 20,), 2.0, 1 << 20)],
+    ids=["rows-256x4096", "rows-16384x64", "vector-2^18", "vector-2^20"])
+def test_peak_memory_of_one_call(shape, copies, slack):
+    # a row block holds its output and a few chunks; a long vector's
+    # whole-array passes hold two full arrays
+    x = np.random.default_rng(43).normal(size=shape)
+    fwht(x[:1])  # the factor matrices are cached, not part of one call
+    tracemalloc.start()
+    try:
+        y = fwht(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= copies * y.nbytes + slack, peak / y.nbytes
 
 
 class TestIfwht:

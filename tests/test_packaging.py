@@ -46,6 +46,9 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
     smoke = re.search(r'^\s*- run: whtfire --help && '
                       r'whtfire --out-dir "\$RUNNER_TEMP/smoke" synth --count 1$', text, re.MULTILINE)
     assert smoke and text.index("- run: pip install -e .") < smoke.start()
+    # and the transform at sizes that run its whole-array and chunked passes
+    bench = re.search(r"^\s*- run: whtfire bench --sizes 16,65536,1048576$", text, re.MULTILINE)
+    assert bench and text.index("- run: pip install -e .") < bench.start()
 
 
 def test_console_script_resolves_to_a_callable():

@@ -212,7 +212,6 @@ class TestTrain:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to nan
     @pytest.mark.parametrize("lr", [100.0, 1000.0])
     def test_non_finite_loss_stops_without_checkpoint(self, small_dataset, tmp_path, lr):
         cfg = TrainConfig(epochs=3, learning_rate=lr, seed=0)
@@ -229,7 +228,6 @@ class TestDivergence:
         assert "epoch 1" in run["early_stop_reason"]
         assert run["final_checkpoint"] == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to nan
     @pytest.mark.parametrize("lr,epochs", [(10.0, 2), (300.0, 1)])
     def test_non_finite_validation_stops_without_checkpoint(self, tmp_path, lr, epochs):
         # the loss stays finite while the updates overflow the network
