@@ -9,7 +9,8 @@ inputs, so inference, which drops it, builds nothing it does not read
 Every backward with tensors takes ``input_grad``: when False it forms no
 ``dx`` and returns None in its place (the first layer's input gradient has
 no reader).  Training runs in float32; gradient checks run the same code
-in float64.
+in float64.  conv3x3's two passes share one loop of padded row bands, and
+its ``dx`` is a forward pass: a tracer counts it under ``conv3x3_forward``.
 ``mean_pool`` is the one mean pooling: avgpool2 layers run it on maps,
 and ``tiling`` on (H, W, C) frames and windows.  One banded loop serves
 floats and bytes: it adds the row pairs, then each pixel's column pair as
@@ -23,6 +24,7 @@ default, the net's dtype when ``tiling`` scores a frame.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,61 +79,58 @@ def _check_field_types(config, ints: tuple, reals: tuple) -> None:
 
 # -- convolutions ---------------------------------------------------------
 
-_CONV_BAND_PX = 8192  # output pixels per band of conv3x3_forward: 36 rows at 224 px
+_CONV_BAND_PX = 8192  # output pixels per band of conv3x3: 36 rows at 224 px
+
+
+def _padded_bands(x: np.ndarray):
+    """Yield ``(r, n, xp)`` for bands of output rows r .. r + n - 1 of a (B, H, W, C)
+    map, ~``_CONV_BAND_PX`` pixels and at most H rows.  ``xp[:, : n + 2]`` is input
+    rows r - 1 .. r + n, zero-padded, in one buffer that each yield overwrites."""
+    b, hh, ww, cin = x.shape
+    band = max(1, min(hh, _CONV_BAND_PX // (b * ww)))  # range needs a step >= 1
+    xp = np.zeros((b, band + 2, ww + 2, cin), dtype=x.dtype)
+    for r in range(0, hh, band):
+        n = min(band, hh - r)
+        lo, hi = max(r - 1, 0), min(r + n + 1, hh)
+        xp[:, lo - r + 1 : hi - r + 1, 1:-1] = x[:, lo:hi]
+        xp[:, hi - r + 1 :] = 0  # below the map's last row
+        yield r, n, xp
 
 
 def conv3x3_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:
     """3x3 cross-correlation with padding 1, stride 1 and no bias.
 
     ``x`` is (B, H, W, Cin), ``w`` is (3, 3, Cin, Cout); the output keeps
-    the spatial extents.  It is made in bands of output rows holding about
-    ``_CONV_BAND_PX`` pixels of the batch: each band's zero-padded input
-    rows are copied into one band-size buffer, and its 9 tap products are
-    added to it in order, so neither a padded map nor a product's
-    temporary is ever larger than a band.  ``matmul`` already stacks over
-    the row axis, so every row gets the same product call on the same
-    values as in one whole-map pass: the bits do not depend on the band.
-    The cache is ``(x, w)``; the backward pads ``x`` itself.
+    the spatial extents.  Each of the ``_padded_bands`` that the backward
+    shares adds its 9 tap products in order: no padded map or product
+    outgrows a band, and as ``matmul`` stacks over rows, no bit depends on it.
     """
     if x.ndim != 4 or w.shape[:2] != (3, 3) or w.ndim != 4:
         raise ShapeMismatchError(f"bad conv shapes {x.shape} / {w.shape}")
     if x.shape[3] != w.shape[2]:
-        raise ShapeMismatchError(
-            f"input channels {x.shape[3]} != kernel channels {w.shape[2]}"
-        )
-    b, hh, ww, cin = x.shape
-    out = np.zeros((b, hh, ww, w.shape[3]), dtype=x.dtype)
-    band = max(1, _CONV_BAND_PX // (b * ww))
-    # padded row p of the band at r is input row r - 1 + p; rows and
-    # columns outside the map stay 0
-    xp = np.zeros((b, band + 2, ww + 2, cin), dtype=x.dtype)
-    for r in range(0, hh, band):
-        rows = out[:, r : r + band]
-        n = rows.shape[1]
-        lo, hi = max(r - 1, 0), min(r + n + 1, hh)
-        xp[:, lo - r + 1 : hi - r + 1, 1:-1] = x[:, lo:hi]
-        xp[:, hi - r + 1 :] = 0  # below the map's last row
-        for di in range(3):
-            for dj in range(3):
-                rows += xp[:, di : di + n, dj : dj + ww] @ w[di, dj]
+        raise ShapeMismatchError(f"input channels {x.shape[3]} != kernel channels {w.shape[2]}")
+    out = np.zeros((*x.shape[:3], w.shape[3]), dtype=x.dtype)
+    for r, n, xp in _padded_bands(x):
+        rows = out[:, r : r + n]
+        for di, dj in itertools.product(range(3), repeat=2):
+            rows += xp[:, di : di + n, dj : dj + x.shape[2]] @ w[di, dj]
     return LayerIO(out, (x, w))
 
 
 def conv3x3_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
+    """``dx`` is a forward pass of ``dy`` with the kernel turned 180 degrees
+    and its channels swapped (a tracer counts it under ``conv3x3_forward``);
+    ``dw`` adds each tap's product over the forward's padded bands of ``x``."""
     x, w = cache
-    hh, ww = dy.shape[1:3]
     if dy.shape[3] != w.shape[3]:
         raise ShapeMismatchError("upstream gradient channel mismatch")
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    dx = conv3x3_forward(dy, w[::-1, ::-1].swapaxes(2, 3)).output if input_grad else None
     dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp) if input_grad else None
-    for di in range(3):
-        for dj in range(3):
-            win = (slice(None), slice(di, di + hh), slice(dj, dj + ww))
-            dw[di, dj] = np.tensordot(xp[win], dy, axes=([0, 1, 2], [0, 1, 2]))
-            if input_grad:
-                dxp[win] += dy @ w[di, dj].T
-    return (dxp[:, 1:-1, 1:-1] if input_grad else None), dw
+    for r, n, xp in _padded_bands(x):
+        for di, dj in itertools.product(range(3), repeat=2):
+            dw[di, dj] += np.tensordot(xp[:, di : di + n, dj : dj + x.shape[2]],
+                                       dy[:, r : r + n], axes=([0, 1, 2], [0, 1, 2]))
+    return dx, dw
 
 
 def pointwise_forward(x: np.ndarray, w: np.ndarray) -> LayerIO:

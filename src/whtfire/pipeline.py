@@ -185,7 +185,10 @@ def evaluate(net_or_checkpoint, manifest):
     """Patch-level metrics at the 0.5 decision threshold; non-finite probabilities raise."""
     net = _as_network(net_or_checkpoint)
     images, labels = load_dataset(manifest, net)
-    probs = _fire_probabilities(net, images)
+    # an overflowing net's probabilities are non-finite, and the check below
+    # reports that, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _fire_probabilities(net, images)
     bad = int(np.sum(~np.isfinite(probs)))
     if bad:
         raise NonFiniteScoreError(

@@ -158,6 +158,8 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     are the bits one thread gives, and each pool thread holds one window's
     working set (~5 MiB at 224 px).  A ``fallback`` grid's one window, its
     block area pooled to one S x S patch, is scored on the calling thread.
+    The net runs with numpy's overflow and invalid warnings off, on every
+    thread: ``ScoreGrid`` refuses the non-finite scores they would foretell.
     """
     _check_frame(image)
     block = net.descriptor.input_size
@@ -177,14 +179,15 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
         scores = _classify_each(net, patches)
         return ScoreGrid(spec, np.reshape(scores, spec.windows), threshold)
     fb = half // stride  # one block, in feature pixels
-    # one block row at a time bounds the transient feature maps
-    sums = np.stack([
-        feature_map(net, pooled[None, r * half : (r + 1) * half])[0]
-        .reshape(fb, cols, fb, -1).sum(axis=(0, 2))
-        for r in range(rows)
-    ])
-    gap = (sums[:-1, :-1] + sums[:-1, 1:] + sums[1:, :-1] + sums[1:, 1:]) / (4 * fb * fb)
-    probs = head_classify(net, gap.reshape((rows - 1) * (cols - 1), -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one block row at a time bounds the transient feature maps
+        sums = np.stack([
+            feature_map(net, pooled[None, r * half : (r + 1) * half])[0]
+            .reshape(fb, cols, fb, -1).sum(axis=(0, 2))
+            for r in range(rows)
+        ])
+        gap = (sums[:-1, :-1] + sums[:-1, 1:] + sums[1:, :-1] + sums[1:, 1:]) / (4 * fb * fb)
+        probs = head_classify(net, gap.reshape((rows - 1) * (cols - 1), -1))
     return ScoreGrid(spec, probs[:, 1].reshape(rows - 1, cols - 1), threshold)
 
 
@@ -202,13 +205,19 @@ def _classify_each(net: Network, patches: list[np.ndarray]) -> list[float]:
     made and joined within the call, scores the patches while this thread
     waits; ``Executor.map`` keeps their order and raises a worker's
     exception here.  Below 2, this thread scores them and starts none.
+    Each call turns numpy's overflow and invalid warnings off itself (see
+    ``score_grid``): a pool thread does not inherit the caller's error state.
     """
+    def score(patch):
+        # forward_classify is looked up per call, so a tracer's rebinding reaches it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return forward_classify(net, patch)[1]
+
     workers = min(_usable_cpus(), len(patches))
     if workers < 2:
-        return [forward_classify(net, patch)[1] for patch in patches]
-    # a lambda looks forward_classify up per call, so a tracer's rebinding reaches it
+        return [score(patch) for patch in patches]
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda patch: forward_classify(net, patch)[1], patches))
+        return list(pool.map(score, patches))
 
 
 # 5x7 bitmap glyphs for burned-in probabilities.

@@ -268,6 +268,24 @@ def conv3x3_whole_map(x, w) -> np.ndarray:
     return out
 
 
+def conv3x3_backward_whole_map(cache, dy, input_grad: bool = True):
+    """conv3x3's backward on the whole padded map: each tap's ``dw`` as one
+    tensordot, and ``dx`` scattered tap by tap into a padded buffer, then
+    cropped."""
+    x, w = cache
+    hh, ww = dy.shape[1:3]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp) if input_grad else None
+    for di in range(3):
+        for dj in range(3):
+            win = (slice(None), slice(di, di + hh), slice(dj, dj + ww))
+            dw[di, dj] = np.tensordot(xp[win], dy, axes=([0, 1, 2], [0, 1, 2]))
+            if input_grad:
+                dxp[win] += dy @ w[di, dj].T
+    return (dxp[:, 1:-1, 1:-1] if input_grad else None), dw
+
+
 def avgpool2_reshape_mean(x) -> np.ndarray:
     """2x2 mean pooling of a (B, H, W, C) map as a reshape and a mean."""
     b, hh, ww, c = x.shape

@@ -309,8 +309,6 @@ class TestExitCodes:
     # of a rank numpy cannot hold
     SHAPES = {"huge-shape.whtc": ("block0.gain", (1 << 21, 1 << 21, 1 << 22)),
               "rank-65.whtc": ("block0.gain", (1,) * 65)}
-    # only the huge-gain forward may warn; filterwarnings = error checks every other case
-    OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
     @pytest.mark.parametrize("args, expected, message", [
         (["train", "--width", "12"], EXIT_USAGE, "--width"),
@@ -344,12 +342,12 @@ class TestExitCodes:
         (["detect", "--checkpoint", "huge-shape.whtc"], EXIT_DATA, "ran out of bytes"),
         (["detect", "--checkpoint", "rank-65.whtc"], EXIT_DATA,
          "tensor block0.gain has shape (1, 1, 1,"),
-        pytest.param(["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
-                     "gives 2 of 2 windows a non-finite score", marks=OVERFLOWS),
+        (["detect", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
+         "gives 2 of 2 windows a non-finite score"),
         (["eval", "--manifest", "binary.csv"], EXIT_DATA, "not UTF-8"),
         (["eval", "--manifest", "nul.csv"], EXIT_DATA, "1: NUL byte in path"),
-        pytest.param(["eval", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
-                     "gives 20 of 20 samples a non-finite fire probability", marks=OVERFLOWS),
+        (["eval", "--checkpoint", "huge-gain.whtc"], EXIT_DATA,
+         "gives 20 of 20 samples a non-finite fire probability"),
     ], ids=["width", "width-text", "input-size", "lr-nan", "finetune-lr-nan",
             "lr-diverges", "input-size-mismatch", "mixed-sizes", "params-width",
             "seed-negative", "epochs-negative", "momentum-one", "batch-size-zero",
@@ -426,7 +424,6 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="a bug"):
             main(["eval", "--checkpoint", "c.whtc", "--manifest", "m.csv"])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # corrupt finite tensors overflow
     def test_corrupt_inputs_end_with_a_documented_code(self, dataset_dir, tmp_path, capsys):
         # seeded truncations and byte flips of a valid checkpoint, pixmap and manifest
         rng = np.random.default_rng(0)
@@ -695,6 +692,24 @@ class TestEntryPoint:
         reason = json.loads(run.read_text())["early_stop_reason"]
         assert done.stderr == (
             f"error: training diverged ({reason}); no checkpoint written, see {run}\n")
+
+    def test_an_overflowing_detect_prints_only_its_error(self, tmp_path):
+        # the huge-gain checkpoint of TestExitCodes: its finite gain overflows
+        # every score to NaN, which the error line reports
+        net = arch.build_toy_net("wht", 8, 32, threshold_trainable=True)
+        net.parameters["block0.gain"][:] = 3e38
+        ckpt, frame = tmp_path / "huge-gain.whtc", tmp_path / "frame.ppm"
+        dataio.checkpoint_save(net, {}, ckpt)
+        ppm_write(unit_to_bytes(np.random.default_rng(2).random((64, 96, 3))), frame)
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "whtfire.cli", "--out-dir", str(tmp_path / "det"),
+             "detect", "--checkpoint", str(ckpt), "--image", str(frame)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_DATA
+        assert done.stderr == "error: the network gives 2 of 2 windows a non-finite score\n"
 
     def test_a_crash_exits_internal_with_its_traceback(self):
         # Python's own status for an uncaught exception, 1, is detect's "fire detected"

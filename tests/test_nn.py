@@ -9,7 +9,8 @@ from whtfire import nn
 from whtfire.dataio import ppm_read, ppm_write
 from whtfire.errors import BadLabelError, ShapeMismatchError
 from oracles import (avgpool2_backward_broadcast, avgpool2_reshape_mean, avgpool2_rows_first,
-                     conv3x3_whole_map, gradient_check, mean_pool_strided)
+                     conv3x3_backward_whole_map, conv3x3_whole_map, gradient_check,
+                     mean_pool_strided)
 
 
 def conv3x3_direct(x, w):
@@ -71,6 +72,87 @@ class TestConv3x3:
         out = nn.conv3x3_forward(x, w).output
         want = conv3x3_whole_map(x, w)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    # (batch, height, width, cin, cout): one band each, then the shapes above
+    ONE_BAND = [(8, 8, 8, 8, 8), (8, 32, 32, 8, 8)]
+    SHAPES = ONE_BAND + [(batch, *shape) for batch in (1, 8)
+                         for shape in [(37, 224, 8, 8), (224, 224, 8, 8), (3, 9000, 2, 3)]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch,height,width,cin,cout", ONE_BAND)
+    def test_one_band_forward_equals_the_whole_map_bit_for_bit(
+            self, dtype, batch, height, width, cin, cout):
+        assert height <= nn._CONV_BAND_PX // (batch * width)
+        rng = np.random.default_rng(height * width + batch)
+        x = rng.normal(size=(batch, height, width, cin)).astype(dtype)
+        w = rng.normal(size=(3, 3, cin, cout)).astype(dtype)
+        assert nn.conv3x3_forward(x, w).output.tobytes() == conv3x3_whole_map(x, w).tobytes()
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch,height,width,cin,cout", SHAPES)
+    def test_banded_backward_matches_the_whole_map(
+            self, input_grad, dtype, batch, height, width, cin, cout):
+        # dx is a forward pass, whose taps add in the reverse order of the
+        # oracle's scatter; dw adds its taps band by band, so it keeps the
+        # oracle's bits only where the map is one band
+        rng = np.random.default_rng(height * width + batch + 1)
+        x = rng.normal(size=(batch, height, width, cin)).astype(dtype)
+        w = rng.normal(size=(3, 3, cin, cout)).astype(dtype)
+        dy = rng.normal(size=(batch, height, width, cout)).astype(dtype)
+        dx, dw = nn.conv3x3_backward((x, w), dy, input_grad)
+        want_dx, want_dw = conv3x3_backward_whole_map((x, w), dy, input_grad)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+
+        def assert_close(got, want):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+        if height <= nn._CONV_BAND_PX // (batch * width):
+            assert dw.dtype == want_dw.dtype and np.array_equal(dw, want_dw)
+        else:
+            assert_close(dw, want_dw)
+        if input_grad:
+            assert_close(dx, want_dx)
+        else:
+            assert dx is None and want_dx is None
+
+    def test_a_map_of_no_rows(self):
+        x, w = np.zeros((2, 0, 5, 3)), np.ones((3, 3, 3, 4))
+        io = nn.conv3x3_forward(x, w)
+        assert io.output.shape == (2, 0, 5, 4)
+        dx, dw = nn.conv3x3_backward(io.cache, io.output)
+        assert dx.shape == x.shape and dw.shape == w.shape and not dw.any()
+
+    @staticmethod
+    def peak_inputs(run, x) -> float:
+        """``run()``'s tracemalloc peak, in sizes of ``x``."""
+        run()  # a warm-up, so first-call caches are not counted
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / x.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_forward_band_is_no_taller_than_the_map(self):
+        # the output, the 10-row padded band and one tap product read ~3.7
+        # inputs; a band sized for 8192 px, 130 rows for a 10-row map, read 22.4
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(8, 8, 8, 8)).astype(np.float32)
+        w = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+        peak = self.peak_inputs(lambda: nn.conv3x3_forward(x, w), x)
+        assert peak <= 5, f"peak {peak:.2f} inputs"
+
+    def test_backward_peak_memory(self):
+        # dx, then one band and one tap's copy at a time: ~1.34 inputs; a whole
+        # padded x beside a padded dx read 3.07
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(1, 224, 224, 8)).astype(np.float32)
+        w = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+        dy = rng.normal(size=x.shape).astype(np.float32)
+        peak = self.peak_inputs(lambda: nn.conv3x3_backward((x, w), dy), x)
+        assert peak <= 2, f"peak {peak:.2f} inputs"
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(3)

@@ -46,6 +46,11 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
     smoke = re.search(r'^\s*- run: whtfire --help && '
                       r'whtfire --out-dir "\$RUNNER_TEMP/smoke" synth --count 1$', text, re.MULTILINE)
     assert smoke and text.index("- run: pip install -e .") < smoke.start()
+    # and trains a conv net on the synth step's manifest, after that step
+    train = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke-train" train '
+                      r'--manifest "\$RUNNER_TEMP/smoke/manifest.csv" '
+                      r'--variant conv-baseline --epochs 1$', text, re.MULTILINE)
+    assert train and smoke.start() < train.start()
     # and the transform at sizes that run its whole-array and chunked passes
     bench = re.search(r"^\s*- run: whtfire bench --sizes 16,65536,1048576$", text, re.MULTILINE)
     assert bench and text.index("- run: pip install -e .") < bench.start()

@@ -399,6 +399,14 @@ class TestScoreGridThreads:
             run_bounded(score)
         assert threading.active_count() == before
 
+    def test_an_overflowing_net_warns_on_no_thread(self, monkeypatch):
+        # filterwarnings = error would raise a pool thread's RuntimeWarning here
+        # instead of the NonFiniteScoreError that reports the overflow
+        net, frame = self._setup(monkeypatch, 2)
+        net.parameters["block0.gain"][:] = 3e38
+        with pytest.raises(NonFiniteScoreError, match="20 of 20 windows"):
+            run_bounded(lambda: tiling.score_grid(net, frame))
+
     def test_a_fallback_grid_stays_on_the_calling_thread(self, monkeypatch):
         net, _ = self._setup(monkeypatch, 8)
         threads = []
