@@ -87,7 +87,8 @@ def _padded_bands(x: np.ndarray):
     map, ~``_CONV_BAND_PX`` pixels and at most H rows.  ``xp[:, : n + 2]`` is input
     rows r - 1 .. r + n, zero-padded, in one buffer that each yield overwrites."""
     b, hh, ww, cin = x.shape
-    band = max(1, min(hh, _CONV_BAND_PX // (b * ww)))  # range needs a step >= 1
+    # range needs a step >= 1; a batch with no pixel in a row runs as one empty band
+    band = max(1, min(hh, _CONV_BAND_PX // (b * ww or 1)))
     xp = np.zeros((b, band + 2, ww + 2, cin), dtype=x.dtype)
     for r in range(0, hh, band):
         n = min(band, hh - r)
@@ -181,9 +182,12 @@ def relu_backward(cache: tuple, dy: np.ndarray):
 
 
 def gap_forward(x: np.ndarray) -> LayerIO:
-    """Global average pooling (B, H, W, C) -> (B, C)."""
+    """Global average pooling (B, H, W, C) -> (B, C); a map of zero area has no mean."""
     if x.ndim != 4:
         raise ShapeMismatchError(f"expected a (B, H, W, C) map, got {x.shape}")
+    if 0 in x.shape[1:3]:
+        empty = "height" if x.shape[1] == 0 else "width"
+        raise ShapeMismatchError(f"gap cannot average a map of {empty} 0, got {x.shape}")
     return LayerIO(x.mean(axis=(1, 2)), (x.shape,))
 
 
