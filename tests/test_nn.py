@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -294,6 +295,105 @@ class TestSimpleLayers:
         io = nn.avgpool2_forward(np.zeros((1, 4, 4, 2)))
         with pytest.raises(ShapeMismatchError):
             nn.avgpool2_backward(io.cache, np.zeros((1, 2, 3, 2)))
+
+    @pytest.mark.parametrize("layer", ["pointwise", "dense", "relu", "gap",
+                                       "avgpool2", "gain"])
+    def test_backward_matches_central_differences(self, layer):
+        rng = np.random.default_rng(zlib.crc32(layer.encode()))  # str hash() is salted
+        if layer == "pointwise":
+            x = rng.normal(size=(2, 3, 3, 4))
+            w = rng.normal(size=(4, 2))
+            io = nn.pointwise_forward(x, w)
+            dy = rng.normal(size=io.output.shape)
+            dx, dw = nn.pointwise_backward(io.cache, dy)
+            checks = [
+                (lambda v: float(np.sum(nn.pointwise_forward(v, w).output * dy)), x, dx),
+                (lambda v: float(np.sum(nn.pointwise_forward(x, v).output * dy)), w, dw),
+            ]
+        elif layer == "dense":
+            x = rng.normal(size=(2, 4))
+            w = rng.normal(size=(4, 3))
+            b = rng.normal(size=3)
+            io = nn.dense_forward(x, w, b)
+            dy = rng.normal(size=(2, 3))
+            dx, dw, db = nn.dense_backward(io.cache, dy)
+            checks = [
+                (lambda v: float(np.sum(nn.dense_forward(v, w, b).output * dy)), x, dx),
+                (lambda v: float(np.sum(nn.dense_forward(x, v, b).output * dy)), w, dw),
+                (lambda v: float(np.sum(nn.dense_forward(x, w, v).output * dy)), b, db),
+            ]
+        elif layer == "relu":
+            x = rng.normal(size=(2, 4, 4, 2))
+            x = np.where(np.abs(x) < 0.1, x + 0.5, x)  # stay away from the kink
+            io = nn.relu_forward(x)
+            dy = rng.normal(size=io.output.shape)
+            dx = nn.relu_backward(io.cache, dy)
+            checks = [
+                (lambda v: float(np.sum(nn.relu_forward(v).output * dy)), x, dx),
+            ]
+        elif layer == "gap":
+            x = rng.normal(size=(2, 3, 5, 4))
+            io = nn.gap_forward(x)
+            dy = rng.normal(size=(2, 4))
+            dx = nn.gap_backward(io.cache, dy)
+            checks = [
+                (lambda v: float(np.sum(nn.gap_forward(v).output * dy)), x, dx),
+            ]
+        elif layer == "avgpool2":
+            x = rng.normal(size=(2, 4, 6, 2))
+            io = nn.avgpool2_forward(x)
+            dy = rng.normal(size=io.output.shape)
+            dx = nn.avgpool2_backward(io.cache, dy)
+            checks = [
+                (lambda v: float(np.sum(nn.avgpool2_forward(v).output * dy)), x, dx),
+            ]
+        else:
+            x = rng.normal(size=(2, 3, 3, 2))
+            g = np.array([1.3])
+            io = nn.gain_forward(x, g)
+            dy = rng.normal(size=io.output.shape)
+            dx, dg = nn.gain_backward(io.cache, dy)
+            checks = [
+                (lambda v: float(np.sum(nn.gain_forward(v, g).output * dy)), x, dx),
+                (lambda v: float(np.sum(nn.gain_forward(x, v).output * dy)), g, dg),
+            ]
+        for fun, point, analytic in checks:
+            assert gradient_check(fun, point, analytic) <= 1e-6
+
+    @pytest.mark.parametrize("layer", ["pointwise", "conv3x3", "dense", "gain"])
+    def test_backward_without_input_grad_gives_the_same_tensor_grads(self, layer):
+        rng = np.random.default_rng(zlib.crc32(layer.encode()))
+        x = rng.standard_normal((2, 4, 4, 8) if layer != "dense" else (2, 8))
+        tensors = {
+            "pointwise": [rng.standard_normal((8, 4))],
+            "conv3x3": [rng.standard_normal((3, 3, 8, 4))],
+            "dense": [rng.standard_normal((8, 3)), rng.standard_normal(3)],
+            "gain": [np.array([1.3])],
+        }[layer]
+        io = getattr(nn, f"{layer}_forward")(x, *tensors)
+        backward = getattr(nn, f"{layer}_backward")
+        dy = rng.standard_normal(io.output.shape)
+        full = backward(io.cache, dy)
+        dx, *grads = backward(io.cache, dy, input_grad=False)
+        assert dx is None and full[0].shape == x.shape
+        assert len(grads) == len(full) - 1 == len(tensors)
+        for got, want in zip(grads, full[1:]):
+            assert np.array_equal(got, want)
+
+    def test_linear_layer_gradient_is_exact(self):
+        # dense layer is linear in x, so central differences are exact
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 4))
+        w = rng.normal(size=(4, 3))
+        b = rng.normal(size=3)
+        dy = rng.normal(size=(2, 3))
+        io = nn.dense_forward(x, w, b)
+        dx, _, _ = nn.dense_backward(io.cache, dy)
+        err = gradient_check(
+            lambda v: float(np.sum(nn.dense_forward(v, w, b).output * dy)), x, dx
+        )
+        assert err <= 1e-9
+
 
 class TestBytePool:
     """``mean_pool`` on uint8 input adds its rows in uint16 up to 257 cells;

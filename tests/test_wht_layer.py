@@ -194,6 +194,32 @@ class TestProductPath:
         assert finite.all()
 
     @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lam", [None, np.array([0.5], np.float32)])
+    def test_float32_stays_float32(self, n, lam):
+        rng = np.random.default_rng(n + 3)
+        x = rng.normal(size=(1, 2, 2, n)).astype(np.float32)
+        scale = rng.normal(size=n).astype(np.float32)
+        io = wht_layer_forward(x, scale, lam)
+        grads = wht_layer_backward(io.cache, np.ones_like(io.output))
+        assert io.output.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lam", [None, np.array([0.5])])
+    def test_no_input_grad_keeps_the_tensor_grads(self, n, lam):
+        # below the crossover without a threshold: the product path; else two transforms
+        rng = np.random.default_rng(n + 4)
+        x = rng.normal(size=(2, 3, 3, n))
+        io = wht_layer_forward(x, rng.normal(size=n), lam)
+        dy = rng.normal(size=x.shape)
+        full = wht_layer_backward(io.cache, dy)
+        dx, *grads = wht_layer_backward(io.cache, dy, input_grad=False)
+        assert dx is None and full[0].shape == x.shape
+        assert len(grads) == len(full) - 1 == (1 if lam is None else 2)
+        for got, want in zip(grads, full[1:]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", WIDTHS)
     @pytest.mark.parametrize("lam", [None, np.array([0.5])])
     def test_cache_is_checked(self, n, lam):
         io = wht_layer_forward(np.ones((1, 2, 2, n)), np.ones(n), lam)
