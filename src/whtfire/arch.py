@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -481,3 +483,47 @@ def forward_classify(net: Network, patch: np.ndarray) -> np.ndarray:
     """Class probabilities (sums to 1) for one (S, S, 3) input patch."""
     logits, _ = network_forward(net, np.asarray(patch)[None], backward=False)
     return nn.softmax(logits[0].astype(np.float64))
+
+
+# Input pixels per forward of ``fire_probabilities``: 8 samples at 32 px, 2 at 64,
+# one at 224.  Right after training steps, a wht net evaluated 128 patches at 32 px
+# slower in chunks of 16 or 32 than of 8 (BENCH_conv_windows.json, "chunk_fit").
+_CHUNK_PX = 8 * 32 * 32
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fire_probabilities(net: Network, images) -> np.ndarray:
+    """The class-1 probability of each (S, S, 3) image of ``images``, in order.
+
+    The images run through ``network_forward`` without backward caches, in
+    chunks of ``_CHUNK_PX`` input pixels (at least one image).  A net with
+    conv3x3 (``feature_stride`` None), whose time is mostly matrix products
+    that release the interpreter lock, maps its chunks on min(usable CPUs,
+    chunks) threads while this thread waits; ``Executor.map`` keeps their
+    order and raises a worker's exception here.  A local net's many short
+    passes hold the lock, so its chunks run on this thread.  Each chunk turns
+    numpy's overflow and invalid warnings off itself, since a pool thread does
+    not inherit them: callers refuse the non-finite values they would foretell.
+    """
+    size = net.descriptor.input_size
+    per_chunk = max(1, _CHUNK_PX // (size * size))
+    chunks = [images[i : i + per_chunk] for i in range(0, len(images), per_chunk)]
+
+    def logits(chunk):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return network_forward(net, np.asarray(chunk), backward=False)[0]
+
+    workers = min(_usable_cpus(), len(chunks)) if feature_stride(net.descriptor) is None else 1
+    if workers < 2:
+        parts = [logits(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(logits, chunks))
+    with np.errstate(over="ignore", invalid="ignore"):  # np.empty: no images give (0,)
+        return nn.softmax(np.concatenate([np.empty((0, 2)), *parts]))[:, 1]

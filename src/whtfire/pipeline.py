@@ -21,6 +21,7 @@ from .arch import (
     Network,
     build_toy_net,
     check_network,
+    fire_probabilities,
     network_backward,
     network_forward,
     param_specs,
@@ -45,17 +46,12 @@ from .errors import (
     TrainingDivergedError,
 )
 from .fwht import fwht, hadamard_matrix
-from .nn import SgdOptimizer, TrainConfig, softmax, softmax_cross_entropy
+from .nn import SgdOptimizer, TrainConfig, softmax_cross_entropy
 from .tiling import render_overlay, score_grid, score_grid_json
 
 FINETUNE_LEARNING_RATE = 0.001
 VALIDATION_FRACTION = 0.2
 DECISION_THRESHOLD = 0.5
-# Samples per forward when evaluating.  32 measured slower: evaluating 128
-# patches right after a 10-epoch train took x1.38 (x1.35 on one BLAS thread)
-# the time at 8, median of 10 alternating pairs on a 2-vCPU Xeon
-# (BENCH_train_step.json, "eval_batch").
-EVAL_BATCH = 8
 MAX_BENCH_SIZE = 1 << 22
 NAIVE_BENCH_LIMIT = 1 << 12
 BENCH_RUNS = 5  # timed repetitions per size; the median is reported
@@ -173,22 +169,11 @@ def confusion_from_scores(labels: np.ndarray, scores: np.ndarray) -> ConfusionMa
     )
 
 
-def _fire_probabilities(net: Network, images: np.ndarray) -> np.ndarray:
-    logits = np.concatenate([
-        network_forward(net, images[start : start + EVAL_BATCH], backward=False)[0]
-        for start in range(0, len(images), EVAL_BATCH)
-    ])
-    return softmax(logits.astype(np.float64))[:, 1]
-
-
 def evaluate(net_or_checkpoint, manifest):
     """Patch-level metrics at the 0.5 decision threshold; non-finite probabilities raise."""
     net = _as_network(net_or_checkpoint)
     images, labels = load_dataset(manifest, net)
-    # an overflowing net's probabilities are non-finite, and the check below
-    # reports that, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        probs = _fire_probabilities(net, images)
+    probs = fire_probabilities(net, images)
     bad = int(np.sum(~np.isfinite(probs)))
     if bad:
         raise NonFiniteScoreError(
@@ -260,7 +245,7 @@ def fit(net: Network, manifest, config: TrainConfig, out_dir, *,
                 for value, lower in bounded:
                     np.maximum(value, lower, out=value)
                 losses.append(batch_losses)
-            probs = _fire_probabilities(net, images[val_idx])
+            probs = fire_probabilities(net, images[val_idx])
             bad = int(np.sum(~np.isfinite(probs)))
             # both classes make N >= 2, so n_val < N and every epoch has a batch
             train_loss = float(np.mean(np.concatenate(losses)))

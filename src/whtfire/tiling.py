@@ -23,38 +23,32 @@ Scoring pools the R x C block area once: since every window starts on a
 block boundary, its pooled patch is a slice of the pooled frame.  When
 every layer before ``gap`` is local (``arch.feature_stride``), the windows
 also share all per-pixel work: the feature map is computed once per block
-row, as a (1, H, W, C) batch, each window's ``gap`` is a sum of four block
-sums of it, and the dense head classifies all windows as one (B, C) batch.
-Otherwise (conv3x3, whose zero padding differs at window edges) each slice
-runs through ``forward_classify`` alone, as a batch of one, on a pool of
-w = min(usable CPUs, windows) threads while the calling thread waits (on
-the calling thread when w < 2): a conv window's time is mostly matrix
-products, which release the interpreter lock, so windows overlap.  The
-shared path's block rows stay on the calling thread: their many short
-numpy passes hold the lock, and threading them measured slower.
+row, as a (1, H, W, C) batch on the calling thread, each window's ``gap``
+is a sum of four block sums of it, and the dense head classifies all
+windows as one (B, C) batch.  Otherwise (conv3x3, whose zero padding
+differs at window edges) the slices go to ``arch.fire_probabilities``, the
+path evaluation takes: chunks of ``arch._CHUNK_PX`` input pixels (8 windows
+at 32 px, one at 224 px) mapped on min(usable CPUs, chunks) threads.
 Both run the executor without backward caches (``arch._run_layers``), so a
-row or a window holds only the current layer's input and output, its
+row or a chunk holds only the current layer's input and output, its
 working arrays, and each residual block's input until its ``add_skip``:
 measured with tracemalloc, a block-32 wht row (1, 16, 944, 3) peaks at
 ~3.0 of its first-stage (1, 16, 944, 8) float32 maps, and a 224 px conv
 window at ~3.3 of its (1, 224, 224, 8) ones (~5.1 MiB; conv3x3 pads and
 multiplies one band of rows at a time).  Each pool thread holds one
-window's working set, which glibc's per-thread malloc arenas keep between
-frames, so scoring memory grows with the usable CPUs, up to the window
-count; larger conv batches would raise it in step.
+chunk's working set, which glibc's per-thread malloc arenas keep between
+frames, so scoring memory grows with the usable CPUs, up to the chunk count.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import Network, feature_map, feature_stride, forward_classify, head_classify
+from .arch import Network, feature_map, feature_stride, fire_probabilities, head_classify
 from .dataio import _check_frame
 from .errors import (BadThresholdError, BlockLargerThanImageError, NonFiniteScoreError,
                      ShapeMismatchError)
@@ -101,6 +95,15 @@ class GridSpec:
         return (1, 1) if self.fallback else (self.rows - 1, self.cols - 1)
 
 
+def _checked_threshold(threshold) -> float:
+    """``threshold`` as a float (a numpy scalar is not JSON); ``BadThresholdError``
+    unless it is a real number in [0, 1], which NaN and bools are not."""
+    if not (isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
+            and 0 <= threshold <= 1):
+        raise BadThresholdError(f"threshold {threshold!r} is not in [0, 1]")
+    return float(threshold)
+
+
 @dataclass
 class ScoreGrid:
     spec: GridSpec
@@ -108,10 +111,7 @@ class ScoreGrid:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not (isinstance(self.threshold, numbers.Real) and not isinstance(self.threshold, bool)
-                and 0 <= self.threshold <= 1):
-            raise BadThresholdError(f"threshold {self.threshold!r} is not in [0, 1]")  # NaN too
-        self.threshold = float(self.threshold)  # a numpy scalar is not JSON
+        self.threshold = _checked_threshold(self.threshold)
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != self.spec.windows:
             raise ShapeMismatchError(
@@ -152,15 +152,13 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     ``forward_classify(net, downsample_window(window / 255))[1]`` up to
     float rounding.  Windows share the feature map (see the module docstring)
     when ``arch.feature_stride`` allows it and S/2 is a multiple of the
-    stride, all on the calling thread.  Otherwise each slice is classified
-    on its own, by a pool of min(usable CPUs, windows) threads while the
-    calling thread waits, serially below 2 (``_classify_each``); the scores
-    are the bits one thread gives, and each pool thread holds one window's
-    working set (~5 MiB at 224 px).  A ``fallback`` grid's one window, its
-    block area pooled to one S x S patch, is scored on the calling thread.
-    The net runs with numpy's overflow and invalid warnings off, on every
-    thread: ``ScoreGrid`` refuses the non-finite scores they would foretell.
+    stride.  Otherwise ``arch.fire_probabilities`` classifies the slices; a
+    ``fallback`` grid's one window, its block area pooled to one S x S patch,
+    is one chunk, on the calling thread.  A bad threshold is refused before
+    any scoring.  Numpy's overflow and invalid warnings are off: ``ScoreGrid``
+    refuses the non-finite scores they would foretell.
     """
+    threshold = _checked_threshold(threshold)
     _check_frame(image)
     block = net.descriptor.input_size
     spec = GridSpec(image.shape[0], image.shape[1], block)
@@ -176,8 +174,8 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
     if spec.fallback or stride is None or half % stride:
         patches = [pooled[r * half : r * half + block, c * half : c * half + block]
                    for r, c in np.ndindex(spec.windows)]
-        scores = _classify_each(net, patches)
-        return ScoreGrid(spec, np.reshape(scores, spec.windows), threshold)
+        scores = fire_probabilities(net, patches)
+        return ScoreGrid(spec, scores.reshape(spec.windows), threshold)
     fb = half // stride  # one block, in feature pixels
     with np.errstate(over="ignore", invalid="ignore"):
         # one block row at a time bounds the transient feature maps
@@ -189,35 +187,6 @@ def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> Score
         gap = (sums[:-1, :-1] + sums[:-1, 1:] + sums[1:, :-1] + sums[1:, 1:]) / (4 * fb * fb)
         probs = head_classify(net, gap.reshape((rows - 1) * (cols - 1), -1))
     return ScoreGrid(spec, probs[:, 1].reshape(rows - 1, cols - 1), threshold)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _classify_each(net: Network, patches: list[np.ndarray]) -> list[float]:
-    """``forward_classify(net, patch)[1]`` for each patch, in order.
-
-    With w = min(usable CPUs, patches) of at least 2, a pool of w threads,
-    made and joined within the call, scores the patches while this thread
-    waits; ``Executor.map`` keeps their order and raises a worker's
-    exception here.  Below 2, this thread scores them and starts none.
-    Each call turns numpy's overflow and invalid warnings off itself (see
-    ``score_grid``): a pool thread does not inherit the caller's error state.
-    """
-    def score(patch):
-        # forward_classify is looked up per call, so a tracer's rebinding reaches it
-        with np.errstate(over="ignore", invalid="ignore"):
-            return forward_classify(net, patch)[1]
-
-    workers = min(_usable_cpus(), len(patches))
-    if workers < 2:
-        return [score(patch) for patch in patches]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(score, patches))
 
 
 # 5x7 bitmap glyphs for burned-in probabilities.

@@ -227,6 +227,45 @@ class TestForwardClassify:
             arch.forward_classify(net, np.zeros((64, 64, 3)))
 
 
+class TestFireProbabilities:
+    # the largest differences measured over four seeds were 0.0 in float32 and
+    # 1.1e-16 in float64, where a chunk's products round apart from one sample's;
+    # 1e-7 is about one float32 ulp of a unit logit, 1e-15 a few float64 ulps of
+    # a probability
+    TOL = {np.float64: 1e-15, np.float32: 1e-7}
+
+    # chunks of 8 * 32 * 32 input pixels, the last one partial
+    @pytest.mark.parametrize("size,chunks", [(32, [8, 1]), (64, [2, 2, 1]), (224, [1, 1])],
+                             ids=["32px", "64px", "224px"])
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_per_sample_forward_classify(self, monkeypatch, size, chunks, variant, dtype):
+        net = arch.build_toy_net(variant, 8, size, seed=5, dtype=dtype)
+        images = np.random.default_rng(size).random((sum(chunks), size, size, 3)).astype(dtype)
+        batches, forward = [], arch.network_forward
+
+        def recording(net, x, backward=True):
+            batches.append((len(x), backward))
+            return forward(net, x, backward)
+
+        monkeypatch.setattr(arch, "network_forward", recording)
+        got = arch.fire_probabilities(net, images)
+        monkeypatch.undo()
+        # a conv net's pool threads may start the chunks in any order
+        assert sorted(batches, reverse=True) == [(n, False) for n in chunks]
+        want = [arch.forward_classify(net, image)[1] for image in images]
+        assert got.dtype == np.float64 and got.shape == (len(images),)
+        assert np.max(np.abs(got - want)) <= self.TOL[dtype]
+        assert np.unique(got).size == len(images)  # a sample out of place shows
+
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    def test_no_images_give_no_probabilities(self, variant):
+        net = arch.build_toy_net(variant, 8, 32, seed=0)
+        for images in ([], np.zeros((0, 32, 32, 3))):
+            got = arch.fire_probabilities(net, images)
+            assert got.dtype == np.float64 and got.shape == (0,)
+
+
 class TestFeatureMap:
     def test_gap_and_head_of_feature_map_match_forward_classify(self):
         rng = np.random.default_rng(5)

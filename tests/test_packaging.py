@@ -51,6 +51,14 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
                       r'--manifest "\$RUNNER_TEMP/smoke/manifest.csv" '
                       r'--variant conv-baseline --epochs 1$', text, re.MULTILINE)
     assert train and smoke.start() < train.start()
+    # and detects with that net on a 128 px frame: 9 windows of 32 px, two chunks
+    synth = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke128" synth '
+                      r'--count 1 --resolution 128$', text, re.MULTILINE)
+    detect = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke-detect" detect '
+                       r'--checkpoint "\$RUNNER_TEMP/smoke-train/checkpoint.whtc" '
+                       r'--image "\$RUNNER_TEMP/smoke128/smoke_0000.ppm" \|\| test \$\? -eq 1$',
+                       text, re.MULTILINE)
+    assert synth and detect and train.start() < synth.start() < detect.start()
     # and the transform at sizes that run its whole-array and chunked passes
     bench = re.search(r"^\s*- run: whtfire bench --sizes 16,65536,1048576$", text, re.MULTILINE)
     assert bench and text.index("- run: pip install -e .") < bench.start()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -453,6 +454,26 @@ class TestEvaluate:
         flags = record_backward_flags(monkeypatch)
         pipeline.evaluate(arch.build_toy_net("wht", 8, 32, seed=0), small_dataset)
         assert flags and not any(flags)
+
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    def test_only_a_conv_net_evaluates_on_pool_threads(self, small_dataset, monkeypatch,
+                                                       variant):
+        monkeypatch.setattr(arch, "_usable_cpus", lambda: 8)
+        threads, forward = [], arch.network_forward
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(arch, "network_forward", recording)
+        before = threading.active_count()
+        pipeline.evaluate(arch.build_toy_net(variant, 8, 32, seed=0), small_dataset)
+        assert len(threads) == 3  # 24 samples at 32 px: three chunks of 8
+        assert threading.active_count() == before
+        if variant == "wht":  # a local net's chunks start no thread
+            assert set(threads) == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads
 
     def test_f1_bound_on_real_evaluations(self, small_dataset):
         for seed in range(3):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from whtfire import arch, tiling
 from whtfire.errors import (
+    BadThresholdError,
     BlockLargerThanImageError,
     NonFiniteScoreError,
     OddDimensionsError,
@@ -207,6 +209,20 @@ class TestScoreGrid:
         with pytest.raises(ShapeMismatchError, match="uint8 frame"):
             tiling.render_overlay(image, grid)
 
+    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
+    @pytest.mark.parametrize("threshold", [np.nan, -0.1, 2.0])
+    def test_a_bad_threshold_is_refused_before_scoring(self, monkeypatch, variant, threshold):
+        def scoring(*args, **kwargs):
+            raise AssertionError("a window was scored")
+
+        # the shared path's feature maps and the chunked path's forwards
+        for module, name in ((arch, "network_forward"), (arch, "feature_map"),
+                             (tiling, "feature_map")):
+            monkeypatch.setattr(module, name, scoring)
+        net = arch.build_toy_net(variant, 8, 32, seed=0)
+        with pytest.raises(BadThresholdError, match="not in"):
+            tiling.score_grid(net, random_frame(1, 96, 128), threshold)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):
         spec = tiling.GridSpec(64, 96, 32)
@@ -289,7 +305,34 @@ class TestScoreGridEquivalence:
         oracle = per_window_oracle(net, image / 255.0, spec)
         assert np.max(np.abs(grid.scores - oracle)) <= 1e-10
 
-    @pytest.mark.parametrize("variant,forwards", [("wht", 0), ("conv-baseline", 6)])
+    # the largest differences measured over four seeds of these grids were 0.0
+    # in float32 and 2.2e-16 in float64, where a chunk's products round apart
+    # from one window's; 1e-7 is about one float32 ulp of a unit logit, 1e-15
+    # a few float64 ulps of a probability
+    CHUNK_TOL = {np.float64: 1e-15, np.float32: 1e-7}
+
+    # 2 x 10 blocks of 32 px: 9 windows, a chunk of 8 then a last chunk of one
+    # (its dense head runs on gemv); 224 px: one window per chunk; 1 x C: fallbacks
+    @pytest.mark.parametrize("block,rows,cols", [(32, 2, 10), (32, 1, 5), (224, 2, 3), (224, 1, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_conv_chunks_match_per_window_forward_classify(self, block, rows, cols, dtype):
+        image = random_frame(rows * cols, rows * block + 3, cols * block + 5)
+        net = _random_head(arch.build_toy_net("conv-baseline", 8, block, seed=3, dtype=dtype), 4)
+        grid = tiling.score_grid(net, image)
+        area = image[: rows * block, : cols * block]
+        if grid.fallback:
+            want = [arch.forward_classify(net, mean_pool(area, rows, cols) / 255.0)[1]]
+        else:
+            pooled = tiling.downsample_window(area, net.dtype) / net.dtype.type(255)
+            half = block // 2
+            want = [arch.forward_classify(
+                        net, pooled[r * half : r * half + block, c * half : c * half + block])[1]
+                    for r, c in np.ndindex(rows - 1, cols - 1)]
+        assert grid.fallback == (rows == 1) and grid.scores.size == len(want)
+        assert np.max(np.abs(grid.scores.ravel() - want)) <= self.CHUNK_TOL[dtype]
+
+    # a conv grid's 6 windows at 32 px are one chunk
+    @pytest.mark.parametrize("variant,forwards", [("wht", 0), ("conv-baseline", 1)])
     def test_network_forward_calls(self, monkeypatch, variant, forwards):
         calls = []
         original = arch.network_forward
@@ -329,11 +372,11 @@ def run_bounded(fun, timeout=60.0):
 
 
 class TestScoreGridThreads:
-    """The per-window path spreads a conv grid's windows over threads."""
+    """``arch.fire_probabilities`` spreads a conv grid's chunks of windows over threads."""
 
     def _setup(self, monkeypatch, workers):
-        monkeypatch.setattr(tiling, "_usable_cpus", lambda: workers)
-        # 32 px blocks over 5 x 6 blocks: 20 windows, more than the most workers tried
+        monkeypatch.setattr(arch, "_usable_cpus", lambda: workers)
+        # 32 px blocks over 5 x 6 blocks: 20 windows, in chunks of 8, 8 and 4
         net = _random_head(arch.build_toy_net("conv-baseline", 8, 32, seed=3), 4)
         return net, random_frame(11, 5 * 32, 6 * 32)
 
@@ -356,44 +399,48 @@ class TestScoreGridThreads:
         pooled = tiling.downsample_window(frame) / 255.0
         want = [arch.forward_classify(net, pooled[r * 16 : r * 16 + 32, c * 16 : c * 16 + 32])[1]
                 for r, c in np.ndindex(4, 5)]
-        assert scores[8].ravel().tolist() == want
+        tol = TestScoreGridEquivalence.CHUNK_TOL[np.float32]
+        assert np.max(np.abs(scores[8].ravel() - want)) <= tol
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_no_more_threads_than_usable_cpus(self, monkeypatch, workers):
         net, frame = self._setup(monkeypatch, workers)
-        threads, original = set(), tiling.forward_classify
+        threads, original = set(), arch.network_forward
+        calls, together = itertools.count(), threading.Barrier(2, timeout=30)
 
-        def recording(net, patch):
+        def recording(*args, **kwargs):
             threads.add(threading.get_ident())
-            return original(net, patch)
+            if next(calls) < 2:
+                together.wait()  # the first two chunks run at once
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(tiling, "forward_classify", recording)
-        tiling.score_grid(net, frame)
-        # the pool scores every window while the calling thread waits
-        assert threading.get_ident() not in threads and 2 <= len(threads) <= workers
+        monkeypatch.setattr(arch, "network_forward", recording)
+        tiling.score_grid(net, frame)  # the barrier's timeout bounds a hang
+        # the pool scores every chunk while the calling thread waits
+        assert threading.get_ident() not in threads and 2 <= len(threads) <= min(workers, 3)
 
     def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
         # where os has no sched_getaffinity (macOS, Windows) the CPU count
         # stands in, and one worker when even that is unknown
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert tiling._usable_cpus() == (os.cpu_count() or 1)
+        assert arch._usable_cpus() == (os.cpu_count() or 1)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert tiling._usable_cpus() == 1
+        assert arch._usable_cpus() == 1
 
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
         net, frame = self._setup(monkeypatch, 2)
-        caller, original = [], tiling.forward_classify
+        caller, original = [], arch.network_forward
 
-        def failing(net, patch):
+        def failing(*args, **kwargs):
             if threading.get_ident() != caller[0]:
-                raise WorkerFailure("a window on a worker thread")
-            return original(net, patch)
+                raise WorkerFailure("a chunk on a worker thread")
+            return original(*args, **kwargs)
 
         def score():
             caller.append(threading.get_ident())
             return tiling.score_grid(net, frame)
 
-        monkeypatch.setattr(tiling, "forward_classify", failing)
+        monkeypatch.setattr(arch, "network_forward", failing)
         before = threading.active_count()
         with pytest.raises(WorkerFailure, match="worker thread"):
             run_bounded(score)
@@ -410,13 +457,13 @@ class TestScoreGridThreads:
     def test_a_fallback_grid_stays_on_the_calling_thread(self, monkeypatch):
         net, _ = self._setup(monkeypatch, 8)
         threads = []
-        original = tiling.forward_classify
+        original = arch.network_forward
 
-        def recording(net, patch):
+        def recording(*args, **kwargs):
             threads.append(threading.get_ident())
-            return original(net, patch)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(tiling, "forward_classify", recording)
+        monkeypatch.setattr(arch, "network_forward", recording)
         grid = tiling.score_grid(net, random_frame(12, 32, 160))
         assert grid.fallback and threads == [threading.get_ident()]
 
