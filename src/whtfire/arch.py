@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,43 +96,30 @@ def _no_params(layer):
 
 @dataclass(frozen=True)
 class _Kind:
-    """One layer kind: its tensors, its passes and whether it is local.
+    """One layer kind: the op it runs, its tensors and whether it is local.
 
+    ``forward(x, *tensors)`` returns ``module.<op>_forward``'s ``LayerIO``,
+    ``backward(cache, dy, input_grad)`` ``module.<op>_backward``'s ``(dx,
+    *tensor grads)``: the cache holds what of the tensors the gradients
+    need, and dx is None when ``input_grad`` is False.  Each call looks the
+    op up, so rebinding it (as a tracer does) reaches every call.
     ``params(layer)`` gives one ``ParamSpec`` per tensor; counting,
     instantiation, training's bounds and checkpoint loading all read it.
-    ``forward(x, *tensors)`` returns a ``LayerIO`` and
-    ``backward(cache, dy, input_grad)`` returns ``(dx, *tensor grads)``: the
-    cache holds whatever of the tensors the gradients need, and dx is None
-    when ``input_grad`` is False (only kinds with tensors are asked that).
-    Only ``add_skip`` has no passes: it is wiring in the executor.  A
-    ``local`` kind computes each output pixel from its own input pixel
-    (avgpool2: its aligned 2x2 cell), so a map of a whole frame restricts
-    exactly to aligned windows.
+    Only ``add_skip`` has no op: it is wiring in the executor.  A ``local``
+    kind computes each output pixel from its own input pixel (avgpool2: its
+    aligned 2x2 cell), so a whole frame's map restricts exactly to aligned windows.
     """
 
+    module: ModuleType | None = None
+    op: str = ""
     params: Callable = _no_params
-    forward: Callable | None = None
-    backward: Callable | None = None
     local: bool = False
 
+    def forward(self, x, *tensors):
+        return getattr(self.module, f"{self.op}_forward")(x, *tensors)
 
-def _ops(module, op: str, params: Callable = _no_params, local: bool = False) -> _Kind:
-    """The kind run by ``module.<op>_forward`` and ``module.<op>_backward``.
-
-    Both are looked up when the layer runs, so rebinding them (as a tracer
-    does) reaches every call.
-    """
-    forward_name, backward_name = f"{op}_forward", f"{op}_backward"
-
-    def forward(x, *tensors):
-        return getattr(module, forward_name)(x, *tensors)
-
-    def backward(cache, dy, input_grad=True):
-        run = getattr(module, backward_name)
-        out = run(cache, dy) if input_grad else run(cache, dy, input_grad=False)
-        return out if isinstance(out, tuple) else (out,)
-
-    return _Kind(params, forward, backward, local)
+    def backward(self, cache, dy, input_grad=True):
+        return getattr(self.module, f"{self.op}_backward")(cache, dy, input_grad)
 
 
 def _affine(*kernel, bias: bool = False):
@@ -155,16 +143,16 @@ def _wht_params(layer):
 
 
 _KINDS = {
-    "pointwise": _ops(nn, "pointwise", _affine(), local=True),
+    "pointwise": _Kind(nn, "pointwise", _affine(), local=True),
     # not local: its zero padding at a window's edge differs from the frame
-    "conv3x3": _ops(nn, "conv3x3", _affine(3, 3)),
-    "relu": _ops(nn, "relu", local=True),
-    "wht": _ops(wht_layer, "wht_layer", _wht_params, local=True),
-    "gain": _ops(nn, "gain", lambda layer: (ParamSpec("", (1,), 1.0),), local=True),
+    "conv3x3": _Kind(nn, "conv3x3", _affine(3, 3)),
+    "relu": _Kind(nn, "relu", local=True),
+    "wht": _Kind(wht_layer, "wht_layer", _wht_params, local=True),
+    "gain": _Kind(nn, "gain", lambda layer: (ParamSpec("", (1,), 1.0),), local=True),
     "add_skip": _Kind(local=True),
-    "avgpool2": _ops(nn, "avgpool2", local=True),
-    "gap": _ops(nn, "gap"),
-    "dense": _ops(nn, "dense", _affine(bias=True)),
+    "avgpool2": _Kind(nn, "avgpool2", local=True),
+    "gap": _Kind(nn, "gap"),
+    "dense": _Kind(nn, "dense", _affine(bias=True)),
 }
 
 
@@ -515,9 +503,10 @@ def fire_probabilities(net: Network, images) -> np.ndarray:
     per_chunk = max(1, _CHUNK_PX // (size * size))
     chunks = [images[i : i + per_chunk] for i in range(0, len(images), per_chunk)]
 
-    def logits(chunk):
+    def logits(chunk):  # one image goes in as a view: stacking would copy it
+        batch = np.asarray(chunk[0])[None] if len(chunk) == 1 else np.asarray(chunk)
         with np.errstate(over="ignore", invalid="ignore"):
-            return network_forward(net, np.asarray(chunk), backward=False)[0]
+            return network_forward(net, batch, backward=False)[0]
 
     workers = min(_usable_cpus(), len(chunks)) if feature_stride(net.descriptor) is None else 1
     if workers < 2:

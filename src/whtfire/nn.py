@@ -6,11 +6,11 @@ forward returns a ``LayerIO(output, cache)`` pair whose cache feeds the
 matching backward; a cache holds arrays the forward made anyway, or its
 inputs, so inference, which drops it, builds nothing it does not read
 (relu's cache is its output, whose positive entries are the pass mask).
-Every backward with tensors takes ``input_grad``: when False it forms no
-``dx`` and returns None in its place (the first layer's input gradient has
-no reader).  Training runs in float32; gradient checks run the same code
-in float64.  conv3x3's two passes share one loop of padded row bands, and
-its ``dx`` is a forward pass: a tracer counts it under ``conv3x3_forward``.
+Every backward takes ``(cache, dy, input_grad=True)`` and returns ``(dx,
+*tensor grads)``, dx None when ``input_grad`` is False (the first layer's
+input gradient has no reader).  Training runs in float32, gradient checks in
+float64.  conv3x3's two passes share one loop of padded row bands, and its
+``dx`` is a forward pass: a tracer counts it under ``conv3x3_forward``.
 ``mean_pool`` is the one mean pooling: avgpool2 layers run it on maps,
 and ``tiling`` on (H, W, C) frames and windows.  One banded loop serves
 floats and bytes: it adds the row pairs, then each pixel's column pair as
@@ -175,10 +175,10 @@ def relu_forward(x: np.ndarray) -> LayerIO:
     return LayerIO(y, (y,))
 
 
-def relu_backward(cache: tuple, dy: np.ndarray):
+def relu_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
     # y > 0 exactly where x > 0: a NaN stays NaN and both zeros map to a zero
     (y,) = cache
-    return dy * (y > 0)
+    return (dy * (y > 0) if input_grad else None,)
 
 
 def gap_forward(x: np.ndarray) -> LayerIO:
@@ -191,11 +191,11 @@ def gap_forward(x: np.ndarray) -> LayerIO:
     return LayerIO(x.mean(axis=(1, 2)), (x.shape,))
 
 
-def gap_backward(cache: tuple, dy: np.ndarray):
+def gap_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
     (x_shape,) = cache
     scale = 1.0 / (x_shape[1] * x_shape[2])
-    dx = np.broadcast_to((dy * scale)[:, None, None, :], x_shape)
-    return dx.astype(dy.dtype, copy=True)
+    dx = np.broadcast_to((dy * scale)[:, None, None, :], x_shape)  # a view
+    return (dx.astype(dy.dtype, copy=True) if input_grad else None,)
 
 
 _POOL_BAND = 32  # output rows per pass of mean_pool: a 1080p band's row sums are 0.35 MiB
@@ -279,14 +279,16 @@ def avgpool2_forward(x: np.ndarray) -> LayerIO:
     return LayerIO(mean_pool(x, 2, 2), (x.shape,))
 
 
-def avgpool2_backward(cache: tuple, dy: np.ndarray):
+def avgpool2_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
     """``dy * 0.25``, scaled at the pooled size, then repeated twice along
     each spatial axis; both repeats write contiguous arrays."""
     (x_shape,) = cache
+    if not input_grad:
+        return (None,)
     dx = np.repeat(np.repeat(dy * 0.25, 2, axis=1), 2, axis=2)
     if dx.shape != x_shape:
         raise ShapeMismatchError(f"gradient {dy.shape} does not pool from {x_shape}")
-    return dx
+    return (dx,)
 
 
 def gain_forward(x: np.ndarray, g: np.ndarray) -> LayerIO:

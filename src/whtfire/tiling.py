@@ -236,11 +236,15 @@ def render_overlay(image: np.ndarray, grid: ScoreGrid,
     on a fallback grid) into its top-left corner in the block's colour.
     Digits are drawn first and may spill right and down into later blocks,
     whose borders then cover them, as drawing block by block would.  Pixels
-    outside borders and digits, and the residual margin, are untouched.
+    outside borders and digits, and the residual margin, are untouched.  A
+    frame of another extent than the grid's is refused.
     """
     _check_frame(image)
-    out = np.array(image, copy=True)
     spec, block = grid.spec, grid.spec.block
+    if image.shape[:2] != (spec.image_height, spec.image_width):
+        raise ShapeMismatchError(f"a {spec.image_height}x{spec.image_width} frame's grid "
+                                 f"cannot draw on a {image.shape[0]}x{image.shape[1]} frame")
+    out = np.array(image, copy=True)
     rows, cols = spec.rows, spec.cols
     n_r, n_c = grid.scores.shape
     nearest = np.pad(grid.scores, ((0, rows - n_r), (0, cols - n_c)), mode="edge")

@@ -331,8 +331,8 @@ class TestNetworkBackward:
 
         original_backward = wht_layer.wht_layer_backward
 
-        def recording(cache, dy):
-            out = original_backward(cache, dy)
+        def recording(cache, dy, input_grad=True):
+            out = original_backward(cache, dy, input_grad)
             surrogates.append(out[2][0])
             return out
 

@@ -165,8 +165,7 @@ def test_dtypes_are_kept(row):
         assert {a.dtype for a in made} == {np.dtype(dtype)}
 
 
-@pytest.mark.parametrize("row", rows(lambda row: "x" not in row.skip
-                                     and row.layers[0]._runnable[1]))
+@pytest.mark.parametrize("row", rows(lambda row: "x" not in row.skip))
 def test_no_input_grad_keeps_the_tensor_grads(row):
     for dtype in DTYPES:
         x, tensors, dy = inputs(row, dtype)

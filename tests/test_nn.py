@@ -190,7 +190,7 @@ class TestSimpleLayers:
     def test_relu_backward_masks_nonpositive(self):
         x = np.array([[-1.0, 0.0, 2.0]])
         io = nn.relu_forward(x)
-        dx = nn.relu_backward(io.cache, np.ones((1, 3)))
+        (dx,) = nn.relu_backward(io.cache, np.ones((1, 3)))
         assert dx.tolist() == [[0.0, 0.0, 1.0]]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -200,7 +200,7 @@ class TestSimpleLayers:
         dy = np.array([3.0, -2.0, -1.0, 4.0, np.nan, 6.0, -7.0, -8.0], dtype)
         y, cache = nn.relu_forward(x)
         assert cache[0] is y
-        assert nn.relu_backward(cache, dy).tobytes() == (dy * (x > 0)).tobytes()
+        assert nn.relu_backward(cache, dy)[0].tobytes() == (dy * (x > 0)).tobytes()
 
     def test_gap_constant_channel(self):
         c = 3.25
@@ -263,7 +263,7 @@ class TestSimpleLayers:
     def test_avgpool2_backward_matches_repeat_oracle(self, shape, dtype):
         io = nn.avgpool2_forward(np.zeros(shape, dtype=dtype))
         dy = np.random.default_rng(13).standard_normal(io.output.shape).astype(dtype)
-        dx = nn.avgpool2_backward(io.cache, dy)
+        (dx,) = nn.avgpool2_backward(io.cache, dy)
         assert dx.dtype == dtype and dx.flags.c_contiguous
         assert np.array_equal(dx, avgpool2_backward_broadcast(io.cache, dy))
 
@@ -327,7 +327,7 @@ class TestSimpleLayers:
             x = np.where(np.abs(x) < 0.1, x + 0.5, x)  # stay away from the kink
             io = nn.relu_forward(x)
             dy = rng.normal(size=io.output.shape)
-            dx = nn.relu_backward(io.cache, dy)
+            (dx,) = nn.relu_backward(io.cache, dy)
             checks = [
                 (lambda v: float(np.sum(nn.relu_forward(v).output * dy)), x, dx),
             ]
@@ -335,7 +335,7 @@ class TestSimpleLayers:
             x = rng.normal(size=(2, 3, 5, 4))
             io = nn.gap_forward(x)
             dy = rng.normal(size=(2, 4))
-            dx = nn.gap_backward(io.cache, dy)
+            (dx,) = nn.gap_backward(io.cache, dy)
             checks = [
                 (lambda v: float(np.sum(nn.gap_forward(v).output * dy)), x, dx),
             ]
@@ -343,7 +343,7 @@ class TestSimpleLayers:
             x = rng.normal(size=(2, 4, 6, 2))
             io = nn.avgpool2_forward(x)
             dy = rng.normal(size=io.output.shape)
-            dx = nn.avgpool2_backward(io.cache, dy)
+            (dx,) = nn.avgpool2_backward(io.cache, dy)
             checks = [
                 (lambda v: float(np.sum(nn.avgpool2_forward(v).output * dy)), x, dx),
             ]

@@ -59,6 +59,16 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
                        r'--image "\$RUNNER_TEMP/smoke128/smoke_0000.ppm" \|\| test \$\? -eq 1$',
                        text, re.MULTILINE)
     assert synth and detect and train.start() < synth.start() < detect.start()
+    # then trains a wht net on that manifest and detects with it on the same frame
+    train_wht = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke-wht" train '
+                          r'--manifest "\$RUNNER_TEMP/smoke/manifest.csv" '
+                          r'--variant wht --epochs 1$', text, re.MULTILINE)
+    detect_wht = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke-wht-detect" detect '
+                           r'--checkpoint "\$RUNNER_TEMP/smoke-wht/checkpoint.whtc" '
+                           r'--image "\$RUNNER_TEMP/smoke128/smoke_0000.ppm" \|\| test \$\? -eq 1$',
+                           text, re.MULTILINE)
+    assert train_wht and detect_wht
+    assert detect.start() < train_wht.start() < detect_wht.start()
     # and the transform at sizes that run its whole-array and chunked passes
     bench = re.search(r"^\s*- run: whtfire bench --sizes 16,65536,1048576$", text, re.MULTILINE)
     assert bench and text.index("- run: pip install -e .") < bench.start()

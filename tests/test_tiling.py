@@ -275,16 +275,21 @@ def _random_head(net, seed):
 
 class TestScoreGridEquivalence:
     TOL = {np.float64: 1e-10, np.float32: 1e-5}
+    # head seed 8 spreads the 224 px windows' scores by only 6.4e-4
+    HEAD = {32: 8, 64: 8, 224: 9}
 
-    @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
-    @pytest.mark.parametrize("block", [32, 64])
+    # 224 px: the wht net's shared feature map at the paper's input size,
+    # 112 px half-blocks over a stride of 4
+    @pytest.mark.parametrize("block,variant", [(32, "wht"), (32, "conv-baseline"), (64, "wht"),
+                                               (64, "conv-baseline"), (224, "wht")])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_matches_per_window_oracle(self, variant, block, dtype):
+    def test_matches_per_window_oracle(self, block, variant, dtype):
         # 3 leftover rows at the bottom and 5 leftover columns on the right
         h, w = 3 * block + 3, 4 * block + 5
         image = random_frame(block, h, w)
         spec = tiling.GridSpec(h, w, block)
-        net = _random_head(arch.build_toy_net(variant, 8, block, seed=7, dtype=dtype), 8)
+        net = _random_head(arch.build_toy_net(variant, 8, block, seed=7, dtype=dtype),
+                           self.HEAD[block])
         grid = tiling.score_grid(net, image)
         oracle = per_window_oracle(net, image / 255.0, spec)
         assert grid.scores.shape == (2, 3)
@@ -503,6 +508,17 @@ class TestInferenceMemory:
         peak = self.peak_maps(lambda: arch.forward_classify(net, patch), (224, 224, 8))
         assert peak <= 4.5, f"{peak:.2f} maps"
 
+    def test_a_one_window_chunk_is_not_copied(self):
+        # the window goes in as a view, as in forward_classify: a stacked copy
+        # of a float32 window is 0.38 maps, held for the whole pass
+        net = arch.build_toy_net("conv-baseline", 8, 224, seed=0)
+        patch = np.random.default_rng(0).random((224, 224, 3), np.float32)
+        alone = self.peak_maps(lambda: arch.forward_classify(net, patch), (224, 224, 8))
+        chunked = self.peak_maps(lambda: arch.fire_probabilities(net, [patch]), (224, 224, 8))
+        assert chunked <= alone + 0.1, f"{chunked:.2f} against {alone:.2f} maps"
+        want = arch.forward_classify(net, patch)[1]
+        assert arch.fire_probabilities(net, [patch]).tobytes() == np.float64(want).tobytes()
+
 
 class TestRenderOverlay:
     def _grid(self, scores, rows=3, cols=4, block=8):
@@ -530,6 +546,14 @@ class TestRenderOverlay:
         out = tiling.render_overlay(image, grid)
         mask = border_mask(grid.spec)
         assert np.array_equal(out[~mask], image[~mask])
+
+    # a 128 px frame's grid: a larger frame drew on its top-left blocks only,
+    # a smaller one failed in numpy's reshape
+    @pytest.mark.parametrize("h,w", [(256, 256), (64, 64), (128, 100)])
+    def test_a_frame_of_another_extent_is_refused(self, h, w):
+        grid = tiling.ScoreGrid(tiling.GridSpec(128, 128, 32), np.zeros((3, 3)))
+        with pytest.raises(ShapeMismatchError):
+            tiling.render_overlay(random_frame(0, h, w), grid)
 
     def test_residual_margin_untouched(self):
         rng = np.random.default_rng(7)
