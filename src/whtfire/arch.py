@@ -168,9 +168,10 @@ def check_descriptor(desc: ArchDescriptor) -> None:
     ``toy_descriptor`` and ``check_tensors``: so by ``checkpoint_save``, by
     ``pipeline.fit`` and on every descriptor ``checkpoint_load`` rebuilds.
 
-    Field types are exact (a bool is not an int).  Each layer takes the width
-    it is given, 3 at the input, and only pointwise, conv3x3 and dense change
-    it.  An ``add_skip`` reads an earlier output of its width, with no
+    Field types are exact (a bool is not an int); only ``wht`` sets
+    ``threshold_trainable`` and only ``add_skip`` ``skip_from``.  Each layer
+    takes the width it is given, 3 at the input, and only pointwise, conv3x3
+    and dense change it.  An ``add_skip`` reads an earlier output of its width, with no
     ``avgpool2`` between.  Map kinds precede the one ``gap``, ``dense`` alone
     follows it, and the last width is 2.  Tensor names are unique, and the
     ``avgpool2`` layers halve ``input_size`` (a ``TOY_INPUT_SIZES``) to whole pixels.
@@ -189,6 +190,10 @@ def check_descriptor(desc: ArchDescriptor) -> None:
                 and type(layer.threshold_trainable) is bool
                 and (layer.skip_from is None or type(layer.skip_from) is int)):
             refuse(f"layer {i} has a field of the wrong type: {layer}")
+        if layer.threshold_trainable and layer.kind != "wht":
+            refuse(f"layer {i} ({layer.kind}) sets threshold_trainable, which only wht reads")
+        if layer.skip_from is not None and layer.kind != "add_skip":
+            refuse(f"layer {i} ({layer.kind}) sets skip_from, which only add_skip reads")
         for name in layer._runnable[1]:  # an unknown kind raises here
             if name in tensor_names:
                 refuse(f"layer {i} repeats the tensor name {name!r}")
@@ -297,9 +302,29 @@ def param_specs(arch: ArchDescriptor) -> dict[str, ParamSpec]:
 
 def check_network(net: Network) -> None:
     """Refuse a network whose checkpoint ``checkpoint_load`` would refuse:
-    ``check_tensors`` of its descriptor and its tensors' shapes."""
+    ``check_tensors`` of its descriptor and its tensors' shapes, then a seed
+    not exactly an int and ``check_values`` of the float32 tensors a
+    checkpoint stores, both with ``ArchMismatchError``."""
+    where = net.descriptor.name
     check_tensors(net.descriptor, {name: np.shape(t) for name, t in net.parameters.items()},
-                  net.descriptor.name)
+                  where)
+    if type(net.seed) is not int:
+        raise ArchMismatchError(f"{where}: seed {net.seed!r:.40} is not of type int")
+    with np.errstate(over="ignore"):  # a float64 beyond float32's range is stored as inf
+        stored = {name: np.asarray(t, np.float32) for name, t in net.parameters.items()}
+    check_values(net.descriptor, stored, where, ArchMismatchError)
+
+
+def check_values(desc: ArchDescriptor, params: dict, where: str, error: type) -> None:
+    """Refuse, with ``error``, a tensor of ``param_specs(desc)`` that holds a
+    non-finite value or one below its ``ParamSpec.lower``; ``where`` begins
+    each message.  Training writes neither."""
+    for name, spec in param_specs(desc).items():
+        if not np.all(np.isfinite(params[name])):
+            raise error(f"{where}: tensor {name} holds a non-finite value")
+        # thresholds are the only bounded tensors, and their bound is 0
+        if spec.lower is not None and np.any(params[name] < spec.lower):
+            raise error(f"{where}: threshold {name} is negative")
 
 
 def check_tensors(desc: ArchDescriptor, shapes: dict, where: str) -> None:

@@ -13,8 +13,10 @@ header holds what ``checkpoint_load`` needs to rebuild and check the
 network: the descriptor's name (``arch``, free text), ``input_size`` and
 ``layers`` (one object of ``LayerDescriptor``'s fields per layer), the init
 ``seed`` and ``tensors`` (each name's shape), plus whatever metadata the
-caller passes.  So every network that ``arch.check_network`` passes is
-saved and loaded the same way, and ``checkpoint_save`` refuses the others.
+caller passes.  ``arch.check_network`` refuses everything the loader
+refuses, down to the seed's type and the tensors' values, so every network
+it passes is saved and loaded the same way, and ``checkpoint_save`` refuses
+the others.
 The settings of a run live in its ``run.json``.
 
 A JSON record (``scores.json``, ``run.json``, ``metrics.json``) is compact
@@ -45,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch import (ArchDescriptor, LayerDescriptor, Network, check_network, check_tensors,
-                   param_specs)
+                   check_values, param_specs)
 from .errors import (
     ArchMismatchError,
     BadMagicError,
@@ -323,9 +325,10 @@ def _header(net: Network, metadata: dict[str, str]) -> dict:
 def checkpoint_save(net: Network, metadata: dict[str, str], path) -> None:
     """Write ``net`` as a version-3 checkpoint (see the module docstring).
 
-    A network that ``arch.check_network`` refuses, and so ``checkpoint_load``
-    would refuse, raises before the file is opened, and so does metadata
-    that JSON cannot hold (``BadMetadataError``).
+    A network whose checkpoint ``checkpoint_load`` would refuse, by its
+    descriptor, tensor names and shapes, seed type or tensor values, raises
+    in ``arch.check_network`` before the file is opened, and so does
+    metadata that JSON cannot hold (``BadMetadataError``).
     """
     check_network(net)
     try:
@@ -416,15 +419,9 @@ def checkpoint_load(path) -> Network:
     if len(raw) > at:
         raise CorruptFileError(f"{path}: {len(raw) - at} bytes follow the last tensor")
     check_tensors(desc, shapes, str(path))
-    params: dict[str, np.ndarray] = {}
-    for name, spec in param_specs(desc).items():
-        t = np.frombuffer(raw, "<f4", math.prod(spec.shape), offsets[name])
-        t = t.reshape(spec.shape).astype(np.float32)  # after the check: numpy caps the rank
-        # training writes only finite values and keeps thresholds, the only
-        # bounded tensors, at or above their bound of 0
-        if not np.all(np.isfinite(t)):
-            raise CorruptFileError(f"{path}: tensor {name} holds a non-finite value")
-        if spec.lower is not None and np.any(t < spec.lower):
-            raise CorruptFileError(f"{path}: threshold {name} is negative")
-        params[name] = t
+    # reshaped after the check: numpy caps the rank
+    params = {name: np.frombuffer(raw, "<f4", math.prod(spec.shape), offsets[name])
+              .reshape(spec.shape).astype(np.float32)
+              for name, spec in param_specs(desc).items()}
+    check_values(desc, params, str(path), CorruptFileError)
     return Network(desc, params, seed=seed)

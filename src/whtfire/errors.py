@@ -101,8 +101,9 @@ class VersionMismatchError(WhtFireError, ValueError):
 
 class ArchMismatchError(WhtFireError, ValueError):
     """A checkpoint header field is missing or of the wrong JSON type, the
-    tensor names disagree with the network, or the network has no tensor
-    named to freeze."""
+    tensor names disagree with the network, the network has no tensor named
+    to freeze, or a network to save or train holds what no checkpoint loads:
+    a seed not of type int, a non-finite value, a threshold below 0."""
 
 
 class TensorShapeMismatchError(WhtFireError, ValueError):

@@ -45,15 +45,14 @@ from .errors import (
     SizeTooLargeError,
     TrainingDivergedError,
 )
-from .fwht import fwht, hadamard_matrix
+from .fwht import MAX_MATRIX_ORDER, fwht, hadamard_matrix
 from .nn import SgdOptimizer, TrainConfig, softmax_cross_entropy
-from .tiling import render_overlay, score_grid, score_grid_json
+from .tiling import DECISION_THRESHOLD, render_overlay, score_grid, score_grid_json
 
 FINETUNE_LEARNING_RATE = 0.001
 VALIDATION_FRACTION = 0.2
-DECISION_THRESHOLD = 0.5
 MAX_BENCH_SIZE = 1 << 22
-NAIVE_BENCH_LIMIT = 1 << 12
+NAIVE_BENCH_LIMIT = 1 << MAX_MATRIX_ORDER  # the largest matrix hadamard_matrix builds
 BENCH_RUNS = 5  # timed repetitions per size; the median is reported
 BENCH_RUN_SECONDS = 0.02  # each timed repetition loops the call for about this long
 
@@ -170,7 +169,7 @@ def confusion_from_scores(labels: np.ndarray, scores: np.ndarray) -> ConfusionMa
 
 
 def evaluate(net_or_checkpoint, manifest):
-    """Patch-level metrics at the 0.5 decision threshold; non-finite probabilities raise."""
+    """Patch-level metrics at ``DECISION_THRESHOLD``; non-finite probabilities raise."""
     net = _as_network(net_or_checkpoint)
     images, labels = load_dataset(manifest, net)
     probs = fire_probabilities(net, images)

@@ -54,6 +54,7 @@ from .errors import (BadThresholdError, BlockLargerThanImageError, NonFiniteScor
                      ShapeMismatchError)
 from .nn import mean_pool
 
+DECISION_THRESHOLD = 0.5  # a score at or above it is a detection
 GREEN = (0, 255, 0)
 RED = (255, 0, 0)
 BORDER_PX = 3
@@ -108,7 +109,7 @@ def _checked_threshold(threshold) -> float:
 class ScoreGrid:
     spec: GridSpec
     scores: np.ndarray
-    threshold: float = 0.5
+    threshold: float = DECISION_THRESHOLD
 
     def __post_init__(self):
         self.threshold = _checked_threshold(self.threshold)
@@ -138,7 +139,8 @@ def downsample_window(window: np.ndarray, dtype=np.float64) -> np.ndarray:
     return mean_pool(window, 2, 2, dtype)
 
 
-def score_grid(net: Network, image: np.ndarray, threshold: float = 0.5) -> ScoreGrid:
+def score_grid(net: Network, image: np.ndarray,
+               threshold: float = DECISION_THRESHOLD) -> ScoreGrid:
     """Classify every 2x2-block window of the byte frame ``image``; scores
     land at their anchor index.
 

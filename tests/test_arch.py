@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,21 @@ class TestToyNets:
     def test_bad_variant(self):
         with pytest.raises(InvalidDescriptorError):
             arch.build_toy_net("resnet", 8)
+
+    @pytest.mark.parametrize("variant", arch.TOY_VARIANTS)
+    def test_a_field_only_another_kind_reads_is_refused(self, variant):
+        # it would save, load back intact and be ignored by every run
+        desc = arch.toy_descriptor(variant)
+        for i, layer in enumerate(desc.layers):
+            for field, value, reader in (("threshold_trainable", True, "wht"),
+                                         ("skip_from", 0, "add_skip")):
+                if layer.kind == reader:
+                    continue
+                layers = list(desc.layers)
+                layers[i] = dataclasses.replace(layer, **{field: value})
+                message = f"layer {i} ({layer.kind}) sets {field}, which only {reader} reads"
+                with pytest.raises(InvalidDescriptorError, match=re.escape(message)):
+                    arch.check_descriptor(dataclasses.replace(desc, layers=tuple(layers)))
 
     def test_both_variants_map_input_to_two_logits(self):
         rng = np.random.default_rng(0)

@@ -513,6 +513,53 @@ class TestCheckpoint:
             dataio.checkpoint_save(arch.Network(net.descriptor, params, 0), {}, p)
         assert not p.exists()
 
+    @pytest.mark.parametrize("edit, message, load_error, load_message", [
+        (lambda net: setattr(net, "seed", True), "seed True is not of type int",
+         ArchMismatchError, "'seed' is True, not of type int"),
+        (lambda net: setattr(net, "seed", 1.5), "seed 1.5 is not of type int",
+         ArchMismatchError, "'seed' is 1.5, not of type int"),
+        (lambda net: setattr(net, "seed", "7"), "seed '7' is not of type int",
+         ArchMismatchError, "'seed' is '7', not of type int"),
+        (lambda net: net.parameters["head.bias"].fill(np.nan),
+         "tensor head.bias holds a non-finite value", CorruptFileError, None),
+        (lambda net: net.parameters["wht0.lambda"].fill(-0.5),
+         "threshold wht0.lambda is negative", CorruptFileError, None),
+    ], ids=["seed-bool", "seed-float", "seed-text", "nan-bias", "negative-lambda"])
+    def test_values_load_refuses_are_not_saved(self, tmp_path, edit, message, load_error,
+                                               load_message):
+        net = self._net(threshold_trainable=True)
+        edit(net)
+        p = tmp_path / "c.whtc"
+        with pytest.raises(ArchMismatchError, match=f"^toy-wht: {re.escape(message)}$"):
+            dataio.checkpoint_save(net, {}, p)
+        assert not p.exists()
+        write_checkpoint(net, p)  # the file it would have written, which the loader refuses
+        with pytest.raises(load_error, match=re.escape(load_message or message)):
+            dataio.checkpoint_load(p)
+
+    def test_a_float64_value_float32_cannot_hold_is_not_saved(self, tmp_path):
+        net = self._net(dtype=np.float64)
+        net.parameters["head.bias"][0] = 1e300  # stored as float32: inf
+        p = tmp_path / "c.whtc"
+        with pytest.raises(ArchMismatchError, match="head.bias holds a non-finite value"):
+            dataio.checkpoint_save(net, {}, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("index, field, value, message", [
+        (2, "threshold_trainable", True, "layer 2 (relu) sets threshold_trainable"),
+        (1, "skip_from", 0, "layer 1 (pointwise) sets skip_from"),
+    ], ids=["relu-threshold", "pointwise-skip"])
+    def test_a_field_its_kind_never_reads_is_not_loaded(self, tmp_path, index, field, value,
+                                                         message):
+        desc = self._net().descriptor
+        layers = list(desc.layers)
+        layers[index] = dataclasses.replace(layers[index], **{field: value})
+        desc = dataclasses.replace(desc, layers=tuple(layers))
+        p = tmp_path / "c.whtc"
+        write_checkpoint(arch.Network(desc, arch.init_parameters(desc, 9), 9), p)
+        with pytest.raises(InvalidDescriptorError, match=f"^toy-wht: {re.escape(message)}"):
+            dataio.checkpoint_load(p)
+
     def test_a_numpy_seed_is_saved_as_its_python_int(self, tmp_path):
         a, b = tmp_path / "a.whtc", tmp_path / "b.whtc"
         dataio.checkpoint_save(arch.build_toy_net("wht", seed=np.int64(1)), {}, a)

@@ -1,7 +1,10 @@
 import importlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -69,9 +72,42 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
                            text, re.MULTILINE)
     assert train_wht and detect_wht
     assert detect.start() < train_wht.start() < detect_wht.start()
+    # and fine-tunes the wht net with its stem frozen, then evaluates the result
+    finetune = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke-ft" finetune '
+                         r'--manifest "\$RUNNER_TEMP/smoke/manifest.csv" '
+                         r'--source "\$RUNNER_TEMP/smoke-wht/checkpoint.whtc" '
+                         r'--epochs 1 --freeze-stem$', text, re.MULTILINE)
+    evaluate = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke-eval" eval '
+                         r'--manifest "\$RUNNER_TEMP/smoke/manifest.csv" '
+                         r'--checkpoint "\$RUNNER_TEMP/smoke-ft/checkpoint.whtc"$',
+                         text, re.MULTILINE)
+    assert finetune and evaluate
+    assert train_wht.start() < finetune.start() < evaluate.start()
     # and the transform at sizes that run its whole-array and chunked passes
     bench = re.search(r"^\s*- run: whtfire bench --sizes 16,65536,1048576$", text, re.MULTILINE)
     assert bench and text.index("- run: pip install -e .") < bench.start()
+
+
+def test_the_package_root_binds_only_fwht():
+    # modules are imported from, never the root; a fresh interpreter shows what
+    # "import whtfire" loads, which this process's other tests cannot
+    script = ("import json, sys, types, whtfire\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('whtfire.'))\n"
+              "names = sorted(n for n, v in vars(whtfire).items()\n"
+              "               if n[0] != '_' and not isinstance(v, types.ModuleType))\n"
+              "print(json.dumps([loaded, names]))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, names = json.loads(done.stdout)
+    assert loaded == ["whtfire.errors", "whtfire.fwht"]
+    assert names == ["fwht"]
+
+
+def test_the_package_version_is_pyprojects():
+    import whtfire
+
+    assert whtfire.__version__ == tomllib.loads(PYPROJECT.read_text())["project"]["version"]
 
 
 def test_console_script_resolves_to_a_callable():

@@ -334,6 +334,9 @@ class TestFit:
         three = dataclasses.replace(wht.descriptor, layers=(*wht.descriptor.layers[:-1], head))
         short = {k: v for k, v in wht.parameters.items() if k != "wht1.scale"}
         wide = {**wht.parameters, "wht1.scale": np.ones(9, np.float32)}
+        lam = arch.build_toy_net("wht", threshold_trainable=True)
+        nan = {**wht.parameters, "head.bias": np.full(2, np.nan, np.float32)}
+        below = {**lam.parameters, "wht0.lambda": np.full(1, -0.5, np.float32)}
         for net, error, message in [
                 (arch.Network(three, arch.init_parameters(three, 0), 0),
                  InvalidDescriptorError, "gives 3 channels, not 2 classes"),
@@ -341,7 +344,13 @@ class TestFit:
                  r"^toy-wht: tensor names disagree with architecture \(missing \['wht1.scale'\], "
                  r"extra \[\]\)$"),
                 (arch.Network(wht.descriptor, wide, 0), TensorShapeMismatchError,
-                 r"^toy-wht: tensor wht1.scale has shape \(9,\), expected \(8,\)$")]:
+                 r"^toy-wht: tensor wht1.scale has shape \(9,\), expected \(8,\)$"),
+                (arch.Network(wht.descriptor, wht.parameters, True), ArchMismatchError,
+                 "^toy-wht: seed True is not of type int$"),
+                (arch.Network(wht.descriptor, nan, 0), ArchMismatchError,
+                 "^toy-wht: tensor head.bias holds a non-finite value$"),
+                (arch.Network(lam.descriptor, below, 0), ArchMismatchError,
+                 "^toy-wht: threshold wht0.lambda is negative$")]:
             with pytest.raises(error, match=message):
                 pipeline.fit(net, tmp_path / "absent.csv", TrainConfig(epochs=5), tmp_path / "r")
             assert not (tmp_path / "r").exists()

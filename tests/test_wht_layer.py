@@ -9,7 +9,7 @@ from whtfire.errors import (
 )
 from whtfire.fwht import fwht, ifwht
 from whtfire.wht_layer import wht_layer_backward, wht_layer_forward
-from oracles import dyadic_convolve_bruteforce, gradient_check
+from oracles import dyadic_convolve_bruteforce, gradient_check, write_checkpoint
 
 
 class TestForward:
@@ -69,7 +69,7 @@ class TestForward:
         # no training run writes one; loading is where a threshold enters
         net = arch.build_toy_net("wht", 8, 32, threshold_trainable=True)
         net.parameters["wht0.lambda"][:] = -0.5
-        dataio.checkpoint_save(net, {}, tmp_path / "c.whtc")
+        write_checkpoint(net, tmp_path / "c.whtc")  # checkpoint_save refuses it
         with pytest.raises(ValueError):
             dataio.checkpoint_load(tmp_path / "c.whtc")
 
