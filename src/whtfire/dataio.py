@@ -1,7 +1,7 @@
 """Bit-exact file formats: P6 pixmaps, CSV manifests, binary checkpoints,
 JSON records, and a seeded synthetic smoke/background image generator.
 
-A frame is an (H, W, 3) uint8 array on both sides of a pixmap file:
+A frame is a non-empty (H, W, 3) uint8 array on both sides of a pixmap file:
 ``ppm_read`` gives one, ``ppm_write`` takes only one, and ``synth_dataset``
 turns ``synth_image``'s [0, 1] floats into one.  ``_check_frame`` is the one
 test of that form, shared by ``ppm_write`` and ``tiling``.
@@ -116,9 +116,9 @@ def ppm_read(path) -> np.ndarray:
 
 
 def _check_frame(image: np.ndarray) -> None:
-    if image.dtype != np.uint8 or image.ndim != 3 or image.shape[2] != 3:
+    if image.dtype != np.uint8 or image.ndim != 3 or image.shape[2] != 3 or 0 in image.shape:
         raise ShapeMismatchError(
-            f"expected an (H, W, 3) uint8 frame, got {image.dtype} {image.shape}"
+            f"expected a non-empty (H, W, 3) uint8 frame, got {image.dtype} {image.shape}"
         )
 
 
@@ -189,16 +189,12 @@ class Manifest:
         return len(self.entries)
 
 
-def load_manifest(path) -> Manifest:
-    path = Path(path)
-    entries: list[tuple[str, int]] = []
+def _manifest_rows(text: str, path) -> list[tuple[str, int]]:
+    """The (path, label) rows of manifest ``text``, read as ``load_manifest``
+    and ``save_manifest`` read them: blank and ``#`` lines are skipped, and
+    fields are stripped; ``ManifestError`` names ``path`` and the bad line."""
+    rows: list[tuple[str, int]] = []
     seen: set[str] = set()
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(
-            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
-        ) from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -216,14 +212,31 @@ def load_manifest(path) -> Manifest:
         if rel in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate path {rel!r}")
         seen.add(rel)
-        entries.append((rel, int(label_text)))
-    return Manifest(entries, path.parent)
+        rows.append((rel, int(label_text)))
+    return rows
+
+
+def load_manifest(path) -> Manifest:
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    return Manifest(_manifest_rows(text, path), path.parent)
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    """Write the rows as UTF-8, the encoding ``load_manifest`` reads, whatever the locale."""
-    lines = [f"{rel},{label}" for rel, label in manifest.entries]
-    _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    """Write the rows as UTF-8, the encoding ``load_manifest`` reads, whatever
+    the locale; ``ManifestError``, before the file is opened, unless the text
+    reads back as exactly these entries (no comma or line break in a path)."""
+    text = "\n".join(f"{rel},{label}" for rel, label in manifest.entries) + "\n"
+    rows = _manifest_rows(text, path)
+    if rows != manifest.entries:  # a row that reads back otherwise is not among rows
+        bad = next(entry for entry in manifest.entries if entry not in rows)
+        raise ManifestError(f"{path}: row {bad!r} would not load back as written")
+    _write_file(path, text.encode("utf-8"))
 
 
 # -- synthetic data ----------------------------------------------------------

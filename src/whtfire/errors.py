@@ -5,7 +5,7 @@ Every error is a ``WhtFireError``.  The CLI exits 3 on one or on an
 exception, a bug or a ``MemoryError``, after printing its traceback
 (``cli.main`` lets it propagate; ``cli.main_entry`` maps it).  A narrower
 error subclasses the broader one it refines, so one ``except`` catches
-both: ``OddDimensionsError``, raised by the one mean pooling that frames
+both: ``OddDimensionsError``, raised by the one 2x2 mean pooling that frames
 and ``avgpool2`` layers share, is a ``ShapeMismatchError``.
 
 Only errors the package raises live here; one that only a test oracle
@@ -38,7 +38,7 @@ class ShapeMismatchError(WhtFireError, ValueError):
 
 
 class OddDimensionsError(ShapeMismatchError):
-    """Mean pooling needs extents divisible by its factors (2x2: even)."""
+    """2x2 mean pooling needs even extents."""
 
 
 class BadLabelError(WhtFireError, ValueError):

@@ -11,7 +11,7 @@ Every backward takes ``(cache, dy, input_grad=True)`` and returns ``(dx,
 input gradient has no reader).  Training runs in float32, gradient checks in
 float64.  conv3x3's two passes share one loop of padded row bands, and its
 ``dx`` is a forward pass: a tracer counts it under ``conv3x3_forward``.
-``mean_pool`` is the one mean pooling: avgpool2 layers run it on maps,
+``mean_pool`` is the one 2x2 mean pooling: avgpool2 layers run it on maps,
 and ``tiling`` on (H, W, C) frames and windows.  One banded loop serves
 floats and bytes: it adds the row pairs, then each pixel's column pair as
 one stacked product with 0.25s, so avgpool2 rounds as
@@ -201,82 +201,55 @@ def gap_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):
 _POOL_BAND = 32  # output rows per pass of mean_pool: a 1080p band's row sums are 0.35 MiB
 
 
-def mean_pool(x: np.ndarray, factor_y: int, factor_x: int,
-              dtype=np.float64) -> np.ndarray:
-    """Integer-factor mean pooling of the two axes before the channel axis.
+def mean_pool(x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """2x2 mean pooling of the two axes before the channel axis, whose
+    extents must be even, on (H, W, C) images and (B, H, W, C) maps alike.
+    Floating inputs keep their dtype; any other input pools to the float
+    type ``dtype``.
 
-    Works on (H, W, C) images and (B, H, W, C) maps alike.  Floating inputs
-    keep their dtype; any other input pools to ``dtype``, a float type
-    (default float64).
-
-    One loop serves every input, in bands of ``_POOL_BAND`` output rows.
-    Each band adds its ``factor_y`` row slabs, each a contiguous run of W*C
-    values, then sums each output pixel's ``factor_x`` column groups as one
-    product with a stacked 0/1 identity matrix (``_column_sum``); a
-    power-of-two cell count folds its exact 1/count into the matrix, any
-    other divides once at the end.  So 2x2 rounds as ``((x00 + x10) +
-    (x01 + x11)) * 0.25``; a reshape-mean adds the four in another order
-    and can differ in the last bit.  Bytes over at most 257 cells add their
-    rows in uint16, exactly (255 * 257 = 65,535), and integer sums that
-    small stay exact through the product: the mean is rounded once.
-    The product stays stacked per output row, ``(..., rows, W/fx, fx*C) @
-    P``, as ``pointwise_forward`` keeps ``x @ w``: as one 2-D product, a
-    224 px window's pooling wakes a second BLAS thread while the window
-    threads already use both CPUs (``detect-conv-b224`` went 0.078 -> 0.127
-    s a frame, BENCH_detect_passes.json).  Stacked, each row gets the same
-    call whatever the band.  A NaN or infinity in a cell makes every
-    channel of its pooled pixel non-finite (0 * inf is NaN), and no other
-    pixel.
+    Bands of ``_POOL_BAND`` output rows add their two row slabs, bytes
+    exactly in uint16, then sum each output pixel's column pair as one
+    product with two stacked identities times 0.25 (``_column_sum``).  So
+    it rounds as ``((x00 + x10) + (x01 + x11)) * 0.25``, where a
+    reshape-mean adds in another order and can differ in the last bit, and
+    rounds a byte mean once.  The product stays stacked per output row,
+    ``(..., rows, W/2, 2*C) @ P``, as ``pointwise_forward`` keeps ``x @ w``:
+    as one 2-D product, a 224 px window's pooling wakes a second BLAS
+    thread while the window threads already use both CPUs
+    (``detect-conv-b224`` went 0.078 -> 0.127 s a frame,
+    BENCH_detect_passes.json).  Stacked, each row gets the same call
+    whatever the band.  A NaN or infinity in a cell makes every channel of
+    its pooled pixel non-finite (0 * inf is NaN), and no other pixel.
     """
     h, w = x.shape[-3:-1]
-    if h % factor_y or w % factor_x:
-        raise OddDimensionsError(
-            f"extents {h}x{w} not divisible by {factor_y}x{factor_x}"
-        )
+    if h % 2 or w % 2:
+        raise OddDimensionsError(f"extents {h}x{w} are not both even")
     lead, c = x.shape[:-3], x.shape[-1]
-    count = factor_y * factor_x
     dtype = x.dtype if np.issubdtype(x.dtype, np.inexact) else np.dtype(dtype)
-    acc = np.uint16 if x.dtype == np.uint8 and count <= 257 else dtype
-    exact = count & (count - 1) == 0  # 1/count is a power of two
-    pairs = _column_sum(c, factor_x, dtype, 1 / count if exact else 1)
-    slabs = x.reshape(*lead, h // factor_y, factor_y, w * c)
-    out = np.empty((*lead, h // factor_y, w // factor_x, c), dtype)
-    for r in range(0, h // factor_y, _POOL_BAND):
+    acc = np.uint16 if x.dtype == np.uint8 else dtype
+    pairs = _column_sum(c, dtype)
+    slabs = x.reshape(*lead, h // 2, 2, w * c)
+    out = np.empty((*lead, h // 2, w // 2, c), dtype)
+    for r in range(0, h // 2, _POOL_BAND):
         band = slabs[..., r : r + _POOL_BAND, :, :]
-        rows = np.empty(band.shape[:-2] + band.shape[-1:], acc)
-        _add_into([band[..., i, :] for i in range(factor_y)], rows)
-        shape = (*rows.shape[:-1], w // factor_x, factor_x * c)
-        np.matmul(rows.astype(dtype, copy=False).reshape(shape), pairs,
-                  out=out[..., r : r + _POOL_BAND, :, :])
-    if not exact:
-        out /= count
+        rows = np.add(band[..., 0, :], band[..., 1, :], dtype=acc)
+        np.matmul(rows.astype(dtype, copy=False).reshape(*rows.shape[:-1], w // 2, 2 * c),
+                  pairs, out=out[..., r : r + _POOL_BAND, :, :])
     return out
 
 
 @functools.cache
-def _column_sum(c: int, factor_x: int, dtype: np.dtype, scale: float) -> np.ndarray:
-    """The read-only (factor_x * C, C) matrix of ``factor_x`` stacked C x C
-    identities times ``scale``: a row of ``factor_x`` pixels times it is
-    their channel-wise sum, scaled."""
-    matrix = np.tile(np.eye(c, dtype=dtype) * dtype.type(scale), (factor_x, 1))
+def _column_sum(c: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only (2 * C, C) matrix of two stacked C x C identities times
+    0.25: a row of two pixels times it is their channel-wise sum, quartered."""
+    matrix = np.tile(np.eye(c, dtype=dtype) * dtype.type(0.25), (2, 1))
     matrix.flags.writeable = False
     return matrix
 
 
-def _add_into(parts: list, out: np.ndarray) -> None:
-    """Write the sum of the same-shape views ``parts``, in order, to ``out``,
-    adding in ``out``'s dtype."""
-    if len(parts) == 1:
-        out[...] = parts[0]
-        return
-    np.add(parts[0], parts[1], out=out, dtype=out.dtype)
-    for part in parts[2:]:
-        out += part
-
-
 def avgpool2_forward(x: np.ndarray) -> LayerIO:
     """2x2 mean pooling with stride 2; spatial extents must be even."""
-    return LayerIO(mean_pool(x, 2, 2), (x.shape,))
+    return LayerIO(mean_pool(x), (x.shape,))
 
 
 def avgpool2_backward(cache: tuple, dy: np.ndarray, input_grad: bool = True):

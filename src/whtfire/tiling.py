@@ -17,7 +17,8 @@ windows.  A window is mean-pooled 2x2 back to block resolution before
 classification, by the same ``nn.mean_pool`` that the network's avgpool2
 layers run, and per-anchor scores are rendered as coloured block borders.
 A ``fallback`` grid, with no 2x2 window (R or C is 1), is the one-window
-case of per-window scoring: its whole block area pooled down to one block.
+case of per-window scoring: its whole block area pooled down to one block
+by numpy's float64 mean of each pixel's R x C cells (exact sum, one divide).
 
 Scoring pools the R x C block area once: since every window starts on a
 block boundary, its pooled patch is a slice of the pooled frame.  When
@@ -136,7 +137,7 @@ class ScoreGrid:
 def downsample_window(window: np.ndarray, dtype=np.float64) -> np.ndarray:
     """2x2 mean pooling (``nn.mean_pool``): a two-block-square window back
     to block resolution; bytes pool into the float type ``dtype``."""
-    return mean_pool(window, 2, 2, dtype)
+    return mean_pool(window, dtype)
 
 
 def score_grid(net: Network, image: np.ndarray,
@@ -150,7 +151,7 @@ def score_grid(net: Network, image: np.ndarray,
     For a float32 net each pooled value has the bits of the float64 one
     converted: the byte sum s <= 1020 gives the exact s/4, and
     ``f32(f32(s/4) / 255)`` equals ``f32(s/4 / 255)`` for all 1,021 sums.
-    A ``fallback`` grid's block area pools in float64.  Each score equals
+    A ``fallback`` grid's block area pools in float64 (numpy's mean).  Each score equals
     ``forward_classify(net, downsample_window(window / 255))[1]`` up to
     float rounding.  Windows share the feature map (see the module docstring)
     when ``arch.feature_stride`` allows it and S/2 is a multiple of the
@@ -167,7 +168,7 @@ def score_grid(net: Network, image: np.ndarray,
     rows, cols = spec.rows, spec.cols
     area = image[: rows * block, : cols * block]
     if spec.fallback:
-        pooled = mean_pool(area, rows, cols)  # float64
+        pooled = area.reshape(block, rows, block, cols, 3).mean(axis=(1, 3))
     else:
         pooled = downsample_window(area, net.dtype)
     pooled /= pooled.dtype.type(255)  # bytes pool exactly, then scale once

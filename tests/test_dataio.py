@@ -165,6 +165,16 @@ class TestPpmCodec:
         with pytest.raises(ShapeMismatchError):
             dataio.ppm_write(np.zeros((4, 4, 4), np.uint8), tmp_path / "x.ppm")
 
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
+    def test_write_refuses_a_frame_without_pixels(self, tmp_path, shape):
+        # refused before the file is opened: the frame at the path keeps its bytes
+        p = tmp_path / "overlay.ppm"
+        dataio.ppm_write(np.full((4, 4, 3), 7, np.uint8), p)
+        old = p.read_bytes()
+        with pytest.raises(ShapeMismatchError, match="non-empty"):
+            dataio.ppm_write(np.zeros(shape, np.uint8), p)
+        assert p.read_bytes() == old
+
 
 class TestWriteFile:
     """``_write_file`` writes over a file's old bytes instead of emptying it first."""
@@ -334,6 +344,32 @@ class TestManifest:
         p.write_text("a.ppm;0\n")
         with pytest.raises(ManifestError, match=":1:"):
             dataio.load_manifest(p)
+
+    # each would read back as another manifest, or fail only at the next load
+    @pytest.mark.parametrize("entries,message", [
+        ([("a.ppm", 0), ("#b.ppm", 1)], r"row \('#b\.ppm', 1\) would not load back"),
+        ([(" s.ppm", 1)], r"row \(' s\.ppm', 1\) would not load back"),
+        ([("s.ppm\t", 1)], r"row \('s\.ppm\\t', 1\) would not load back"),
+        ([("a,b.ppm", 0)], ":1: expected 'path,label'"),
+        ([("a\nb.ppm", 0)], ":1: expected 'path,label'"),
+        ([("a.ppm,1\nb.ppm", 0)], r"row \('a\.ppm,1\\nb\.ppm', 0\) would not load back"),
+        ([("a.ppm", 0), ("a.ppm", 1)], ":2: duplicate path 'a.ppm'"),
+        ([("a.ppm", 2)], ":1: label must be 0 or 1, got '2'"),
+        ([("a.ppm", True)], ":1: label must be 0 or 1, got 'True'"),
+    ])
+    def test_a_manifest_that_would_not_load_back_writes_nothing(self, tmp_path, entries,
+                                                                  message):
+        p = tmp_path / "m.csv"
+        with pytest.raises(ManifestError, match=message):
+            dataio.save_manifest(dataio.Manifest(entries, tmp_path), p)
+        assert not p.exists()
+
+    def test_saved_rows_load_back_equal(self, tmp_path):
+        entries = [("imgs/a b.ppm", 0), ("fumée#1.ppm", np.int64(1)), ("x", 0)]
+        p = tmp_path / "m.csv"
+        dataio.save_manifest(dataio.Manifest(entries, tmp_path), p)
+        assert p.read_bytes() == "imgs/a b.ppm,0\nfumée#1.ppm,1\nx,0\n".encode("utf-8")
+        assert dataio.load_manifest(p).entries == entries
 
 
 class TestSynthDataset:

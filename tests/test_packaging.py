@@ -72,6 +72,12 @@ def test_ci_runs_tier1_on_the_declared_python_floor():
                            text, re.MULTILINE)
     assert train_wht and detect_wht
     assert detect.start() < train_wht.start() < detect_wht.start()
+    # and with the same net on a 32 px synth frame: a 1 x 1 grid, the fallback
+    fallback = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke-fallback" detect '
+                         r'--checkpoint "\$RUNNER_TEMP/smoke-wht/checkpoint.whtc" '
+                         r'--image "\$RUNNER_TEMP/smoke/smoke_0000.ppm" \|\| test \$\? -eq 1$',
+                         text, re.MULTILINE)
+    assert fallback and detect_wht.start() < fallback.start()
     # and fine-tunes the wht net with its stem frozen, then evaluates the result
     finetune = re.search(r'^\s*- run: whtfire --out-dir "\$RUNNER_TEMP/smoke-ft" finetune '
                          r'--manifest "\$RUNNER_TEMP/smoke/manifest.csv" '

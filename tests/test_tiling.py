@@ -16,8 +16,7 @@ from whtfire.errors import (
     OddDimensionsError,
     ShapeMismatchError,
 )
-from whtfire.nn import mean_pool
-from oracles import (DegenerateGridError, border_mask, extract_windows,
+from oracles import (DegenerateGridError, border_mask, extract_windows, mean_pool_strided,
                      record_backward_flags, render_overlay_per_block)
 
 
@@ -163,7 +162,7 @@ class TestDownsample:
     def test_output_dtype_rules(self):
         assert tiling.downsample_window(np.zeros((4, 4, 3), np.float32)).dtype == np.float32
         assert tiling.downsample_window(np.zeros((4, 4, 3))).dtype == np.float64
-        pooled = tiling.mean_pool(np.full((4, 6, 3), 3, np.uint8), 2, 3)
+        pooled = tiling.downsample_window(np.full((4, 6, 3), 3, np.uint8))
         assert pooled.dtype == np.float64 and np.all(pooled == 3.0)
 
 
@@ -209,6 +208,14 @@ class TestScoreGrid:
         with pytest.raises(ShapeMismatchError, match="uint8 frame"):
             tiling.render_overlay(image, grid)
 
+    @pytest.mark.parametrize("shape", [(0, 128, 3), (96, 0, 3)])
+    def test_a_frame_without_pixels_is_refused(self, shape):
+        grid = tiling.ScoreGrid(tiling.GridSpec(96, 128, 32), np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatchError, match="non-empty"):
+            tiling.score_grid(self._net(), np.zeros(shape, np.uint8))
+        with pytest.raises(ShapeMismatchError, match="non-empty"):
+            tiling.render_overlay(np.zeros(shape, np.uint8), grid)
+
     @pytest.mark.parametrize("variant", ["wht", "conv-baseline"])
     @pytest.mark.parametrize("threshold", [np.nan, -0.1, 2.0])
     def test_a_bad_threshold_is_refused_before_scoring(self, monkeypatch, variant, threshold):
@@ -236,21 +243,36 @@ class TestScoreGrid:
         assert grid.fallback and grid.scores.shape == (1, 1)
         assert 0.0 <= grid.scores[0, 0] <= 1.0
 
-    # a strip, one block, and grids of one row or column with a residual margin
-    @pytest.mark.parametrize("h,w", [(32, 160), (32, 32), (70, 41), (45, 200)])
-    def test_fallback_is_the_block_area_pooled_to_one_patch(self, h, w):
-        net = _random_head(arch.build_toy_net("wht", 8, 32, seed=1, dtype=np.float64), 2)
+    # a strip, one block, and grids of one row or column with a residual margin;
+    # strips of 5 and 7 blocks pool odd cell counts, and a 1 x 300 strip more
+    # cells than a uint16 sum of bytes can hold
+    @pytest.mark.parametrize("h,w", [(32, 160), (32, 32), (70, 41), (45, 200), (32, 224),
+                                     (32, 9600)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fallback_is_the_block_area_pooled_to_one_patch(self, monkeypatch, h, w, dtype):
+        patches = []
+
+        def recording(net, images):
+            patches.extend(images)
+            return arch.fire_probabilities(net, images)
+
+        monkeypatch.setattr(tiling, "fire_probabilities", recording)
+        net = _random_head(arch.build_toy_net("wht", 8, 32, seed=1, dtype=dtype), 2)
         image = random_frame(h * w, h, w)
         grid = tiling.score_grid(net, image, threshold=0.3)
         rows, cols = h // 32, w // 32
         area = image[: rows * 32, : cols * 32]
-        want = arch.forward_classify(net, mean_pool(area, rows, cols) / 255.0)[1]
+        # the one patch has the oracle's bits: a score can round a pooling change away
+        patch = mean_pool_strided(area, rows, cols) / 255.0
+        assert len(patches) == 1 and patches[0].dtype == np.float64
+        assert patches[0].tobytes() == patch.tobytes()
+        want = arch.forward_classify(net, patch)[1]
         assert grid.fallback and grid.threshold == 0.3
         assert (grid.spec.rows, grid.spec.cols) == (rows, cols)
         assert grid.scores.tolist() == [[want]]
         # pooling the float frame u / 255 instead differs by float rounding only
-        first = arch.forward_classify(net, mean_pool(area / 255.0, rows, cols))[1]
-        assert abs(grid.scores[0, 0] - first) <= 1e-12
+        first = arch.forward_classify(net, mean_pool_strided(area / 255.0, rows, cols))[1]
+        assert abs(grid.scores[0, 0] - first) <= {np.float64: 1e-12, np.float32: 1e-6}[dtype]
 
 
 def per_window_oracle(net, image, spec):
@@ -326,7 +348,7 @@ class TestScoreGridEquivalence:
         grid = tiling.score_grid(net, image)
         area = image[: rows * block, : cols * block]
         if grid.fallback:
-            want = [arch.forward_classify(net, mean_pool(area, rows, cols) / 255.0)[1]]
+            want = [arch.forward_classify(net, mean_pool_strided(area, rows, cols) / 255.0)[1]]
         else:
             pooled = tiling.downsample_window(area, net.dtype) / net.dtype.type(255)
             half = block // 2
