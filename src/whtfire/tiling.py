@@ -16,9 +16,8 @@ right, bottom, and bottom-right neighbours, giving (R-1)*(C-1) overlapping
 windows.  A window is mean-pooled 2x2 back to block resolution before
 classification, by the same ``nn.mean_pool`` that the network's avgpool2
 layers run, and per-anchor scores are rendered as coloured block borders.
-A ``fallback`` grid, with no 2x2 window (R or C is 1), is the one-window
-case of per-window scoring: its whole block area pooled down to one block
-by numpy's float64 mean of each pixel's R x C cells (exact sum, one divide).
+A ``fallback`` grid, with no 2x2 window (R or C is 1), scores one window:
+``fallback_patch`` pools its whole block area down to one block.
 
 Scoring pools the R x C block area once: since every window starts on a
 block boundary, its pooled patch is a slice of the pooled frame.  When
@@ -140,6 +139,13 @@ def downsample_window(window: np.ndarray, dtype=np.float64) -> np.ndarray:
     return mean_pool(window, dtype)
 
 
+def fallback_patch(area: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A fallback grid's block area, each pixel's R x C cells pooled by numpy's
+    float64 mean (the exact byte sum, divided once) to one block."""
+    h, w, ch = area.shape
+    return area.reshape(h // rows, rows, w // cols, cols, ch).mean(axis=(1, 3))
+
+
 def score_grid(net: Network, image: np.ndarray,
                threshold: float = DECISION_THRESHOLD) -> ScoreGrid:
     """Classify every 2x2-block window of the byte frame ``image``; scores
@@ -151,15 +157,14 @@ def score_grid(net: Network, image: np.ndarray,
     For a float32 net each pooled value has the bits of the float64 one
     converted: the byte sum s <= 1020 gives the exact s/4, and
     ``f32(f32(s/4) / 255)`` equals ``f32(s/4 / 255)`` for all 1,021 sums.
-    A ``fallback`` grid's block area pools in float64 (numpy's mean).  Each score equals
+    A ``fallback`` grid pools with ``fallback_patch``.  Each score equals
     ``forward_classify(net, downsample_window(window / 255))[1]`` up to
     float rounding.  Windows share the feature map (see the module docstring)
     when ``arch.feature_stride`` allows it and S/2 is a multiple of the
     stride.  Otherwise ``arch.fire_probabilities`` classifies the slices; a
-    ``fallback`` grid's one window, its block area pooled to one S x S patch,
-    is one chunk, on the calling thread.  A bad threshold is refused before
-    any scoring.  Numpy's overflow and invalid warnings are off: ``ScoreGrid``
-    refuses the non-finite scores they would foretell.
+    ``fallback`` grid's one patch is one chunk, on the calling thread.  A bad
+    threshold is refused before any scoring.  Numpy's overflow and invalid
+    warnings are off: ``ScoreGrid`` refuses the non-finite scores they would foretell.
     """
     threshold = _checked_threshold(threshold)
     _check_frame(image)
@@ -168,7 +173,7 @@ def score_grid(net: Network, image: np.ndarray,
     rows, cols = spec.rows, spec.cols
     area = image[: rows * block, : cols * block]
     if spec.fallback:
-        pooled = area.reshape(block, rows, block, cols, 3).mean(axis=(1, 3))
+        pooled = fallback_patch(area, rows, cols)
     else:
         pooled = downsample_window(area, net.dtype)
     pooled /= pooled.dtype.type(255)  # bytes pool exactly, then scale once

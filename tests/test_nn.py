@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from whtfire import nn
+from whtfire import nn, tiling
 from whtfire.dataio import ppm_read, ppm_write
 from whtfire.errors import BadLabelError, ShapeMismatchError
 from oracles import (avgpool2_backward_broadcast, avgpool2_reshape_mean, avgpool2_rows_first,
@@ -396,8 +396,9 @@ class TestSimpleLayers:
 
 
 class TestBytePool:
-    """``mean_pool`` on uint8 input adds its rows in uint16; the strided
-    float sums are the oracle, bit for bit."""
+    """``mean_pool`` on uint8 input adds its rows in uint16, and a fallback
+    grid's ``fallback_patch`` pools any cell count with numpy's mean; the
+    strided float sums are the oracle, bit for bit."""
 
     @staticmethod
     def _bytes(shape, fill, layout, tmp_path):
@@ -419,15 +420,19 @@ class TestBytePool:
 
     @pytest.mark.parametrize("layout", ["contiguous", "read-only", "cropped"])
     @pytest.mark.parametrize("fill", ["random", "255"])
-    @pytest.mark.parametrize("factors", [(2, 2)])
+    @pytest.mark.parametrize("factors", [(2, 2), (1, 7), (5, 1), (3, 5), (16, 16),
+                                         (1, 257), (1, 258)])
     def test_matches_strided_float_sums(self, tmp_path, factors, fill, layout):
-        fy, fx = factors
+        fy, fx = factors  # 1 x 257 cells of 255 sum to 65,535, a uint16's largest value
         for shape in [(3 * fy, 2 * fx, 3), (2, 2 * fy, 3 * fx, 5)]:
             u = self._bytes(shape, fill, layout, tmp_path)
             assert layout != "cropped" or not u.flags.c_contiguous
-            out = nn.mean_pool(u)
-            assert out.dtype == np.float64
-            assert np.array_equal(out, mean_pool_strided(u, fy, fx))
+            want = mean_pool_strided(u, fy, fx)
+            pools = [tiling.fallback_patch(u, fy, fx)] if u.ndim == 3 else []
+            if factors == (2, 2):
+                pools.append(nn.mean_pool(u))
+            for out in pools:
+                assert out.dtype == np.float64 and np.array_equal(out, want)
 
     def test_block_224_grid_area(self, tmp_path):
         # score_grid pools a read-only frame's R x C block area, cropped in both axes

@@ -246,9 +246,11 @@ class TestScoreGrid:
     # a strip, one block, and grids of one row or column with a residual margin;
     # strips of 5 and 7 blocks pool odd cell counts, and a 1 x 300 strip more
     # cells than a uint16 sum of bytes can hold
-    @pytest.mark.parametrize("h,w", [(32, 160), (32, 32), (70, 41), (45, 200), (32, 224),
-                                     (32, 9600)])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("h,w,dtype", [
+        pytest.param(h, w, dtype, id=f"{prefix}{h}-{w}")
+        for dtype, prefix in [(np.float64, ""), (np.float32, "float32-")]
+        for h, w in [(32, 160), (32, 32), (70, 41), (45, 200), (32, 224), (32, 9600)]
+    ])
     def test_fallback_is_the_block_area_pooled_to_one_patch(self, monkeypatch, h, w, dtype):
         patches = []
 
